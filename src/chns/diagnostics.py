@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import WallData, require_aligned
-from .errors import MisalignedSeries, ModeMismatch
+from .errors import MisalignedSeries, ModeMismatch, UnsupportedFamily
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
 from .ops import (gradient, grad_norm_sq, h1, h2_norm_sq, hminus1, inner, l2,
@@ -66,7 +66,6 @@ class DiagnosticsContext:
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
         """Build the record context, reusing the run's lift for the limit field."""
-        u_inf = None
         try:
             if lift is not None:
                 u_inf = lift.limit_field()
@@ -74,8 +73,8 @@ class DiagnosticsContext:
                 u_inf = EllipticLift(grid, cfg.viscosity.nu1, data).limit_field()
             else:
                 u_inf = VectorField.zeros(grid)
-        except Exception:
-            u_inf = None
+        except UnsupportedFamily:
+            u_inf = None                          # custom amplitude: no limit field
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
                    u_infinity=u_inf, mode=cfg.mode)
 

@@ -1,9 +1,12 @@
 """Divergence-free lifts of the tangential wall data.
 
 The stationary lift solves  -nu1 Lap(u) + grad(p) = 0, div u = 0 with the
-prescribed tangential trace.  Because the wall data is separable,
-h = a(t) g(x), the solve happens once for the unit shape g and every lift
-and lift time-derivative is an amplitude rescaling of that single field.
+prescribed tangential trace, exactly and without iteration: periodicity in x
+splits the MAC Stokes system into one small block-tridiagonal problem in y
+per x-wavenumber (the influence-matrix idea of Kleiser & Schumann, 1980, on
+the staggered grid).  Because the wall data is separable, h = a(t) g(x), the
+solve happens once for the unit shape g and every lift and lift
+time-derivative is an amplitude rescaling of that single field.
 
 The evolutionary lift integrates  d/dt u_p - nu1 Lap(u_p) + grad(p) = 0 with
 u_p = h on the walls.  It is stepped through the decomposition
@@ -16,7 +19,6 @@ consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,7 @@ import scipy.fft as sfft
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField
-from .ops import (divergence, gradient, grad_norm_sq, l2, leray_project,
-                  v1_norm, vector_laplacian)
+from .ops import divergence, gradient, l2, leray_project, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift", "LiftState",
@@ -35,82 +36,78 @@ __all__ = [
 ]
 
 
-def _solve_velocity(grid: Grid, nu1: float, p: ScalarField,
-                    gb: np.ndarray, gt: np.ndarray) -> VectorField:
-    """Solve -nu1 Lap(u) = -grad(p) with tangential ghosts (gb, gt)."""
-    gp = gradient(p)
-    rhs_x = -gp.ux.copy()
-    rhs_x[:, 0] += nu1 * 2.0 * gb / grid.dy**2
-    rhs_x[:, -1] += nu1 * 2.0 * gt / grid.dy**2
-    # symbol of -nu1*Lap on each component layout is -nu1*(lam_x + lam_y) > 0
-    xhat = sfft.dst(sfft.rfft(rhs_x, axis=0), type=2, axis=1)
-    xhat /= -nu1 * (grid.lam_x[:, None] + grid.lam_y_dst2[None, :])
-    ux = sfft.irfft(sfft.idst(xhat, type=2, axis=1), axis=0, n=grid.nx)
-
-    rhs_y = -gp.uy[:, 1:-1]
-    yhat = sfft.dst(sfft.rfft(rhs_y, axis=0), type=1, axis=1)
-    yhat /= -nu1 * (grid.lam_x[:, None] + grid.lam_y_dst1[None, :])
-    uy = np.zeros((grid.nx, grid.ny + 1))
-    uy[:, 1:-1] = sfft.irfft(sfft.idst(yhat, type=1, axis=1), axis=0, n=grid.nx)
-    return VectorField(ux, uy, grid)
-
-
 class StationaryStokes:
-    """Pressure-iteration solver for the stationary lift problem.
+    """Exact solve of the discrete stationary Stokes problem with wall data.
 
-    Each sweep solves the momentum equation exactly for the current pressure
-    (transform solves with the wall data folded into ghost rows) and then
-    relaxes the pressure against the remaining divergence.  A final exact
-    projection pins the divergence to round-off.
+    The x-transform of the stencils of ``gradient``, ``divergence`` and
+    ``vector_laplacian`` (wall ghosts ``2 g - interior``) leaves, for each
+    wavenumber k >= 1, a block-tridiagonal system in y with 3x3 blocks on
+    (ux_j, p_j, uy_{j+1}); the last block pins the wall row uy_ny = 0.  All
+    modes are eliminated together, one batched 3x3 solve per y-level, and
+    only the eliminated blocks are kept for the back substitution.
+
+    The mean mode k = 0 is closed form: its continuity rows only say that uy
+    is constant in y, hence zero, and fix p up to a constant, so the block
+    system is singular there.  Its solution is the linear (Couette) profile
+    between the two wall means with uy = 0 and p = 0, which also makes p
+    zero-mean.
     """
 
-    def __init__(self, grid: Grid, nu1: float, tol: float = 1e-13,
-                 max_iter: int = 4000, omega: float = 0.9):
+    def __init__(self, grid: Grid, nu1: float):
         self.grid = grid
         self.nu1 = float(nu1)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.omega = float(omega)
 
     def solve(self, gb: np.ndarray, gt: np.ndarray) -> tuple[VectorField, ScalarField, dict]:
         g = self.grid
         gb = np.asarray(gb, dtype=float)
         gt = np.asarray(gt, dtype=float)
-        scale = max(np.abs(gb).max(), np.abs(gt).max())
-        if scale == 0.0:
+        if not (gb.any() or gt.any()):
             return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0, "div_norm": 0.0}
 
-        p = ScalarField.zeros(g)
-        omega = self.omega
-        u_prev = None
-        last_div = math.inf
-        for it in range(1, self.max_iter + 1):
-            u = _solve_velocity(g, self.nu1, p, gb, gt)
-            div_norm = l2(divergence(u))
-            if div_norm > 2.0 * last_div and it > 3:
-                omega *= 0.5                      # relaxation overshoot guard
-                if omega < 1e-3:
-                    raise SolverDiverged("stationary lift: pressure relaxation stalled")
-            last_div = min(last_div, div_norm)
-            incr = l2(u - u_prev) if u_prev is not None else math.inf
-            u_prev = u
-            if div_norm <= self.tol * scale and incr <= 1e-10 * max(l2(u), scale):
-                break
-            dp = self.omega_update(divergence(u), omega)
-            p = p - dp
-        else:
-            raise SolverDiverged(
-                f"stationary lift: no convergence in {self.max_iter} sweeps "
-                f"(|div| = {div_norm:.3e}, scale = {scale:.3e})")
+        nu, dy, ny = self.nu1, g.dy, g.ny
+        bhat, that = sfft.rfft(gb), sfft.rfft(gt)
+        hat = np.zeros((3, g.nx // 2 + 1, ny), dtype=complex)     # ux_j, p_j, uy_{j+1}
+        hat[0, 0] = bhat[0] + (that[0] - bhat[0]) * (np.arange(ny) + 0.5) / ny
 
-        u, q = leray_project(u)                   # exact discrete incompressibility
-        info = {"iterations": it, "div_norm": l2(divergence(u)),
-                "projection_correction": l2(q)}
-        return u, p, info
+        theta = 2.0 * np.pi * np.arange(1, g.nx // 2 + 1) / g.nx
+        lap = nu * (2.0 / dy**2 - g.lam_x[1:])        # -nu Lap, interior rows
+        blk = np.zeros((theta.size, 3, 3), dtype=complex)
+        blk[:, 0, 0] = blk[:, 2, 2] = lap
+        blk[:, 0, 1] = (1.0 - np.exp(-1j * theta)) / g.dx     # gradient, x
+        blk[:, 1, 0] = (np.exp(1j * theta) - 1.0) / g.dx      # divergence, x
+        blk[:, 1, 2], blk[:, 2, 1] = 1.0 / dy, -1.0 / dy
+        low = np.zeros((3, 3))                        # coupling to level j - 1
+        low[0, 0] = low[2, 2] = -nu / dy**2
+        low[1, 2] = -1.0 / dy
+        aug = np.zeros((theta.size, 3, 4), dtype=complex)    # [upper | rhs]
+        aug[:, 0, 0] = aug[:, 2, 2] = -nu / dy**2
+        aug[:, 2, 1] = 1.0 / dy
 
-    def omega_update(self, div: ScalarField, omega: float) -> ScalarField:
-        vals = omega * self.nu1 * div.values
-        return ScalarField(vals - vals.mean(), self.grid)
+        # forward elimination; elim[j] = A'_j^{-1} [upper | rhs'_j]
+        elim = np.empty((ny,) + aug.shape, dtype=complex)
+        for j in range(ny):
+            a, b = blk.copy(), aug.copy()
+            if j == 0 or j == ny - 1:
+                a[:, 0, 0] += nu / dy**2              # ghost 2 g - interior
+                b[:, 0, 3] = 2.0 * nu / dy**2 * (bhat if j == 0 else that)[1:]
+            if j > 0:
+                lc = low @ elim[j - 1]
+                a -= lc[:, :, :3]
+                b[:, :, 3] -= lc[:, :, 3]
+            if j == ny - 1:
+                a[:, 2] = (0.0, 0.0, 1.0)             # wall row uy_ny = 0, uncoupled
+                b[:, 2, 3] = 0.0
+            elim[j] = np.linalg.solve(a, b)
+
+        sol = elim[..., 3]                            # back substitution in place
+        for j in range(ny - 2, -1, -1):
+            sol[j] -= (elim[j, :, :, :3] @ sol[j + 1, :, :, None])[..., 0]
+        hat[:, 1:] = sol.transpose(2, 1, 0)
+        ux, p, uy_up = sfft.irfft(hat, axis=1, n=g.nx)
+        uy = np.zeros((g.nx, ny + 1))
+        uy[:, 1:-1] = uy_up[:, :-1]
+        u = VectorField(ux, uy, g)
+        return u, ScalarField(p, g), {"iterations": 1, "div_norm": l2(divergence(u))}
 
 
 def momentum_residual(u: VectorField, p: ScalarField, nu1: float,
@@ -136,11 +133,11 @@ class LiftState:
 class EllipticLift:
     """Unit stationary lift of a wall-data shape, rescaled by the amplitude."""
 
-    def __init__(self, grid: Grid, nu1: float, data: WallData, tol: float = 1e-13):
+    def __init__(self, grid: Grid, nu1: float, data: WallData):
         self.grid = grid
         self.nu1 = float(nu1)
         self.data = data
-        solver = StationaryStokes(grid, nu1, tol=tol)
+        solver = StationaryStokes(grid, nu1)
         self.unit_u, self.unit_p, self.info = solver.solve(data.g_bottom, data.g_top)
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
@@ -158,12 +155,10 @@ class EllipticLift:
         return LiftState(t=t, u_e=u_e, p_e=p_e, du_e_dt=self.dt_at(t))
 
 
-def initial_lift(u0: VectorField, nu1: float,
-                 tol: float = 1e-13) -> tuple[VectorField, ScalarField]:
+def initial_lift(u0: VectorField, nu1: float) -> tuple[VectorField, ScalarField]:
     """Stationary lift of the tangential trace of the initial velocity."""
     gb, gt = extrapolated_wall_trace(u0)
-    solver = StationaryStokes(u0.grid, nu1, tol=tol)
-    u, p, _ = solver.solve(gb, gt)
+    u, p, _ = StationaryStokes(u0.grid, nu1).solve(gb, gt)
     return u, p
 
 

@@ -124,10 +124,6 @@ class ViscositySpec:
         return 0.5 * (self.nu2 - self.nu1) if self.kind != "constant" else 0.0
 
 
-def eval_viscosity(spec: ViscositySpec, s):
-    return spec(s)
-
-
 def _tightest(observed, default):
     return float(observed) if np.isfinite(observed) else default
 

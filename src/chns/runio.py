@@ -84,11 +84,17 @@ def read_snapshot(path) -> tuple[dict, np.ndarray]:
     with open(path, "rb") as fh:
         header = fh.read(HEADER_BYTES)
         payload = fh.read()
-    if header[:8] != MAGIC:
-        raise InvariantViolation(f"{path}: bad snapshot magic {header[:8]!r}")
+    if len(header) != HEADER_BYTES or header[:8] != MAGIC:
+        raise InvariantViolation(f"{path}: bad snapshot header ({len(header)} bytes, "
+                                 f"magic {header[:8]!r})")
     rows, cols, tag, _reserved, t = struct.unpack("<IIII d", header[8:32])
+    if len(payload) != rows * cols * 8:
+        raise InvariantViolation(f"{path}: payload of {len(payload)} bytes does not "
+                                 f"hold {rows}x{cols} float64 values")
+    name = {v: k for k, v in FIELD_TAGS.items()}.get(tag)
+    if name is None:
+        raise InvariantViolation(f"{path}: unknown field tag {tag}")
     array = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    name = {v: k for k, v in FIELD_TAGS.items()}[tag]
     return {"rows": rows, "cols": cols, "field": name, "t": t}, array
 
 

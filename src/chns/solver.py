@@ -54,7 +54,6 @@ class SolverConfig:
     viscosity: ViscositySpec = field(default_factory=ViscositySpec)
     galerkin_cutoff: tuple[int, int] | None = None
     compat_tol: float = 1e-8
-    lift_tol: float = 1e-13
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -268,7 +267,7 @@ class Simulation:
         if cfg.mode == "direct":
             self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid))
         else:
-            self.ell = EllipticLift(grid, cfg.viscosity.nu1, data, tol=cfg.lift_tol)
+            self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
                 self.par = ParabolicLift(self.ell, u0=u0, compat_tol=cfg.compat_tol)
                 lift0 = self.par.state()

@@ -99,6 +99,32 @@ class TestEnergyInequality:
         assert sups[1] <= 2.0 * sups[0] + 1e-12 and sups[0] <= 2.0 * sups[1] + 1e-12
 
 
+class TestContextForRun:
+    def cfg(self):
+        return SolverConfig(dt=1e-3, t_end=0.1, mode="direct")
+
+    def test_custom_amplitude_has_no_limit_field(self):
+        grid = Grid(16, 16)
+        amp = Amplitude("custom", fn=lambda t: 1.0 / (1 + t),
+                        fn_dt=lambda t: -1.0 / (1 + t) ** 2)
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"), amp)
+        ctx = DiagnosticsContext.for_run(grid, self.cfg(), data)
+        assert ctx.u_infinity is None
+
+    def test_lift_failure_propagates(self, monkeypatch):
+        grid = Grid(16, 16)
+
+        class Broken:
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("lift failed")
+
+        monkeypatch.setattr("chns.diagnostics.EllipticLift", Broken)
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                        Amplitude("custom_static", a0=1.0))
+        with pytest.raises(RuntimeError, match="lift failed"):
+            DiagnosticsContext.for_run(grid, self.cfg(), data)
+
+
 class TestHigherOrder:
     def ctx(self, grid, data=None):
         return DiagnosticsContext(

@@ -122,6 +122,31 @@ class TestEllipticLift:
         assert l2(ell.dt_at(2.0)) == 0.0
 
 
+class TestStationaryStokes:
+    def test_mean_single_and_nyquist_modes_on_rectangle(self):
+        """k = 0, k = 1 and k = nx/2 together on a non-square grid."""
+        grid = Grid(32, 24, lx=2.0, ly=1.0)
+        i = np.arange(grid.nx)
+        gb = 0.5 + (-1.0) ** i
+        gt = -0.25 + wall_profile(grid, "single_mode:1")
+        u, p, info = StationaryStokes(grid, NU1).solve(gb, gt)
+        scale = max(np.abs(gb).max(), np.abs(gt).max())
+        assert info["iterations"] == 1
+        assert momentum_residual(u, p, NU1, gb, gt) < 1e-12 * NU1 * scale / grid.dy**2
+        assert np.abs(divergence(u).values).max() < 1e-12 * scale / grid.dy
+        assert abs(p.mean()) < 1e-14 * np.abs(p.values).max()
+        # the mean of the data is carried by the Couette profile alone
+        mean_ux = u.ux.mean(axis=0)
+        couette = 0.5 - 0.75 * grid.yc / grid.ly
+        assert np.abs(mean_ux - couette).max() < 1e-13
+
+    def test_zero_data(self):
+        grid = Grid(32, 24, lx=2.0, ly=1.0)
+        u, p, info = StationaryStokes(grid, NU1).solve(np.zeros(32), np.zeros(32))
+        assert info["iterations"] == 0
+        assert l2(u) == 0.0 and l2(p) == 0.0
+
+
 class TestInitialLift:
     def test_zero_trace(self):
         grid = Grid(32, 32)
