@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,9 @@ class Amplitude:
     def sq_tail(self, t: float) -> float:
         """integral_t^inf a(s)^2 ds; inf when the tail diverges."""
         if self.family == "couette_ramp":
-            c = self.a0 - self.a_inf
             if self.a_inf != 0.0:
-                return math.inf if (self.a_inf or c) else 0.0
-            return c * c * math.exp(-2.0 * self.rate * t) / (2.0 * self.rate)
+                return math.inf
+            return self.a0 * self.a0 * math.exp(-2.0 * self.rate * t) / (2.0 * self.rate)
         if self.family == "decaying_oscillation":
             # a^2 = a0^2 e^(-2 r s) (1 + cos(2 w s)) / 2
             a2 = self.a0 * self.a0
@@ -116,8 +116,6 @@ class Amplitude:
         if self.family == "custom_static":
             return 0.0 if self.a0 == 0.0 else math.inf
         if self.family == "power_decay":
-            if self.p <= 0.5:
-                return math.inf
             return self.a0**2 * (1.0 + t) ** (1.0 - 2 * self.p) / (2 * self.p - 1.0)
         raise UnsupportedFamily("no closed-form tail for custom amplitude")
 
@@ -154,16 +152,20 @@ class Amplitude:
 
 
 def wall_profile(grid: Grid, kind: str, scale: float = 1.0) -> np.ndarray:
-    """Named tangential profiles sampled at the x-velocity face positions."""
-    x = grid.xf
+    """Named tangential profiles sampled at the x-velocity face positions.
+
+    kinds: ``zero``, ``uniform``, ``single_mode`` (mode 1) and
+    ``single_mode:<m>`` for a whole number m, the profile cos(2 pi m x / lx).
+    """
     if kind == "zero":
         return np.zeros(grid.nx)
     if kind == "uniform":
         return scale * np.ones(grid.nx)
-    if kind.startswith("single_mode"):
-        m = int(kind.split(":")[1]) if ":" in kind else 1
-        return scale * np.cos(2 * np.pi * m * x / grid.lx)
-    raise InvariantViolation(f"unknown wall profile {kind!r}")
+    single = re.fullmatch(r"single_mode(?::([0-9]+))?", kind)
+    if single is None:
+        raise InvariantViolation(f"unknown wall profile {kind!r}")
+    m = int(single.group(1) or 1)
+    return scale * np.cos(2 * np.pi * m * grid.xf / grid.lx)
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,28 @@ The format is INI-style (configparser) with one section per concern; every
 key has a documented default, unknown keys or sections are rejected, and
 ``serialize_config(parse_config(path))`` parses back to an equal config so a
 run can always be archived next to its outputs.
+
+The objects a config describes own their checks: ``validate_config`` builds
+the grid, the potential, the viscosity, the solver settings, the amplitude
+and each wall profile, and collects every one's ``InvariantViolation``
+message into a single ``ValidationError``.  The defaults of the keys that
+feed an object are that object's defaults.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .boundary import Amplitude, WallData, wall_profile
-from .errors import ParseError, ValidationError
+from .errors import InvariantViolation, ParseError, ValidationError
 from .grid import Grid, ScalarField, VectorField
 from .ops import leray_project
 from .potential import PotentialSpec, ViscositySpec
-from .solver import MODES, SolverConfig
-
-_MISSING = object()
+from .solver import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -34,34 +38,34 @@ class RunConfig:
     # [time]
     dt: float = 1e-3
     t_end: float = 1.0
-    record_every: float = 0.01
+    record_every: float = SolverConfig.record_every
     # [solver]
-    mode: str = "direct"
-    stabilization: float = 2.0
-    cfl_safety: float = 0.4
-    force_form: str = "mu_grad_phi"
+    mode: str = SolverConfig.mode
+    stabilization: float = SolverConfig.stabilization
+    cfl_safety: float = SolverConfig.cfl_safety
+    force_form: str = SolverConfig.force_form
     # [potential]
-    potential_kind: str = "quartic_double_well"
-    q: float = 3.0
-    c1: float = 8.0
-    c2: float = 4.0
-    c3: float = 4.0
-    c4: float = 12.0
-    c4p: float = 4.0
-    c5: float = 24.0
+    potential_kind: str = PotentialSpec.kind
+    q: float = PotentialSpec.q
+    c1: float = PotentialSpec.c1
+    c2: float = PotentialSpec.c2
+    c3: float = PotentialSpec.c3
+    c4: float = PotentialSpec.c4
+    c4p: float = PotentialSpec.c4p
+    c5: float = PotentialSpec.c5
     # [viscosity]
-    viscosity_kind: str = "tanh"
-    nu1: float = 1.0
-    nu2: float = 1.05
-    nu_value: float | None = None
-    nu_gap: float | None = None
+    viscosity_kind: str = ViscositySpec.kind
+    nu1: float = ViscositySpec.nu1
+    nu2: float = ViscositySpec.nu2
+    nu_value: float | None = ViscositySpec.value
+    nu_gap: float | None = ViscositySpec.nu_gap
     # [boundary]
     family: str = "custom_static"
-    a0: float = 0.0
-    a_inf: float = 0.0
-    rate: float = 1.0
-    omega: float = 0.0
-    p_exponent: float = 1.0
+    a0: float = Amplitude.a0
+    a_inf: float = Amplitude.a_inf
+    rate: float = Amplitude.rate
+    omega: float = Amplitude.omega
+    p_exponent: float = Amplitude.p
     g_bottom: str = "zero"
     g_top: str = "zero"
     g_bottom_scale: float = 1.0
@@ -78,23 +82,9 @@ class RunConfig:
     # [outputs]
     directory: str = "out"
     snapshot_every: float = 0.0
-    # [experiment]
-    experiment: str = "single"
-    epsilon: float = 0.0
-    perturb: str = "boundary"
-    cutoffs: tuple = (4, 8, 16, 32)
-    gamma: float = 1.0
-    res_factor: float = 0.1
-    t_ref: float = 1.0
-
-
-def _parse_cutoffs(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
 def _fmt(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     if value is None:
         return ""
     if isinstance(value, float):
@@ -131,16 +121,6 @@ SCHEMA = {
                 "u": ("u_profile", str), "u_vortex_amp": ("u_vortex_amp", float)},
     "outputs": {"directory": ("directory", str),
                 "snapshot_every": ("snapshot_every", float)},
-    "experiment": {"kind": ("experiment", str), "epsilon": ("epsilon", float),
-                   "perturb": ("perturb", str), "cutoffs": ("cutoffs", _parse_cutoffs),
-                   "gamma": ("gamma", float), "res_factor": ("res_factor", float),
-                   "t_ref": ("t_ref", float)},
-}
-
-_FIELD_TO_SECTION_KEY = {
-    fname: (section, key)
-    for section, keys in SCHEMA.items()
-    for key, (fname, _) in keys.items()
 }
 
 
@@ -193,54 +173,29 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Collect every schema violation; raise ValidationError listing them all."""
+    """Build every object the config describes; raise ValidationError listing
+    the message of each one that refuses its fields."""
     bad = []
-    if cfg.nx < 4 or cfg.nx % 2:
-        bad.append(f"grid nx must be even and >= 4, got {cfg.nx}")
-    if cfg.ny < 4:
-        bad.append(f"grid ny must be >= 4, got {cfg.ny}")
-    if cfg.lx <= 0 or cfg.ly <= 0:
-        bad.append("domain lengths must be positive")
-    if cfg.dt <= 0:
-        bad.append(f"dt must be positive, got {cfg.dt}")
-    if cfg.t_end < 0:
-        bad.append("t_end must be nonnegative")
-    if cfg.record_every <= 0:
-        bad.append("record_every must be positive")
-    if cfg.mode not in MODES:
-        bad.append(f"unknown solver mode {cfg.mode!r}")
-    if cfg.stabilization < 0:
-        bad.append("stabilization must be nonnegative")
-    if cfg.force_form not in ("mu_grad_phi", "phi_grad_mu"):
-        bad.append(f"unknown force form {cfg.force_form!r}")
-    if not cfg.nu1 < cfg.nu2:
-        bad.append(f"need nu1 < nu2, got nu1={cfg.nu1}, nu2={cfg.nu2}")
-    if cfg.nu1 <= 0:
-        bad.append("nu1 must be positive")
-    if cfg.viscosity_kind not in ("tanh", "constant", "clamped_linear"):
-        bad.append(f"unknown viscosity kind {cfg.viscosity_kind!r}")
-    if cfg.viscosity_kind == "constant":
-        v = cfg.nu_value if cfg.nu_value is not None else 0.5 * (cfg.nu1 + cfg.nu2)
-        if not (cfg.nu1 < v < cfg.nu2):
-            bad.append("constant viscosity value must lie strictly inside (nu1, nu2)")
-    if cfg.family not in ("couette_ramp", "decaying_oscillation", "custom_static",
-                          "power_decay"):
-        bad.append(f"unknown boundary family {cfg.family!r}")
-    for name in (cfg.g_bottom, cfg.g_top):
-        if not (name in ("zero", "uniform") or name.startswith("single_mode")):
-            bad.append(f"unknown wall profile {name!r}")
+
+    def attempt(where, build, *args, **kw):
+        try:
+            return build(*args, **kw)
+        except InvariantViolation as exc:
+            bad.append(f"{where} {exc}")
+
+    grid = attempt("[grid]", build_grid, cfg)
+    attempt("[potential]", build_potential, cfg)
+    attempt("[viscosity]", build_viscosity, cfg)
+    attempt("[time]/[solver]", SolverConfig, **_solver_fields(cfg))
+    attempt("[boundary]", _build_amplitude, cfg)
+    # the profile names are checked even when the grid itself is refused
+    probe = grid if grid is not None else Grid(4, 4)
+    attempt("[boundary] g_bottom:", wall_profile, probe, cfg.g_bottom)
+    attempt("[boundary] g_top:", wall_profile, probe, cfg.g_top)
     if cfg.phi_profile not in ("noise", "constant", "mode"):
-        bad.append(f"unknown phi profile {cfg.phi_profile!r}")
+        bad.append(f"[initial] unknown phi profile {cfg.phi_profile!r}")
     if cfg.u_profile not in ("zero", "couette", "lift", "lift_vortex"):
-        bad.append(f"unknown u profile {cfg.u_profile!r}")
-    if cfg.experiment not in ("single", "pair", "galerkin", "longtime"):
-        bad.append(f"unknown experiment kind {cfg.experiment!r}")
-    if cfg.perturb not in ("boundary", "phi0"):
-        bad.append(f"unknown perturbation target {cfg.perturb!r}")
-    if any(n <= 0 for n in cfg.cutoffs):
-        bad.append("cutoffs must be positive")
-    if cfg.gamma <= 0:
-        bad.append("gamma must be positive")
+        bad.append(f"[initial] unknown u profile {cfg.u_profile!r}")
     if bad:
         raise ValidationError(bad)
 
@@ -263,13 +218,16 @@ def build_viscosity(cfg: RunConfig) -> ViscositySpec:
                          value=cfg.nu_value, nu_gap=cfg.nu_gap)
 
 
+def _build_amplitude(cfg: RunConfig) -> Amplitude:
+    return Amplitude(cfg.family, a0=cfg.a0, a_inf=cfg.a_inf, rate=cfg.rate,
+                     omega=cfg.omega, p=cfg.p_exponent)
+
+
 def build_wall_data(cfg: RunConfig, grid: Grid) -> WallData:
-    amp = Amplitude(cfg.family, a0=cfg.a0, a_inf=cfg.a_inf, rate=cfg.rate,
-                    omega=cfg.omega, p=cfg.p_exponent)
     return WallData(grid,
                     wall_profile(grid, cfg.g_bottom, cfg.g_bottom_scale),
                     wall_profile(grid, cfg.g_top, cfg.g_top_scale),
-                    amp)
+                    _build_amplitude(cfg))
 
 
 def build_initial_phi(cfg: RunConfig, grid: Grid, seed: int | None = None) -> ScalarField:
@@ -316,14 +274,12 @@ def build_initial_u(cfg: RunConfig, grid: Grid, data: WallData) -> VectorField:
     return u0
 
 
+def _solver_fields(cfg: RunConfig) -> dict:
+    return dict(dt=cfg.dt, t_end=cfg.t_end, mode=cfg.mode,
+                stabilization=cfg.stabilization, cfl_safety=cfg.cfl_safety,
+                record_every=cfg.record_every, force_form=cfg.force_form)
+
+
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(dt=cfg.dt, t_end=cfg.t_end, mode=cfg.mode,
-                        stabilization=cfg.stabilization, cfl_safety=cfg.cfl_safety,
-                        record_every=cfg.record_every, force_form=cfg.force_form,
-                        potential=build_potential(cfg), viscosity=build_viscosity(cfg))
-
-
-def with_overrides(cfg: RunConfig, **kw) -> RunConfig:
-    new = replace(cfg, **kw)
-    validate_config(new)
-    return new
+    return SolverConfig(**_solver_fields(cfg), potential=build_potential(cfg),
+                        viscosity=build_viscosity(cfg))

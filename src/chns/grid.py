@@ -11,6 +11,7 @@ iterative tolerance for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,3 +204,16 @@ def require_same_grid(*objs):
     keys = {o.grid.key for o in objs}
     if len(keys) > 1:
         raise InvariantViolation(f"fields live on different grids: {sorted(keys)}")
+
+
+def whole_steps(span: float, dt: float, what: str) -> int:
+    """The number of dt steps in a time span that holds a whole number of them.
+
+    A span such as t_end = 0.1 at dt = 0.0015 would otherwise be rounded to a
+    different time (0.1005) without notice.
+    """
+    n = round(span / dt)
+    if not math.isclose(n * dt, span, rel_tol=1e-9):
+        raise InvariantViolation(f"{what} = {span!r} is not a whole number of "
+                                 f"steps dt = {dt!r}")
+    return n

@@ -26,7 +26,7 @@ import scipy.fft as sfft
 
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, whole_steps
 from .ops import divergence, gradient, l2, leray_project, v1_norm, vector_laplacian
 
 __all__ = [
@@ -260,7 +260,7 @@ def run_lift_pair(data: WallData, grid: Grid, nu1: float, dt: float, t_end: floa
         hist.rhs_cum.append(shape_w * data.amplitude.dt_sq_integral(par.t))
 
     record()
-    n_steps = int(round(t_end / dt))
+    n_steps = whole_steps(t_end, dt, "t_end")
     for n in range(1, n_steps + 1):
         par.step(dt)
         lap_cum += dt * l2(vector_laplacian(par.difference_from_stationary())) ** 2

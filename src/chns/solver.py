@@ -30,7 +30,7 @@ import numpy as np
 
 from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, SolverDiverged
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, whole_steps
 from .lifting import EllipticLift, LiftState, ParabolicLift
 from .ops import (advect_scalar, advect_velocity, gradient, h1,
                   interp_center_to_xface, interp_center_to_yface,
@@ -60,8 +60,12 @@ class SolverConfig:
             raise InvariantViolation("dt must be positive")
         if self.t_end < 0:
             raise InvariantViolation("t_end must be nonnegative")
+        if self.record_every <= 0:
+            raise InvariantViolation("record_every must be positive")
         if self.stabilization < 0:
             raise InvariantViolation("stabilization must be nonnegative")
+        if self.cfl_safety <= 0:
+            raise InvariantViolation("cfl_safety must be positive")
         if self.mode not in MODES:
             raise InvariantViolation(f"unknown mode {self.mode!r}")
         if self.force_form not in ("mu_grad_phi", "phi_grad_mu"):
@@ -336,8 +340,8 @@ class Simulation:
         from .diagnostics import energy
 
         cfg = self.cfg
-        n_steps = int(round(cfg.t_end / cfg.dt))
-        every = max(1, int(round(cfg.record_every / cfg.dt)))
+        n_steps = whole_steps(cfg.t_end, cfg.dt, "t_end")
+        every = whole_steps(cfg.record_every, cfg.dt, "record_every")
         records = []
 
         def emit():

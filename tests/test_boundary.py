@@ -46,6 +46,21 @@ class TestEvalWall:
             couette_ramp(grid).eval_wall_dt(-0.1)
 
 
+class TestWallProfile:
+    def test_single_mode_defaults_to_mode_one(self, grid):
+        one = wall_profile(grid, "single_mode", 0.5)
+        assert np.array_equal(one, wall_profile(grid, "single_mode:1", 0.5))
+        assert one == pytest.approx(0.5 * np.cos(2 * np.pi * grid.xf / grid.lx))
+        assert wall_profile(grid, "single_mode:3") == pytest.approx(
+            np.cos(6 * np.pi * grid.xf / grid.lx))
+
+    @pytest.mark.parametrize("kind", ["single_mode:abc", "single_modefoo", "single_mode:",
+                                      "single_mode:1.5", "single_mode:-1", "Zero", ""])
+    def test_unknown_name_rejected(self, grid, kind):
+        with pytest.raises(InvariantViolation, match="unknown wall profile"):
+            wall_profile(grid, kind)
+
+
 class TestEvalWallDt:
     @pytest.mark.parametrize("amp", [
         Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.3),

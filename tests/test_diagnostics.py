@@ -88,7 +88,7 @@ class TestEnergyInequality:
         sups = []
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt, t_end=0.5, mode="lifted_elliptic",
-                               record_every=5e-3,
+                               record_every=1e-2,
                                viscosity=ViscositySpec(nu1=1.0, nu2=1.04))
             _, records = run(grid, cfg, data,
                              ScalarField(np.full((32, 32), 0.1), grid),

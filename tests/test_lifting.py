@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chns.boundary import Amplitude, WallData, wall_profile
+from chns.errors import InvariantViolation
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
                           initial_lift, lift_difference_report,
@@ -231,6 +232,11 @@ class TestLiftDifferenceReport:
         hist = run_lift_pair(make_data(grid), grid, NU1, dt=0.05, t_end=0.5)
         rep = lift_difference_report(hist)
         assert rep["degenerate"] and rep["ratio_sup"] == 0.0
+
+    def test_t_end_not_whole_number_of_steps_rejected(self):
+        grid = Grid(16, 16)
+        with pytest.raises(InvariantViolation, match="whole number of steps"):
+            run_lift_pair(make_data(grid), grid, NU1, dt=0.03, t_end=0.5)
 
     def test_ramp_ratio_stable_under_dt_halving(self):
         grid = Grid(32, 32)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chns.boundary import Amplitude, WallData, wall_profile
-from chns.errors import CFLViolation, SolverDiverged
+from chns.errors import CFLViolation, InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import divergence, l2, leray_project
 from chns.potential import PotentialSpec, ViscositySpec
@@ -185,6 +185,22 @@ class TestRunAndInvariants:
                              VectorField.zeros(grid))
         assert state.t == 0.0
         assert len(records) == 1
+
+    @pytest.mark.parametrize("t_end, record_every", [(0.1, 0.003), (0.099, 0.01)])
+    def test_span_not_whole_number_of_steps_rejected(self, t_end, record_every):
+        grid = Grid(16, 16)
+        cfg = cfg_for(grid, 0.0015, t_end, record_every=record_every)
+        sim = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid),
+                         VectorField.zeros(grid))
+        with pytest.raises(InvariantViolation, match="whole number of steps"):
+            sim.run()
+        assert sim.state.t == 0.0
+
+    @pytest.mark.parametrize("field", ["record_every", "cfl_safety"])
+    def test_nonpositive_cadence_and_safety_rejected(self, field):
+        grid = Grid(16, 16)
+        with pytest.raises(InvariantViolation, match=field):
+            cfg_for(grid, 1e-3, 0.01, **{field: 0.0})
 
     def test_timestamps_strictly_increasing_and_deterministic(self):
         grid = Grid(16, 16)
