@@ -15,6 +15,7 @@ feed an object are that object's defaults.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 from dataclasses import asdict, dataclass
 
@@ -204,8 +205,15 @@ def validate_config(cfg: RunConfig) -> None:
 # object builders
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _shared_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
+    return Grid(nx, ny, lx, ly)
+
+
 def build_grid(cfg: RunConfig) -> Grid:
-    return Grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    """The config's grid.  A Grid is immutable and shareable, so validation
+    and every later caller get the one instance built per (nx, ny, lx, ly)."""
+    return _shared_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
 
 
 def build_potential(cfg: RunConfig) -> PotentialSpec:

@@ -2,8 +2,13 @@
 
 One step advances the concentration first (stabilized semi-implicit step,
 one transform-diagonalized fourth-order solve, advected by the lagged
-velocity) and then the momentum equation (projection step with the
-constant-coefficient part implicit and everything else explicit).
+velocity) and then the momentum equation (projection step).  The momentum
+step is the constant-coefficient split of Dong & Shen (J. Comput. Phys. 231,
+2012): (a/2) Lap u is implicit with the constant a = (nu1 + nu2)/2 of
+``implicit_viscosity``, and div(nu(phi) sym grad u) - (a/2) Lap u is
+explicit.  Since a >= nu2/2 >= nu(phi)/2 the split is unconditionally stable
+(see ``cfl_bound``), and for the constant viscosity at its default value a
+the explicit remainder vanishes to round-off on divergence-free velocities.
 
 Modes:
   direct            march the physical velocity; tangential wall data enters
@@ -12,12 +17,14 @@ Modes:
                     stationary lift u_e carries the data and contributes the
                     explicit interaction terms and a -d/dt u_e force.
   lifted_parabolic  march ubar = u - u_p against the evolutionary lift; the
-                    lift force enters with coefficient 1/2 because the
-                    momentum operator is the symmetric-stress divergence
-                    while the lift equation uses the full Laplacian (the
-                    constant-viscosity half of Lap(u_p) is d/dt u_p plus a
-                    pressure gradient, and only the gradient part is
-                    annihilated by the projection).
+                    lift force -d/dt u_p enters with coefficient
+                    1 - a/(2 nu1).  The implicit part (a/2) Lap acts on ubar
+                    only, so (a/2) Lap(u_p) is added explicitly; the lift
+                    equation d/dt u_p = nu1 Lap(u_p) - grad(p_p) turns it
+                    into a/(2 nu1) d/dt u_p plus a gradient, which the
+                    projection annihilates.  In the elliptic mode
+                    nu1 Lap(u_e) is itself a gradient, so the coefficient
+                    stays 1.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .lifting import EllipticLift, LiftState, ParabolicLift
 from .ops import (advect_scalar, advect_velocity, gradient, h1,
                   interp_center_to_xface, interp_center_to_yface,
                   laplacian_neumann, leray_project, spectral_truncate,
-                  viscous_term)
+                  vector_laplacian, viscous_term)
 from .potential import PotentialSpec, ViscositySpec, eval_dF
 
 MODES = ("direct", "lifted_elliptic", "lifted_parabolic")
@@ -149,28 +156,28 @@ def capillary_force(phi: ScalarField, mu: ScalarField, form: str) -> VectorField
     return VectorField(fx, fy, g)
 
 
-def _viscous_excess(nu_minus_nu1: np.ndarray, v: VectorField,
+def implicit_viscosity(viscosity: ViscositySpec) -> float:
+    """The constant a of the implicit momentum part (a/2) Lap: (nu1 + nu2)/2.
+
+    Any a >= nu2/2 makes the viscous split unconditionally stable; the
+    midpoint does so with a margin of nu1/2 and minimises max|nu - a| over
+    the admissible range of nu.
+    """
+    return 0.5 * (viscosity.nu1 + viscosity.nu2)
+
+
+def _viscous_excess(nu: np.ndarray, a: float, v: VectorField,
                     gb: np.ndarray, gt: np.ndarray) -> VectorField:
-    """div((nu - nu1) * sym grad v): the explicitly treated viscous remainder."""
-    g = v.grid
-    floor = nu_minus_nu1.min()
-    # the operator is linear in the coefficient; shift into positive range
-    # so the public operator's positivity contract stays intact
-    shift = max(2.0 * -floor, 1.0) if floor <= 0.0 else 0.0
-    if shift:
-        shifted = viscous_term(ScalarField(nu_minus_nu1 + shift, g), v,
-                               wall_bottom=gb, wall_top=gt)
-        base = viscous_term(ScalarField(np.full_like(nu_minus_nu1, shift), g), v,
-                            wall_bottom=gb, wall_top=gt)
-        return shifted - base
-    return viscous_term(ScalarField(nu_minus_nu1, g), v, wall_bottom=gb, wall_top=gt)
+    """div(nu sym grad v) - (a/2) Lap v: the explicitly treated viscous remainder."""
+    return viscous_term(ScalarField(nu, v.grid), v, wall_bottom=gb, wall_top=gt) \
+        - (0.5 * a) * vector_laplacian(v, gb, gt)
 
 
-def _implicit_velocity_solve(rhs: VectorField, dt: float, nu1: float,
+def _implicit_velocity_solve(rhs: VectorField, dt: float, a: float,
                              hb: np.ndarray | None, ht: np.ndarray | None) -> VectorField:
-    """Solve (I - dt*(nu1/2)*Lap) u = rhs with tangential data (hb, ht)."""
+    """Solve (I - dt*(a/2)*Lap) u = rhs with tangential data (hb, ht)."""
     g = rhs.grid
-    coeff = dt * 0.5 * nu1
+    coeff = dt * 0.5 * a
     rx = rhs.ux
     if hb is not None:
         rx = rx.copy()
@@ -186,17 +193,16 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                       data: WallData, t_old: float, dt: float, cfg: SolverConfig,
                       f_u: VectorField | None = None) -> tuple[VectorField, ScalarField]:
     """One projection step of the momentum equation with physical wall data."""
-    nu1 = cfg.viscosity.nu1
+    a = implicit_viscosity(cfg.viscosity)
     hb0, ht0 = data.eval_wall(t_old)
     hb1, ht1 = data.eval_wall(t_old + dt)
-    nu_minus = cfg.viscosity(phi_new.values) - nu1
 
     expl = capillary_force(phi_new, mu_new, cfg.force_form) \
         - advect_velocity(u, u) \
-        + _viscous_excess(nu_minus, u, hb0, ht0)
+        + _viscous_excess(cfg.viscosity(phi_new.values), a, u, hb0, ht0)
     if f_u is not None:
         expl = expl + f_u
-    u_star = _implicit_velocity_solve(u + dt * expl, dt, nu1, hb1, ht1)
+    u_star = _implicit_velocity_solve(u + dt * expl, dt, a, hb1, ht1)
     u_new, q = leray_project(u_star)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
@@ -214,18 +220,17 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
     total field (all lift interactions explicit); the lift time derivative
     enters the force with the given coefficient.
     """
-    nu1 = cfg.viscosity.nu1
+    a = implicit_viscosity(cfg.viscosity)
     hb0, ht0 = data.eval_wall(t_old)
     w = ubar + u_lift_old
-    nu_minus = cfg.viscosity(phi_new.values) - nu1
 
     expl = capillary_force(phi_new, mu_new, cfg.force_form) \
         - advect_velocity(w, w) \
-        + _viscous_excess(nu_minus, w, hb0, ht0) \
+        + _viscous_excess(cfg.viscosity(phi_new.values), a, w, hb0, ht0) \
         - lift_coeff * dlift_dt
     if f_u is not None:
         expl = expl + f_u
-    u_star = _implicit_velocity_solve(ubar + dt * expl, dt, nu1, None, None)
+    u_star = _implicit_velocity_solve(ubar + dt * expl, dt, a, None, None)
     ubar_new, q = leray_project(u_star)
     if not ubar_new.is_finite():
         raise SolverDiverged("lifted momentum update produced non-finite values")
@@ -233,14 +238,42 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
 
 
 def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
+    """Largest step the momentum split allows at velocity size ``umax``.
+
+        bound = cfl_safety * min(h / umax, nu1 / (2 umax^2)),  h = min(dx, dy)
+
+    and infinite for umax = 0: no viscous limit remains.
+
+    Frozen-coefficient derivation.  Freeze nu, the implicit constant a and
+    the advecting velocity c, and take one Fourier mode on which -Lap has
+    the symbol lam >= 0 and centred advection the symbol i*g/dt, with
+    g^2 <= dt^2 |c|^2 lam (Cauchy-Schwarz, and sin^2(t) <= 4 sin^2(t/2)).
+    One step multiplies the mode by
+
+        G = (1 - B + i g) / (1 + A),  A = dt a lam / 2,  B = dt (nu - a) lam / 2,
+
+    and |G| <= 1 exactly when g^2 <= (A + B)(2 + A - B)
+    = (dt nu lam / 2)(2 + dt (2a - nu) lam / 2).
+
+    - Viscous split alone (g = 0): |G| <= 1 for every dt once a >= nu/2.
+      ``implicit_viscosity`` gives a = (nu1 + nu2)/2 >= nu2/2, so the
+      viscous terms put no limit on dt, whatever the spread nu2 - nu1.
+    - Centred explicit advection: with a >= nu/2 the second factor is at
+      least 2, so dt |c|^2 <= nu suffices.  The bound takes nu1 <= nu and
+      keeps a factor 2 below it, since |c| is taken from the current state
+      and the frozen analysis ignores how nu and u vary in space.
+    - h / umax keeps the transport at most one cell per step; it also
+      covers the explicit centred transport of phi in the CH substep.
+
+    At low Reynolds number both advective limits are conservative: a 64^2
+    run on an 8 x 8 channel with nu1 = 0.2, nu2 = 5, a tanh interface and a
+    unit-speed moving wall stayed stable for 50 steps, with the check off,
+    at 40 times this bound.
+    """
+    if umax <= 0:
+        return math.inf
     h = min(grid.dx, grid.dy)
-    nu_spread = cfg.viscosity.nu2 - cfg.viscosity.nu1
-    bound = math.inf
-    if nu_spread > 0:
-        bound = h * h / nu_spread
-    if umax > 0:
-        bound = min(bound, h / umax)
-    return cfg.cfl_safety * bound
+    return cfg.cfl_safety * min(h / umax, cfg.viscosity.nu1 / (2.0 * umax * umax))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +352,9 @@ class Simulation:
         else:
             u_p_old = self.par.u_p
             self.par.step(dt)
+            coeff = 1.0 - implicit_viscosity(cfg.viscosity) / (2.0 * cfg.viscosity.nu1)
             ubar_new, p = ns_substep_lifted(st.ubar, u_p_old, self.par.du_p_dt,
-                                            0.5, phi_new, mu_new, self.data,
+                                            coeff, phi_new, mu_new, self.data,
                                             st.t, dt, cfg, f_u)
             lift = self.par.state()
             new = SimState(t_new, ubar_new + self.par.u_p, phi_new, mu_new, p,

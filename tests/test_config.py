@@ -90,3 +90,9 @@ def test_unknown_key_and_bad_literal_reported_together():
     with pytest.raises(ValidationError) as exc:
         parse_config_text("[grid]\nnx = many\nnz = 4\n")
     assert len(exc.value.violations) == 2
+
+
+def test_grid_built_once_per_shape():
+    cfg = parse_config_text("[grid]\nnx = 24\nny = 12\nlx = 2.0\n")
+    assert build_grid(cfg) is build_grid(dataclasses.replace(cfg))
+    assert build_grid(cfg) is not build_grid(dataclasses.replace(cfg, ny=16))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chns import solver
 from chns.boundary import Amplitude, WallData, wall_profile
 from chns.errors import CFLViolation, InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
@@ -118,10 +119,11 @@ class TestNsDirect:
 
 
 class TestLiftedModes:
-    def make(self, grid, mode, dt=2e-3, t_end=0.5):
+    def make(self, grid, mode, dt=2e-3, t_end=0.5, visc=None):
         data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
                         Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
-        cfg = cfg_for(grid, dt, t_end, mode=mode, visc=ViscositySpec(nu1=1.0, nu2=1.04))
+        cfg = cfg_for(grid, dt, t_end, mode=mode,
+                      visc=visc or ViscositySpec(nu1=1.0, nu2=1.04))
         return Simulation(grid, cfg, data, noise_phi(grid, amp=5e-3),
                           VectorField.zeros(grid)), data
 
@@ -160,6 +162,19 @@ class TestLiftedModes:
             sims[m] = sim.state
         diff = l2(sims[mode].u - sims["direct"].u)
         assert diff < 0.02 * max(l2(sims["direct"].u), 1e-10)
+
+    def test_parabolic_lift_coefficient_at_three_to_one_ratio(self):
+        # nu2 = 3 nu1 puts the implicit constant at 2 nu1, where the lift
+        # force coefficient 1 - a/(2 nu1) is 0; with 1/2 the modes differ by 14%
+        grid = Grid(32, 32)
+        finals = {}
+        for mode in ("direct", "lifted_parabolic"):
+            sim, _ = self.make(grid, mode, visc=ViscositySpec(nu1=0.5, nu2=1.5))
+            for _ in range(250):
+                sim.step()
+            finals[mode] = sim.state.u
+        diff = l2(finals["lifted_parabolic"] - finals["direct"])
+        assert diff < 0.01 * l2(finals["direct"])
 
     def test_mode_difference_first_order_in_dt(self):
         grid = Grid(32, 32)
@@ -248,13 +263,64 @@ class TestRunAndInvariants:
         assert 1.5 < deltas[0] / deltas[1] < 2.5
 
     def test_cfl_violation(self):
+        # the viscous split has no step limit, so a moving wall supplies one
         grid = Grid(32, 32)
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                        Amplitude("custom_static", a0=1.0))
         cfg = cfg_for(grid, 0.5, 1.0, visc=ViscositySpec(nu1=0.5, nu2=1.5))
-        sim = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                         VectorField.zeros(grid))
+        sim = Simulation(grid, cfg, data, noise_phi(grid), couette_field(grid))
         with pytest.raises(CFLViolation):
             sim.step()
-        assert cfl_bound(cfg, grid, 0.0) < 0.5
+        assert sim.state.t == 0.0
+        assert cfl_bound(cfg, grid, 1.0) == pytest.approx(0.4 * min(grid.dx, 0.5 / 2))
+        assert cfl_bound(cfg, grid, 0.0) == math.inf
+
+    def test_stiff_viscosity_ratio_steps_beyond_old_bound(self, monkeypatch):
+        # nu2/nu1 = 25 across a resolved tanh interface under a moving wall
+        grid = Grid(64, 64, 8.0, 8.0)
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=4.0))
+        phi0 = ScalarField.from_function(
+            grid, lambda x, y: np.tanh((y - 4.0 - 0.25 * np.cos(np.pi * x / 4)) / math.sqrt(2)))
+        visc = ViscositySpec(nu1=0.2, nu2=5.0)
+        cfg = cfg_for(grid, 2e-2, 1.0, visc=visc)
+        assert cfg.dt > 10 * 0.4 * grid.dx**2 / (visc.nu2 - visc.nu1)   # the old bound
+        sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+        for _ in range(50):
+            sim.step()
+        st = sim.state
+        nu = visc(st.phi.values)
+        assert nu.min() < 1.0 and nu.max() > 4.0
+        assert st.u.max_abs() <= 1.0
+        assert np.abs(divergence(st.u).values).max() < 1e-12
+
+        # the same run with the old implicit constant nu1 blows up
+        monkeypatch.setattr(solver, "implicit_viscosity", lambda v: v.nu1)
+        sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+        with pytest.raises((CFLViolation, SolverDiverged)):
+            for _ in range(50):
+                sim.step()
+
+    def test_first_order_in_dt(self):
+        grid = Grid(32, 32, 8.0, 8.0)
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=4.0))
+        phi0 = ScalarField.from_function(
+            grid, lambda x, y: 0.5 * np.cos(np.pi * x / 4) * np.cos(np.pi * y / 8))
+        t_end, dt = 0.25, 2.0 ** -6
+
+        def final(step):
+            cfg = cfg_for(grid, step, t_end, visc=ViscositySpec(nu1=0.5, nu2=1.5),
+                          record_every=t_end)
+            state, _ = run(grid, cfg, data, phi0, VectorField.zeros(grid))
+            return state
+
+        ref = final(dt / 32)
+        errs = [(l2(st.u - ref.u), l2(st.phi - ref.phi))
+                for st in (final(dt), final(dt / 2), final(dt / 4))]
+        for coarse, fine in zip(errs, errs[1:]):
+            for e_coarse, e_fine in zip(coarse, fine):
+                assert 0.8 <= math.log2(e_coarse / e_fine) <= 1.3
 
     def test_forced_nan_raises_solver_diverged_with_partial_records(self):
         grid = Grid(16, 16)
