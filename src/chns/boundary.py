@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,20 +170,27 @@ def wall_profile(grid: Grid, kind: str, scale: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WallData:
-    """Tangential boundary velocity a(t) * (g_bottom, g_top); normal part is zero."""
+    """Tangential boundary velocity a(t) * (g_bottom, g_top); normal part is zero.
+
+    The shapes are kept as read-only copies, so fields derived from them stay
+    valid for the lifetime of the instance: ``lift_cache`` holds the unit
+    stationary lift per (grid.key, nu1), filled by ``lifting.EllipticLift``.
+    """
 
     grid: Grid
     g_bottom: np.ndarray
     g_top: np.ndarray
     amplitude: Amplitude
+    lift_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gb = np.asarray(self.g_bottom, dtype=float)
-        gt = np.asarray(self.g_top, dtype=float)
+        gb = np.array(self.g_bottom, dtype=float)
+        gt = np.array(self.g_top, dtype=float)
         if gb.shape != (self.grid.nx,) or gt.shape != (self.grid.nx,):
             raise InvariantViolation("wall arrays must have length nx")
         if not (np.isfinite(gb).all() and np.isfinite(gt).all()):
             raise InvariantViolation("wall arrays must be finite")
+        gb.flags.writeable = gt.flags.writeable = False
         object.__setattr__(self, "g_bottom", gb)
         object.__setattr__(self, "g_top", gt)
 

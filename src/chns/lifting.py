@@ -131,14 +131,25 @@ class LiftState:
 
 
 class EllipticLift:
-    """Unit stationary lift of a wall-data shape, rescaled by the amplitude."""
+    """Unit stationary lift of a wall-data shape, rescaled by the amplitude.
+
+    The unit solve is done once per wall data, grid and nu1 and kept
+    read-only in ``data.lift_cache``; every later lift of the same data
+    shares it.
+    """
 
     def __init__(self, grid: Grid, nu1: float, data: WallData):
         self.grid = grid
         self.nu1 = float(nu1)
         self.data = data
-        solver = StationaryStokes(grid, nu1)
-        self.unit_u, self.unit_p, self.info = solver.solve(data.g_bottom, data.g_top)
+        key = (grid.key, self.nu1)
+        if key not in data.lift_cache:
+            u, p, info = StationaryStokes(grid, nu1).solve(data.g_bottom, data.g_top)
+            for arr in (u.ux, u.uy, p.values):
+                arr.flags.writeable = False
+            data.lift_cache[key] = (u, p, info)
+        self.unit_u, self.unit_p, info = data.lift_cache[key]
+        self.info = dict(info)
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)

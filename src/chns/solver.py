@@ -1,9 +1,13 @@
 """Coupled time integrator for the two-phase channel flow system.
 
-One step advances the concentration first (stabilized semi-implicit step,
-one transform-diagonalized fourth-order solve, advected by the lagged
-velocity) and then the momentum equation (projection step).  The momentum
-step is the constant-coefficient split of Dong & Shen (J. Comput. Phys. 231,
+One step advances the concentration first and then the momentum equation.
+The concentration step is the stabilized BDF2 scheme of Shen & Yang
+(DCDS-A 28, 2010): one transform-diagonalized fourth-order solve, with the
+nonlinear and advective terms evaluated at the extrapolations
+2 phi^n - phi^(n-1) and 2 u^n - u^(n-1).  It is second order in dt; the
+first step, which has no history, is the one-step (backward Euler) form of
+the same scheme.  The momentum step is a first-order projection step with
+the constant-coefficient split of Dong & Shen (J. Comput. Phys. 231,
 2012): (a/2) Lap u is implicit with the constant a = (nu1 + nu2)/2 of
 ``implicit_viscosity``, and div(nu(phi) sym grad u) - (a/2) Lap u is
 explicit.  Since a >= nu2/2 >= nu(phi)/2 the split is unconditionally stable
@@ -115,30 +119,51 @@ def initial_mu(phi: ScalarField, potential: PotentialSpec) -> ScalarField:
 
 def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
                stabilization: float, potential: PotentialSpec,
-               f_phi: ScalarField | None = None) -> tuple[ScalarField, ScalarField]:
+               f_phi: ScalarField | None = None,
+               previous: tuple[ScalarField, VectorField] | None = None
+               ) -> tuple[ScalarField, ScalarField]:
     """Advance the concentration by one stabilized semi-implicit step.
 
-    Solves (phi+ - phi)/dt + div(v phi) = Lap(mu+) + f with
-    mu+ = -Lap(phi+) + F'(phi) + S (phi+ - phi) through a single
-    transform-diagonalized solve; the cell mean of phi is conserved exactly
-    when f = 0 (conservative advection, no-flux walls).
+    With ``previous = (phi_old, advecting_old)``, the state one step back,
+    this is the stabilized BDF2 step of Shen & Yang (DCDS-A 28, 2010):
+
+        (3 phi+ - 4 phi + phi_old)/(2 dt) + div(vbar phibar) = Lap(mu+) + f,
+        mu+ = -Lap(phi+) + F'(phibar) + S (phi+ - phibar),
+
+    with the extrapolations phibar = 2 phi - phi_old and
+    vbar = 2 advecting - advecting_old.  Without ``previous`` it is the
+    one-step scheme that starts BDF2: backward Euler in (phi+ - phi)/dt, with
+    phibar = phi and vbar = advecting.
+
+    Either way it is a single transform-diagonalized solve: everything but
+    the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
+    two forward transforms.  The cell mean of phi is conserved exactly when
+    f = 0 (conservative advection, no-flux walls).
     """
     g = phi.grid
     s = stabilization
-    adv = advect_scalar(advecting, phi)
-    fp = eval_dF(phi.values)
+    if previous is None:
+        c0, phi_bar, v_bar = 1.0 / dt, phi, advecting
+        rhs = phi.values / dt
+    else:
+        phi_old, v_old = previous
+        c0 = 1.5 / dt
+        phi_bar = ScalarField(2.0 * phi.values - phi_old.values, g)
+        v_bar = VectorField(2.0 * advecting.ux - v_old.ux, 2.0 * advecting.uy - v_old.uy, g)
+        rhs = (2.0 * phi.values - 0.5 * phi_old.values) / dt
+    fp = eval_dF(phi_bar.values)
 
-    rhs = phi.values / dt - adv.values
+    rhs = rhs - advect_scalar(v_bar, phi_bar).values
     if f_phi is not None:
         rhs = rhs + f_phi.values
     lam = g.lam_neumann
-    rhs_hat = g.to_spectral(rhs) + lam * g.to_spectral(fp) - s * lam * g.to_spectral(phi.values)
-    phi_hat = rhs_hat / (1.0 / dt + lam * lam - s * lam)
+    rhs_hat = g.to_spectral(rhs) + lam * g.to_spectral(fp - s * phi_bar.values)
+    phi_hat = rhs_hat / (c0 + lam * lam - s * lam)
     phi_new = ScalarField(g.from_spectral(phi_hat), g)
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
     mu_new = ScalarField(-laplacian_neumann(phi_new).values + fp
-                         + s * (phi_new.values - phi.values), g)
+                         + s * (phi_new.values - phi_bar.values), g)
     return phi_new, mu_new
 
 
@@ -281,7 +306,12 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
 # ---------------------------------------------------------------------------
 
 class Simulation:
-    """Owns the persistent lift machinery and advances a SimState."""
+    """Owns the persistent lift machinery and advances a SimState.
+
+    The state one step back is kept as the history of the two-step
+    concentration scheme.  The first step, and the first step after a state
+    is assigned from outside, has no history and takes the one-step start.
+    """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
                  phi0: ScalarField, u0: VectorField, forcing: Forcing | None = None):
@@ -315,6 +345,15 @@ class Simulation:
             self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid),
                                   ubar=ubar0, lift=lift0)
 
+    @property
+    def state(self) -> SimState:
+        return self._state
+
+    @state.setter
+    def state(self, state: SimState) -> None:
+        self._state = state
+        self._previous: SimState | None = None
+
     def _check_cfl(self):
         umax = self.state.u.max_abs()
         bound = cfl_bound(self.cfg, self.grid, umax)
@@ -331,8 +370,10 @@ class Simulation:
         f_phi = self.forcing.phi(self.grid, t_new) if self.forcing.phi else None
         f_u = self.forcing.u(self.grid, t_new) if self.forcing.u else None
 
+        prev = self._previous
+        history = None if prev is None else (prev.phi, prev.u)
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization,
-                                     cfg.potential, f_phi)
+                                     cfg.potential, f_phi, history)
         if cfg.galerkin_cutoff is not None:
             phi_new = spectral_truncate(phi_new, *cfg.galerkin_cutoff)
             mu_new = spectral_truncate(mu_new, *cfg.galerkin_cutoff)
@@ -362,7 +403,7 @@ class Simulation:
 
         if not (new.u.is_finite() and new.phi.is_finite()):
             raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")
-        self.state = new
+        self._previous, self._state = st, new
         return new
 
     def run(self, observers=(), diagnostics_context=None) -> list:

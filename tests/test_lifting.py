@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from chns.boundary import Amplitude, WallData, wall_profile
+from chns.config import (RunConfig, build_grid, build_initial_u, build_solver_config,
+                         build_wall_data)
+from chns.diagnostics import DiagnosticsContext
 from chns.errors import InvariantViolation
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
@@ -121,6 +124,43 @@ class TestEllipticLift:
         grid = Grid(32, 32)
         ell = EllipticLift(grid, NU1, make_data(grid))
         assert l2(ell.dt_at(2.0)) == 0.0
+
+
+class TestLiftCache:
+    def test_one_solve_per_wall_data_grid_and_nu1(self, monkeypatch):
+        cfg = RunConfig(nx=16, ny=16, family="couette_ramp", a0=1.0, a_inf=0.5,
+                        g_bottom="single_mode:1", g_top="uniform", u_profile="lift",
+                        mode="lifted_elliptic")
+        grid = build_grid(cfg)
+        data = build_wall_data(cfg, grid)
+        solves = []
+        solve = StationaryStokes.solve
+        monkeypatch.setattr(StationaryStokes, "solve",
+                            lambda self, gb, gt: solves.append(self.nu1) or solve(self, gb, gt))
+        first = EllipticLift(grid, cfg.nu1, data)
+        second = EllipticLift(grid, cfg.nu1, data)
+        u0 = build_initial_u(cfg, grid, data)
+        ctx = DiagnosticsContext.for_run(grid, build_solver_config(cfg), data)
+        assert solves == [cfg.nu1]
+        assert second.unit_u is first.unit_u
+        assert np.array_equal(u0.ux, first.at(0.0)[0].ux)
+        assert np.array_equal(ctx.u_infinity.ux, first.limit_field().ux)
+
+        other = EllipticLift(grid, 2 * cfg.nu1, data)
+        assert solves == [cfg.nu1, 2 * cfg.nu1]
+        assert l2(other.unit_p - first.unit_p) > 0.0
+
+    def test_cached_fields_and_wall_shapes_are_read_only(self):
+        grid = Grid(16, 16)
+        top = wall_profile(grid, "uniform")
+        data = WallData(grid, wall_profile(grid, "zero"), top,
+                        Amplitude("custom_static", a0=1.0))
+        ell = EllipticLift(grid, NU1, data)
+        top[:] = 2.0                                  # the caller's array is copied
+        assert np.all(data.g_top == 1.0)
+        for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.unit_p.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestStationaryStokes:
