@@ -220,16 +220,6 @@ class WallData:
         return trace_norm(self.g_bottom, s, self.grid.lx) ** 2 \
             + trace_norm(self.g_top, s, self.grid.lx) ** 2
 
-    def trace_norm_at(self, t: float, s: float) -> float:
-        return abs(self.amplitude(t)) * math.sqrt(self.shape_trace_norm_sq(s))
-
-    def trace_norm_dt_at(self, t: float, s: float) -> float:
-        return abs(self.amplitude.dt(t)) * math.sqrt(self.shape_trace_norm_sq(s))
-
-    def limit_wall(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.amplitude.limit()
-        return a * self.g_bottom, a * self.g_top
-
 
 def trace_norm(data: np.ndarray, s: float, lx: float = 1.0) -> float:
     """Fractional Sobolev norm of 1D periodic wall data via Fourier multipliers.

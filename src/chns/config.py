@@ -44,7 +44,6 @@ class RunConfig:
     mode: str = SolverConfig.mode
     stabilization: float = SolverConfig.stabilization
     cfl_safety: float = SolverConfig.cfl_safety
-    force_form: str = SolverConfig.force_form
     # [potential]
     potential_kind: str = PotentialSpec.kind
     q: float = PotentialSpec.q
@@ -103,7 +102,7 @@ SCHEMA = {
     "time": {"dt": ("dt", float), "t_end": ("t_end", float),
              "record_every": ("record_every", float)},
     "solver": {"mode": ("mode", str), "stabilization": ("stabilization", float),
-               "cfl_safety": ("cfl_safety", float), "force_form": ("force_form", str)},
+               "cfl_safety": ("cfl_safety", float)},
     "potential": {"kind": ("potential_kind", str), "q": ("q", float),
                   "c1": ("c1", float), "c2": ("c2", float), "c3": ("c3", float),
                   "c4": ("c4", float), "c4p": ("c4p", float), "c5": ("c5", float)},
@@ -285,7 +284,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid, data: WallData) -> VectorField:
 def _solver_fields(cfg: RunConfig) -> dict:
     return dict(dt=cfg.dt, t_end=cfg.t_end, mode=cfg.mode,
                 stabilization=cfg.stabilization, cfl_safety=cfg.cfl_safety,
-                record_every=cfg.record_every, force_form=cfg.force_form)
+                record_every=cfg.record_every)
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

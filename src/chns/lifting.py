@@ -1,12 +1,15 @@
 """Divergence-free lifts of the tangential wall data.
 
 The stationary lift solves  -nu1 Lap(u) + grad(p) = 0, div u = 0 with the
-prescribed tangential trace, exactly and without iteration: periodicity in x
-splits the MAC Stokes system into one small block-tridiagonal problem in y
-per x-wavenumber (the influence-matrix idea of Kleiser & Schumann, 1980, on
-the staggered grid).  Because the wall data is separable, h = a(t) g(x), the
-solve happens once for the unit shape g and every lift and lift
-time-derivative is an amplitude rescaling of that single field.
+prescribed tangential trace, exactly and without iteration, by the
+influence-matrix method of Kleiser & Schumann (1980) on the staggered grid:
+in streamfunction-vorticity form the vorticity of each x-wavenumber is a
+closed-form combination of two wall modes, one sine-transform (DST-I) solve
+over all wavenumbers turns it into the streamfunction, and a 2x2 system per
+wavenumber fits the two wall conditions.  Because the wall data is
+separable, h = a(t) g(x), the solve happens once for the unit shape g and
+every lift and lift time-derivative is an amplitude rescaling of that single
+field.
 
 The evolutionary lift integrates  d/dt u_p - nu1 Lap(u_p) + grad(p) = 0 with
 u_p = h on the walls.  It is stepped through the decomposition
@@ -39,18 +42,24 @@ __all__ = [
 class StationaryStokes:
     """Exact solve of the discrete stationary Stokes problem with wall data.
 
-    The x-transform of the stencils of ``gradient``, ``divergence`` and
-    ``vector_laplacian`` (wall ghosts ``2 g - interior``) leaves, for each
-    wavenumber k >= 1, a block-tridiagonal system in y with 3x3 blocks on
-    (ux_j, p_j, uy_{j+1}); the last block pins the wall row uy_ny = 0.  All
-    modes are eliminated together, one batched 3x3 solve per y-level, and
-    only the eliminated blocks are kept for the back substitution.
-
     The mean mode k = 0 is closed form: its continuity rows only say that uy
-    is constant in y, hence zero, and fix p up to a constant, so the block
-    system is singular there.  Its solution is the linear (Couette) profile
-    between the two wall means with uy = 0 and p = 0, which also makes p
-    zero-mean.
+    is constant in y, hence zero, and fix p up to a constant.  Its solution
+    is the linear (Couette) profile between the two wall means with uy = 0
+    and p = 0, which also makes p zero-mean.
+
+    Every mode k >= 1 is solved at once by the influence-matrix method.  The
+    velocity is written through a corner streamfunction, ux = D_y psi and
+    uy = -D_x psi with psi = 0 on both walls, so it is divergence-free by
+    construction; the curl of the momentum rows removes p and leaves
+    L(L psi) = 0 with L = lam_x + D_yy.  The wall ghosts ``2 g - interior``
+    become psi_(-1) = psi_1 - 2 dy g_b and psi_(ny+1) = psi_(ny-1) + 2 dy g_t.
+
+    The vorticity omega = L psi is discrete-harmonic in y, so it is fixed by
+    its two wall values: a mix of sinh(kappa (ny - j)) / sinh(kappa ny) and
+    its mirror image, with cosh(kappa) = 1 - lam_x dy^2 / 2.  One DST-I solve
+    of L psi = omega for the bottom basis (the top one is its mirror image)
+    leaves a 2x2 system per k, the two ghost rows, for the wall vorticities.
+    The pressure comes from the x-momentum rows, p = nu D_y(omega) / G_x.
     """
 
     def __init__(self, grid: Grid, nu1: float):
@@ -64,50 +73,38 @@ class StationaryStokes:
         if not (gb.any() or gt.any()):
             return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0, "div_norm": 0.0}
 
-        nu, dy, ny = self.nu1, g.dy, g.ny
+        dy, ny = g.dy, g.ny
         bhat, that = sfft.rfft(gb), sfft.rfft(gt)
-        hat = np.zeros((3, g.nx // 2 + 1, ny), dtype=complex)     # ux_j, p_j, uy_{j+1}
-        hat[0, 0] = bhat[0] + (that[0] - bhat[0]) * (np.arange(ny) + 0.5) / ny
+        lam_x = g.lam_x[1:, None]
+        j = np.arange(ny + 1)
+        # bottom vorticity basis sinh(kappa (ny - j)) / sinh(kappa ny), overflow-free
+        kappa = np.arccosh(1.0 - 0.5 * dy**2 * lam_x)
+        decay = np.exp(-kappa * j) * np.expm1(-2.0 * kappa * (ny - j)) \
+            / np.expm1(-2.0 * kappa * ny)
+        psi_b = np.zeros_like(decay)
+        psi_b[:, 1:-1] = sfft.idst(sfft.dst(decay[:, 1:-1], type=1, axis=1)
+                                   / (lam_x + g.lam_y_dst1), type=1, axis=1)
+        # ghost rows: omega_0 = 2 psi_1 / dy^2 - 2 g_b / dy, and the mirror image at the top
+        a = 1.0 - 2.0 * psi_b[:, 1] / dy**2
+        b = -2.0 * psi_b[:, -2] / dy**2
+        rb, rt = -2.0 * bhat[1:] / dy, 2.0 * that[1:] / dy
+        det = a * a - b * b
+        w_b = ((a * rb - b * rt) / det)[:, None]
+        w_t = ((a * rt - b * rb) / det)[:, None]
+        psi = w_b * psi_b + w_t * psi_b[:, ::-1]
+        omega = w_b * decay + w_t * decay[:, ::-1]
 
-        theta = 2.0 * np.pi * np.arange(1, g.nx // 2 + 1) / g.nx
-        lap = nu * (2.0 / dy**2 - g.lam_x[1:])        # -nu Lap, interior rows
-        blk = np.zeros((theta.size, 3, 3), dtype=complex)
-        blk[:, 0, 0] = blk[:, 2, 2] = lap
-        blk[:, 0, 1] = (1.0 - np.exp(-1j * theta)) / g.dx     # gradient, x
-        blk[:, 1, 0] = (np.exp(1j * theta) - 1.0) / g.dx      # divergence, x
-        blk[:, 1, 2], blk[:, 2, 1] = 1.0 / dy, -1.0 / dy
-        low = np.zeros((3, 3))                        # coupling to level j - 1
-        low[0, 0] = low[2, 2] = -nu / dy**2
-        low[1, 2] = -1.0 / dy
-        aug = np.zeros((theta.size, 3, 4), dtype=complex)    # [upper | rhs]
-        aug[:, 0, 0] = aug[:, 2, 2] = -nu / dy**2
-        aug[:, 2, 1] = 1.0 / dy
-
-        # forward elimination; elim[j] = A'_j^{-1} [upper | rhs'_j]
-        elim = np.empty((ny,) + aug.shape, dtype=complex)
-        for j in range(ny):
-            a, b = blk.copy(), aug.copy()
-            if j == 0 or j == ny - 1:
-                a[:, 0, 0] += nu / dy**2              # ghost 2 g - interior
-                b[:, 0, 3] = 2.0 * nu / dy**2 * (bhat if j == 0 else that)[1:]
-            if j > 0:
-                lc = low @ elim[j - 1]
-                a -= lc[:, :, :3]
-                b[:, :, 3] -= lc[:, :, 3]
-            if j == ny - 1:
-                a[:, 2] = (0.0, 0.0, 1.0)             # wall row uy_ny = 0, uncoupled
-                b[:, 2, 3] = 0.0
-            elim[j] = np.linalg.solve(a, b)
-
-        sol = elim[..., 3]                            # back substitution in place
-        for j in range(ny - 2, -1, -1):
-            sol[j] -= (elim[j, :, :, :3] @ sol[j + 1, :, :, None])[..., 0]
-        hat[:, 1:] = sol.transpose(2, 1, 0)
-        ux, p, uy_up = sfft.irfft(hat, axis=1, n=g.nx)
-        uy = np.zeros((g.nx, ny + 1))
-        uy[:, 1:-1] = uy_up[:, :-1]
-        u = VectorField(ux, uy, g)
-        return u, ScalarField(p, g), {"iterations": 1, "div_norm": l2(divergence(u))}
+        shift = np.exp(2j * np.pi * np.arange(1, g.nx // 2 + 1) / g.nx)[:, None]
+        hat = np.zeros((3, g.nx // 2 + 1, ny + 1), dtype=complex)     # ux, p, uy
+        hat[0, 0, :ny] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
+        hat[0, 1:, :ny] = np.diff(psi, axis=1) / dy
+        hat[1, 1:, :ny] = self.nu1 * np.diff(omega, axis=1) / dy \
+            / ((1.0 - shift.conj()) / g.dx)                           # x-gradient symbol
+        hat[2, 1:] = -(shift - 1.0) / g.dx * psi                      # x-divergence symbol
+        ux, p, uy = sfft.irfft(hat, axis=1, n=g.nx)
+        u = VectorField(np.ascontiguousarray(ux[:, :ny]), uy, g)
+        p = ScalarField(np.ascontiguousarray(p[:, :ny]), g)
+        return u, p, {"iterations": 1, "div_norm": l2(divergence(u))}
 
 
 def momentum_residual(u: VectorField, p: ScalarField, nu1: float,

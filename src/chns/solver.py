@@ -60,7 +60,6 @@ class SolverConfig:
     stabilization: float = 2.0
     cfl_safety: float = 0.4
     record_every: float = 0.01
-    force_form: str = "mu_grad_phi"         # or "phi_grad_mu"
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     viscosity: ViscositySpec = field(default_factory=ViscositySpec)
     galerkin_cutoff: tuple[int, int] | None = None
@@ -79,8 +78,6 @@ class SolverConfig:
             raise InvariantViolation("cfl_safety must be positive")
         if self.mode not in MODES:
             raise InvariantViolation(f"unknown mode {self.mode!r}")
-        if self.force_form not in ("mu_grad_phi", "phi_grad_mu"):
-            raise InvariantViolation(f"unknown force form {self.force_form!r}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,14 @@ class Forcing:
 # substeps
 # ---------------------------------------------------------------------------
 
-def initial_mu(phi: ScalarField, potential: PotentialSpec) -> ScalarField:
+def initial_mu(phi: ScalarField) -> ScalarField:
     """Scheme-consistent chemical potential at t = 0 (no stabilization lag)."""
     fp = ScalarField(eval_dF(phi.values), phi.grid)
     return ScalarField(-laplacian_neumann(phi).values + fp.values, phi.grid)
 
 
 def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
-               stabilization: float, potential: PotentialSpec,
-               f_phi: ScalarField | None = None,
+               stabilization: float, f_phi: ScalarField | None = None,
                previous: tuple[ScalarField, VectorField] | None = None
                ) -> tuple[ScalarField, ScalarField]:
     """Advance the concentration by one stabilized semi-implicit step.
@@ -167,17 +163,18 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
     return phi_new, mu_new
 
 
-def capillary_force(phi: ScalarField, mu: ScalarField, form: str) -> VectorField:
-    """Phase coupling force on the faces: mu grad(phi), or phi grad(mu)."""
+def capillary_force(phi: ScalarField, mu: ScalarField) -> VectorField:
+    """Phase coupling force mu grad(phi) on the faces.
+
+    Against a discretely divergence-free u it is the exact adjoint of the
+    transport term: <u, mu grad(phi)> = <mu, div(u phi)>, so the coupling
+    terms of the discrete energy law cancel.
+    """
     g = phi.grid
-    if form == "mu_grad_phi":
-        coeff, grad_of = mu, phi
-    else:
-        coeff, grad_of = phi, mu
-    gr = gradient(grad_of)
-    fx = interp_center_to_xface(coeff.values) * gr.ux
+    gr = gradient(phi)
+    fx = interp_center_to_xface(mu.values) * gr.ux
     fy = np.zeros((g.nx, g.ny + 1))
-    fy[:, 1:-1] = interp_center_to_yface(coeff.values) * gr.uy[:, 1:-1]
+    fy[:, 1:-1] = interp_center_to_yface(mu.values) * gr.uy[:, 1:-1]
     return VectorField(fx, fy, g)
 
 
@@ -222,7 +219,7 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
     hb0, ht0 = data.eval_wall(t_old)
     hb1, ht1 = data.eval_wall(t_old + dt)
 
-    expl = capillary_force(phi_new, mu_new, cfg.force_form) \
+    expl = capillary_force(phi_new, mu_new) \
         - advect_velocity(u, u) \
         + _viscous_excess(cfg.viscosity(phi_new.values), a, u, hb0, ht0)
     if f_u is not None:
@@ -249,7 +246,7 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
     hb0, ht0 = data.eval_wall(t_old)
     w = ubar + u_lift_old
 
-    expl = capillary_force(phi_new, mu_new, cfg.force_form) \
+    expl = capillary_force(phi_new, mu_new) \
         - advect_velocity(w, w) \
         + _viscous_excess(cfg.viscosity(phi_new.values), a, w, hb0, ht0) \
         - lift_coeff * dlift_dt
@@ -329,7 +326,7 @@ class Simulation:
         phi_init = phi0
         if cfg.galerkin_cutoff is not None:
             phi_init = spectral_truncate(phi0, *cfg.galerkin_cutoff)
-        mu0 = initial_mu(phi_init, cfg.potential)
+        mu0 = initial_mu(phi_init)
 
         if cfg.mode == "direct":
             self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid))
@@ -372,8 +369,7 @@ class Simulation:
 
         prev = self._previous
         history = None if prev is None else (prev.phi, prev.u)
-        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization,
-                                     cfg.potential, f_phi, history)
+        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, f_phi, history)
         if cfg.galerkin_cutoff is not None:
             phi_new = spectral_truncate(phi_new, *cfg.galerkin_cutoff)
             mu_new = spectral_truncate(mu_new, *cfg.galerkin_cutoff)

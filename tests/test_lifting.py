@@ -12,7 +12,8 @@ from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
                           initial_lift, lift_difference_report,
                           momentum_residual, run_lift_pair)
-from chns.ops import divergence, l2, leray_project, v1_norm, v2_norm
+from chns.ops import (divergence, gradient, l2, leray_project, v1_norm, v2_norm,
+                      vector_laplacian)
 
 NU1 = 0.8
 
@@ -186,6 +187,87 @@ class TestStationaryStokes:
         u, p, info = StationaryStokes(grid, NU1).solve(np.zeros(32), np.zeros(32))
         assert info["iterations"] == 0
         assert l2(u) == 0.0 and l2(p) == 0.0
+
+
+def dense_stokes(grid, nu, gb, gt):
+    """MAC Stokes system assembled column by column from the operators, with
+    the mean of p fixed by one extra row, and solved by least squares."""
+    nx, ny = grid.nx, grid.ny
+    n_ux, n_uy = nx * ny, nx * (ny - 1)
+
+    def unpack(z):
+        uy = np.zeros((nx, ny + 1))
+        uy[:, 1:-1] = z[n_ux:n_ux + n_uy].reshape(nx, ny - 1)
+        return (VectorField(z[:n_ux].reshape(nx, ny), uy, grid),
+                ScalarField(z[n_ux + n_uy:].reshape(nx, ny), grid))
+
+    def residual(z, wb, wt):
+        u, p = unpack(z)
+        mom = gradient(p) - nu * vector_laplacian(u, wb, wt)
+        return np.concatenate([mom.ux.ravel(), mom.uy[:, 1:-1].ravel(),
+                               divergence(u).values.ravel(), [p.values.mean()]])
+
+    size = n_ux + n_uy + nx * ny
+    zero = np.zeros(nx)
+    cols = np.column_stack([residual(e, zero, zero) for e in np.eye(size)])
+    z = np.linalg.lstsq(cols, -residual(np.zeros(size), gb, gt), rcond=None)[0]
+    return unpack(z)
+
+
+def channel_stokes_mode(grid, nu):
+    """Continuous Stokes flow under the top-wall data cos(kx), k = 2 pi / lx.
+
+    psi = f(y) cos(kx) with f = (A + By) cosh(ky) + (C + Dy) sinh(ky) and
+    f(0) = f'(0) = f(ly) = 0, f'(ly) = 1; then ux = f' cos(kx),
+    uy = k f sin(kx) and p = nu (f''' - k^2 f') sin(kx) / k.
+    """
+    k = 2 * np.pi / grid.lx
+
+    def basis(y):                                 # f, f', f''' of each term
+        c, s = np.cosh(k * y), np.sinh(k * y)
+        return (np.array([c, y * c, s, y * s]),
+                np.array([k * s, c + k * y * s, k * c, s + k * y * c]),
+                np.array([k**3 * s, 3 * k**2 * c + k**3 * y * s,
+                          k**3 * c, 3 * k**2 * s + k**3 * y * c]))
+
+    (f0, df0, _), (fl, dfl, _) = basis(0.0), basis(grid.ly)
+    coef = np.linalg.solve(np.array([f0, df0, fl, dfl]), [0.0, 0.0, 0.0, 1.0])
+    _, df, d3f = (coef @ b for b in basis(grid.yc))
+    f_faces = coef @ basis(grid.yf)[0]
+    f_faces[[0, -1]] = 0.0                        # the wall values, without round-off
+    u = VectorField(np.outer(np.cos(k * grid.xf), df),
+                    np.outer(k * np.sin(k * grid.xc), f_faces), grid)
+    return u, ScalarField(np.outer(np.sin(k * grid.xc), nu * (d3f - k**2 * df) / k), grid)
+
+
+class TestStationaryStokesOracles:
+    @pytest.mark.parametrize("case", ["mean", "mode_1", "nyquist", "mix"])
+    def test_matches_dense_solve(self, case):
+        grid = Grid(12, 8, lx=2.0, ly=1.0)
+        alt = (-1.0) ** np.arange(grid.nx)
+        mean = (np.full(grid.nx, 0.5), np.full(grid.nx, -0.25))
+        mode_1 = (np.sin(2 * np.pi * grid.xf / grid.lx), wall_profile(grid, "single_mode:1"))
+        nyquist = (-alt, 2.0 * alt)
+        gb, gt = {"mean": mean, "mode_1": mode_1, "nyquist": nyquist,
+                  "mix": tuple(a + b + c for a, b, c in zip(mean, mode_1, nyquist))}[case]
+        u, p, info = StationaryStokes(grid, NU1).solve(gb, gt)
+        u_ref, p_ref = dense_stokes(grid, NU1, gb, gt)
+        assert info["iterations"] == 1
+        scale = max(np.abs(gb).max(), np.abs(gt).max())
+        for new, ref in ((u.ux, u_ref.ux), (u.uy, u_ref.uy), (p.values, p_ref.values)):
+            # fields that vanish for this data are compared on the data's scale
+            assert np.abs(new - ref).max() <= 1e-12 * max(np.abs(ref).max(), scale)
+
+    def test_second_order_in_h(self):
+        errs = []
+        for n in (32, 64, 128):
+            grid = Grid(n, n)
+            u, p, _ = StationaryStokes(grid, NU1).solve(
+                np.zeros(n), wall_profile(grid, "single_mode:1"))
+            u_ex, p_ex = channel_stokes_mode(grid, NU1)
+            errs.append((l2(u - u_ex), l2(p - p_ex)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
 
 
 class TestInitialLift:

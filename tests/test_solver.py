@@ -8,9 +8,9 @@ from chns import solver
 from chns.boundary import Amplitude, WallData, wall_profile
 from chns.errors import CFLViolation, InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
-from chns.ops import (advect_scalar, divergence, gradient, l2, laplacian_neumann,
-                      leray_project)
-from chns.potential import PotentialSpec, ViscositySpec, eval_F
+from chns.ops import (advect_scalar, divergence, gradient, inner, inner_vec, l2,
+                      laplacian_neumann, leray_project)
+from chns.potential import ViscositySpec, eval_F
 from chns.solver import (Forcing, SimState, Simulation, SolverConfig, cfl_bound,
                          ch_substep, galerkin_study, initial_mu, run)
 
@@ -43,8 +43,7 @@ class TestChSubstep:
     def test_constant_is_fixed_point(self):
         grid = Grid(32, 32)
         phi = ScalarField(np.full((grid.nx, grid.ny), 0.3), grid)
-        phi_new, mu_new = ch_substep(phi, VectorField.zeros(grid), 1e-3, 2.0,
-                                     PotentialSpec())
+        phi_new, mu_new = ch_substep(phi, VectorField.zeros(grid), 1e-3, 2.0)
         assert np.abs(phi_new.values - 0.3).max() < 1e-14
         expect_mu = 4 * 0.3 * (0.3**2 - 1)
         assert np.abs(mu_new.values - expect_mu).max() < 1e-13
@@ -54,7 +53,7 @@ class TestChSubstep:
         dt, s = 1e-3, 2.0
         amp = 0.01
         phi = ScalarField.from_function(grid, lambda x, y: amp * np.cos(2 * np.pi * x))
-        phi_new, _ = ch_substep(phi, VectorField.zeros(grid), dt, s, PotentialSpec())
+        phi_new, _ = ch_substep(phi, VectorField.zeros(grid), dt, s)
         lam = (2.0 / grid.dx**2) * (1.0 - np.cos(2 * np.pi * grid.dx))
         # linearized symbol about 0 with curvature -4
         growth = (1 + dt * lam * (s + 4.0)) / (1 + dt * lam * (lam + s))
@@ -68,7 +67,7 @@ class TestChSubstep:
         phi = noise_phi(grid, amp=0.1, mean=0.2)
         m0 = phi.mean()
         for _ in range(1000):
-            phi, _ = ch_substep(phi, v, 1e-3, 2.0, PotentialSpec())
+            phi, _ = ch_substep(phi, v, 1e-3, 2.0)
         assert abs(phi.mean() - m0) < 1e-11
 
 
@@ -77,8 +76,7 @@ class TestChSubstepBdf2:
         grid = Grid(32, 32)
         phi = ScalarField(np.full((grid.nx, grid.ny), 0.3), grid)
         history = (phi.copy(), random_divfree(grid, rng))
-        phi_new, mu_new = ch_substep(phi, random_divfree(grid, rng), 1e-3, 2.0,
-                                     PotentialSpec(), previous=history)
+        phi_new, mu_new = ch_substep(phi, random_divfree(grid, rng), 1e-3, 2.0, previous=history)
         assert np.abs(phi_new.values - 0.3).max() < 1e-14
         expect_mu = 4 * 0.3 * (0.3**2 - 1)
         assert np.abs(mu_new.values - expect_mu).max() < 1e-13
@@ -89,8 +87,8 @@ class TestChSubstepBdf2:
         amp = 0.01
         zero = VectorField.zeros(grid)
         phi_old = ScalarField.from_function(grid, lambda x, y: amp * np.cos(2 * np.pi * x))
-        phi, _ = ch_substep(phi_old, zero, dt, s, PotentialSpec())
-        phi_new, _ = ch_substep(phi, zero, dt, s, PotentialSpec(), previous=(phi_old, zero))
+        phi, _ = ch_substep(phi_old, zero, dt, s)
+        phi_new, _ = ch_substep(phi, zero, dt, s, previous=(phi_old, zero))
         lam = (2.0 / grid.dx**2) * (1.0 - np.cos(2 * np.pi * grid.dx))
         c_old, c, c_new = (np.fft.rfft(f.values[:, 0])[1] for f in (phi_old, phi, phi_new))
         # linearized about 0 (F'' = -4), with phibar = 2 c - c_old
@@ -106,7 +104,7 @@ class TestChSubstepBdf2:
         history = None
         for _ in range(1000):
             v = random_divfree(grid, rng)
-            phi_new, _ = ch_substep(phi, v, 1e-3, 2.0, PotentialSpec(), previous=history)
+            phi_new, _ = ch_substep(phi, v, 1e-3, 2.0, previous=history)
             history, phi = (phi, v), phi_new
         assert abs(phi.mean() - m0) < 1e-11
 
@@ -123,7 +121,7 @@ class TestChSubstepBdf2:
         phi_hat = (grid.to_spectral(rhs) + lam * grid.to_spectral(fp)
                    - s * lam * grid.to_spectral(phi.values)) / (1 / dt + lam * lam - s * lam)
         expect = grid.from_spectral(phi_hat)
-        phi_new, mu_new = ch_substep(phi, v, dt, s, PotentialSpec())
+        phi_new, mu_new = ch_substep(phi, v, dt, s)
         scale = np.abs(expect).max()
         assert np.abs(phi_new.values - expect).max() < 1e-13 * scale
         mu_expect = (-laplacian_neumann(ScalarField(expect, grid)).values + fp
@@ -144,7 +142,7 @@ class TestChSubstepBdf2:
         energies = [free_energy(phi)]
         history = None
         for _ in range(64):
-            phi_new, _ = ch_substep(phi, zero, 1 / 8, 2.0, PotentialSpec(), previous=history)
+            phi_new, _ = ch_substep(phi, zero, 1 / 8, 2.0, previous=history)
             history, phi = (phi, zero), phi_new
             energies.append(free_energy(phi))
         assert np.diff(energies).max() < 0.0
@@ -162,9 +160,28 @@ class TestSimulationHistory:
             resumed.step()
         st = resumed.state
         restarted.state = st
-        one_step, _ = ch_substep(st.phi, st.u, cfg.dt, cfg.stabilization, cfg.potential)
+        one_step, _ = ch_substep(st.phi, st.u, cfg.dt, cfg.stabilization)
         assert np.array_equal(restarted.step().phi.values, one_step.values)
         assert not np.array_equal(resumed.step().phi.values, one_step.values)
+
+
+class TestCapillaryForce:
+    def test_exchange_identity_with_transport(self, rng):
+        """<u, mu grad(phi)> = <mu, div(u phi)> for discretely divergence-free u,
+        so the coupling terms of the energy law cancel."""
+        grid = Grid(32, 24, lx=2.0, ly=1.5)
+
+        def smooth(amp):
+            c = amp * rng.standard_normal((3, 3))
+            return ScalarField.from_function(grid, lambda x, y: sum(
+                c[m, n] * np.cos(2 * np.pi * m * x / grid.lx + n) * np.cos(np.pi * n * y / grid.ly)
+                for m in range(3) for n in range(3)))
+
+        phi, mu, u = smooth(1.0), smooth(30.0), random_divfree(grid, rng)
+        force = inner_vec(u, solver.capillary_force(phi, mu))
+        transport = inner(mu, advect_scalar(u, phi))
+        assert abs(force) > 1.0
+        assert abs(force - transport) < 1e-13 * l2(u) * l2(mu) * l2(gradient(phi))
 
 
 class TestNsDirect:
