@@ -16,9 +16,8 @@ from .boundary import WallData, require_aligned
 from .errors import MisalignedSeries, ModeMismatch, UnsupportedFamily
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
-from .ops import (gradient, grad_norm_sq, h1, h2_norm_sq, hminus1, inner, l2,
-                  laplacian_neumann, leray_project, v1_norm, v2_norm,
-                  vector_laplacian)
+from .ops import (gradient, grad_norm_sq, h1, h2_norm_sq, hminus1, l2,
+                  laplacian_neumann, leray_project, v1_norm, vector_laplacian)
 from .potential import PotentialSpec, ViscositySpec, eval_F, eval_dF
 
 CSV_COLUMNS = ("t", "kinetic", "interfacial", "bulk", "total", "diss_u",
@@ -79,16 +78,23 @@ class DiagnosticsContext:
                    u_infinity=u_inf, mode=cfg.mode)
 
 
+def _shared_norms(state) -> dict:
+    """The norms that both the energy split and the higher-order functionals use."""
+    ub = state.velocity_for_energy()
+    return {"ub_l2": l2(ub), "diss_u": grad_norm_sq(ub),
+            "grad_phi": l2(gradient(state.phi)), "grad_mu": l2(gradient(state.mu))}
+
+
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors."""
-    phi, mu = state.phi, state.mu
-    ub = state.velocity_for_energy()
-    kinetic = 0.5 * l2(ub) ** 2
+    phi = state.phi
+    norms = _shared_norms(state)
+    kinetic = 0.5 * norms["ub_l2"] ** 2
     kinetic_total = 0.5 * l2(state.u) ** 2
-    interfacial = 0.5 * l2(gradient(phi)) ** 2
+    interfacial = 0.5 * norms["grad_phi"] ** 2
     bulk = float(np.sum(eval_F(phi.values)) * phi.grid.cell_area)
-    diss_u = grad_norm_sq(ub)
-    diss_mu = l2(gradient(mu)) ** 2
+    diss_u = norms["diss_u"]
+    diss_mu = norms["grad_mu"] ** 2
 
     a = b = gq = math.nan
     res_phi = res_u = math.nan
@@ -99,7 +105,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
         if (context.mode == "lifted_parabolic" and state.lift is not None
                 and state.lift.u_p is not None and context.viscosity is not None
                 and context.viscosity.is_constant):
-            a, b, gq = higher_order(state, context)
+            a, b, gq = higher_order(state, context, norms)
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
                         diss_u=diss_u, diss_mu=diss_mu, mass=phi.mean(),
@@ -121,8 +127,8 @@ def energy_inequality_report(records, data: WallData, nu1: float = 1.0) -> dict:
     sup K under dt-halving stand in for the unknowable front constant.
     """
     if len(records) < 2:
-        return {"max_step_increase": 0.0, "sup_K": 0.0,
-                "dissipation_integral": 0.0, "homogeneous": data.is_zero()}
+        return {"max_step_increase": 0.0, "sup_K": 0.0, "dissipation_integral": 0.0,
+                "dissipation_finite": True, "homogeneous": data.is_zero()}
     t = np.array([r.t for r in records])
     e = np.array([r.total for r in records])
     dt_rec = np.diff(t)
@@ -177,22 +183,29 @@ G_TERMS = (
 )
 
 
-def _g_norms(state, context: DiagnosticsContext) -> dict:
-    lift = state.lift
+def _g_norms(state, context: DiagnosticsContext, norms: dict, lap_phi_l2: float) -> dict:
+    """The factors of G, each norm assembled from its squared parts.
+
+    The lift's V1 and V2 norms carry its wall data at the state's time.
+    """
+    u_p = state.lift.u_p
     hb, ht = context.data.eval_wall(state.t)
-    u_p = lift.u_p
-    phi = state.phi
+    up_l2 = l2(u_p)
+    up_grad_sq = grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)
+    up_lap_l2 = l2(vector_laplacian(u_p, hb, ht))
+    phi_l2 = l2(state.phi)
+    grad_phi = norms["grad_phi"]
     return {
-        "up_v1": v1_norm(u_p, wall_bottom=hb, wall_top=ht),
-        "up_v2": v2_norm(u_p, wall_bottom=hb, wall_top=ht),
-        "up_l2": l2(u_p),
-        "grad_up": math.sqrt(grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)),
-        "ubar_l2": l2(state.ubar),
-        "phi_l2": l2(phi),
-        "phi_h1": h1(phi),
-        "phi_h2": math.sqrt(h2_norm_sq(phi)),
-        "grad_mu": l2(gradient(state.mu)),
-        "grad_phi": l2(gradient(phi)),
+        "up_v1": math.sqrt(up_l2**2 + up_grad_sq),
+        "up_v2": math.sqrt(up_l2**2 + up_grad_sq + up_lap_l2**2),
+        "up_l2": up_l2,
+        "grad_up": math.sqrt(up_grad_sq),
+        "ubar_l2": norms["ub_l2"],
+        "phi_l2": phi_l2,
+        "phi_h1": math.sqrt(phi_l2**2 + grad_phi**2),
+        "phi_h2": math.sqrt(phi_l2**2 + grad_phi**2 + lap_phi_l2**2),
+        "grad_mu": norms["grad_mu"],
+        "grad_phi": grad_phi,
     }
 
 
@@ -206,28 +219,33 @@ def evaluate_g(norms: dict, q: float) -> float:
     return total
 
 
-def higher_order(state, context: DiagnosticsContext) -> tuple[float, float, float]:
+def higher_order(state, context: DiagnosticsContext,
+                 norms: dict | None = None) -> tuple[float, float, float]:
     """Higher-order functionals of the evolutionary-lift splitting.
 
     Restricted to constant-viscosity runs in the evolutionary-lift mode;
-    anything else raises ModeMismatch.
+    anything else raises ModeMismatch.  ``energy`` passes in the norms it
+    has already computed for the same state; without them they are
+    computed here.
     """
     if context.mode != "lifted_parabolic" or state.lift is None or state.lift.u_p is None:
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
     if context.viscosity is None or not context.viscosity.is_constant:
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")
-    ubar = state.ubar
-    phi, mu = state.phi, state.mu
-    lap_phi = laplacian_neumann(phi)
+    if norms is None:
+        norms = _shared_norms(state)
+    mu = state.mu
+    lap_phi = laplacian_neumann(state.phi)
+    lap_phi_l2 = l2(lap_phi)
 
-    a = grad_norm_sq(ubar) + l2(lap_phi) ** 2 + l2(mu) ** 2
+    a = norms["diss_u"] + lap_phi_l2 ** 2 + l2(mu) ** 2
 
-    stokes_u, _ = leray_project(-1.0 * vector_laplacian(ubar))
+    stokes_u, _ = leray_project(-1.0 * vector_laplacian(state.ubar))
     lap2_phi = laplacian_neumann(lap_phi)
     lap_mu = laplacian_neumann(mu)
     b = context.viscosity.value * l2(stokes_u) ** 2 + l2(lap2_phi) ** 2 + l2(lap_mu) ** 2
 
-    g = evaluate_g(_g_norms(state, context), context.potential.q)
+    g = evaluate_g(_g_norms(state, context, norms, lap_phi_l2), context.potential.q)
     return float(a), float(b), float(g)
 
 
@@ -241,7 +259,7 @@ def steady_state_residual_phi(phi: ScalarField, potential: PotentialSpec) -> flo
     Depends on phi alone (adding a constant to the chemical potential does
     not change it); zero does not imply stability, merely criticality.
     """
-    r = ScalarField(-laplacian_neumann(phi).values + eval_dF(phi.values), phi.grid)
+    r = ScalarField._trusted(-laplacian_neumann(phi).values + eval_dF(phi.values), phi.grid)
     return hminus1(r)
 
 

@@ -121,6 +121,18 @@ class ScalarField:
                            _as_array(self.values, (self.grid.nx, self.grid.ny), "ScalarField"))
 
     @classmethod
+    def _trusted(cls, values: np.ndarray, grid: Grid) -> "ScalarField":
+        """Wrap a float array of the right shape that the package built itself.
+
+        Skips the checks of the public constructor, which stay for every
+        array that comes from outside the package.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "grid", grid)
+        return f
+
+    @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(np.zeros((grid.nx, grid.ny)), grid)
 
@@ -136,16 +148,16 @@ class ScalarField:
         return float(self.values.mean())
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy(), self.grid)
+        return ScalarField._trusted(self.values.copy(), self.grid)
 
     def __add__(self, other):
-        return ScalarField(self.values + other.values, self.grid)
+        return ScalarField._trusted(self.values + other.values, self.grid)
 
     def __sub__(self, other):
-        return ScalarField(self.values - other.values, self.grid)
+        return ScalarField._trusted(self.values - other.values, self.grid)
 
     def __mul__(self, a: float):
-        return ScalarField(self.values * a, self.grid)
+        return ScalarField._trusted(self.values * a, self.grid)
 
     __rmul__ = __mul__
 
@@ -164,6 +176,19 @@ class VectorField:
         object.__setattr__(self, "uy", _as_array(self.uy, (g.nx, g.ny + 1), "VectorField.uy"))
         if np.any(self.uy[:, 0] != 0.0) or np.any(self.uy[:, -1] != 0.0):
             raise InvariantViolation("VectorField: wall rows of uy must be exactly zero")
+
+    @classmethod
+    def _trusted(cls, ux: np.ndarray, uy: np.ndarray, grid: Grid) -> "VectorField":
+        """Wrap float component arrays that the package built itself.
+
+        The caller guarantees the shapes and exactly-zero uy wall rows; the
+        public constructor keeps checking every field from outside.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "ux", ux)
+        object.__setattr__(f, "uy", uy)
+        object.__setattr__(f, "grid", grid)
+        return f
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
@@ -186,16 +211,16 @@ class VectorField:
         return float(max(np.abs(self.ux).max(), np.abs(self.uy).max()))
 
     def copy(self) -> "VectorField":
-        return VectorField(self.ux.copy(), self.uy.copy(), self.grid)
+        return VectorField._trusted(self.ux.copy(), self.uy.copy(), self.grid)
 
     def __add__(self, other):
-        return VectorField(self.ux + other.ux, self.uy + other.uy, self.grid)
+        return VectorField._trusted(self.ux + other.ux, self.uy + other.uy, self.grid)
 
     def __sub__(self, other):
-        return VectorField(self.ux - other.ux, self.uy - other.uy, self.grid)
+        return VectorField._trusted(self.ux - other.ux, self.uy - other.uy, self.grid)
 
     def __mul__(self, a: float):
-        return VectorField(self.ux * a, self.uy * a, self.grid)
+        return VectorField._trusted(self.ux * a, self.uy * a, self.grid)
 
     __rmul__ = __mul__
 

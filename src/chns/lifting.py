@@ -30,7 +30,7 @@ import scipy.fft as sfft
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .ops import divergence, gradient, l2, leray_project, v1_norm, vector_laplacian
+from .ops import gradient, l2, leray_project, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift", "LiftState",
@@ -71,7 +71,7 @@ class StationaryStokes:
         gb = np.asarray(gb, dtype=float)
         gt = np.asarray(gt, dtype=float)
         if not (gb.any() or gt.any()):
-            return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0, "div_norm": 0.0}
+            return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0}
 
         dy, ny = g.dy, g.ny
         bhat, that = sfft.rfft(gb), sfft.rfft(gt)
@@ -104,7 +104,7 @@ class StationaryStokes:
         ux, p, uy = sfft.irfft(hat, axis=1, n=g.nx)
         u = VectorField(np.ascontiguousarray(ux[:, :ny]), uy, g)
         p = ScalarField(np.ascontiguousarray(p[:, :ny]), g)
-        return u, p, {"iterations": 1, "div_norm": l2(divergence(u))}
+        return u, p, {"iterations": 1}
 
 
 def momentum_residual(u: VectorField, p: ScalarField, nu1: float,
@@ -141,12 +141,11 @@ class EllipticLift:
         self.data = data
         key = (grid.key, self.nu1)
         if key not in data.lift_cache:
-            u, p, info = StationaryStokes(grid, nu1).solve(data.g_bottom, data.g_top)
+            u, p, _ = StationaryStokes(grid, nu1).solve(data.g_bottom, data.g_top)
             for arr in (u.ux, u.uy, p.values):
                 arr.flags.writeable = False
-            data.lift_cache[key] = (u, p, info)
-        self.unit_u, self.unit_p, info = data.lift_cache[key]
-        self.info = dict(info)
+            data.lift_cache[key] = (u, p)
+        self.unit_u, self.unit_p = data.lift_cache[key]
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -174,7 +173,8 @@ class ParabolicLift:
     """Backward-Euler integrator for the evolutionary lift.
 
     Keeps the decomposition u_p = a(t) U + w; each step advances w by an
-    implicit solve with homogeneous walls followed by an exact projection.
+    implicit solve with homogeneous walls followed by an exact projection,
+    then stores the new sum as ``u_p``.
     """
 
     def __init__(self, elliptic: EllipticLift, u0: VectorField | None = None,
@@ -193,10 +193,7 @@ class ParabolicLift:
             self.w = up0 - a0 * self.ell.unit_u
         self.q_w = ScalarField.zeros(self.grid)
         self._du_p_dt: VectorField | None = None
-
-    @property
-    def u_p(self) -> VectorField:
-        return self.data.amplitude(self.t) * self.ell.unit_u + self.w
+        self.u_p = a0 * self.ell.unit_u + self.w
 
     @property
     def p_p(self) -> ScalarField:
@@ -221,10 +218,11 @@ class ParabolicLift:
         ux = g.solve_helmholtz_ux(rhs.ux, coeff)
         uy = np.zeros((g.nx, g.ny + 1))
         uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
-        w_star = VectorField(ux, uy, g)
+        w_star = VectorField._trusted(ux, uy, g)
         self.w, q = leray_project(w_star)
         self.q_w = (1.0 / dt) * q
         self.t = t_new
+        self.u_p = self.data.amplitude(t_new) * self.ell.unit_u + self.w
         self._du_p_dt = (1.0 / dt) * (self.u_p - up_old)
         if not self.w.is_finite():
             raise SolverDiverged("parabolic lift produced non-finite values")

@@ -34,6 +34,22 @@ __all__ = [
 MEAN_TOL = 1e-10
 
 
+def _west(a: np.ndarray) -> np.ndarray:
+    """out[i] = a[i - 1], periodic in x: np.roll(a, 1, axis=0) by two slice copies."""
+    out = np.empty_like(a)
+    out[1:] = a[:-1]
+    out[0] = a[-1]
+    return out
+
+
+def _east(a: np.ndarray) -> np.ndarray:
+    """out[i] = a[i + 1], periodic in x: np.roll(a, -1, axis=0)."""
+    out = np.empty_like(a)
+    out[:-1] = a[1:]
+    out[-1] = a[0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # first-order operators
 # ---------------------------------------------------------------------------
@@ -43,18 +59,18 @@ def divergence(v: VectorField) -> ScalarField:
     g = v.grid
     if np.any(v.uy[:, 0] != 0.0) or np.any(v.uy[:, -1] != 0.0):
         raise InvariantViolation("divergence: nonzero wall-normal velocity")
-    ddx = (np.roll(v.ux, -1, axis=0) - v.ux) / g.dx
+    ddx = (_east(v.ux) - v.ux) / g.dx
     ddy = (v.uy[:, 1:] - v.uy[:, :-1]) / g.dy
-    return ScalarField(ddx + ddy, g)
+    return ScalarField._trusted(ddx + ddy, g)
 
 
 def gradient(s: ScalarField) -> VectorField:
     """Face-located centered gradient; wall-normal rows are zero (no-flux closure)."""
     g = s.grid
-    gx = (s.values - np.roll(s.values, 1, axis=0)) / g.dx
+    gx = (s.values - _west(s.values)) / g.dx
     gy = np.zeros((g.nx, g.ny + 1))
     gy[:, 1:-1] = (s.values[:, 1:] - s.values[:, :-1]) / g.dy
-    return VectorField(gx, gy, g)
+    return VectorField._trusted(gx, gy, g)
 
 
 def laplacian_neumann(s: ScalarField) -> ScalarField:
@@ -65,11 +81,11 @@ def laplacian_neumann(s: ScalarField) -> ScalarField:
     """
     g = s.grid
     a = s.values
-    out = (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / g.dx**2
+    out = (_east(a) - 2.0 * a + _west(a)) / g.dx**2
     ydiff = np.zeros_like(a)
     ydiff[:, :-1] += (a[:, 1:] - a[:, :-1])
     ydiff[:, 1:] += (a[:, :-1] - a[:, 1:])
-    return ScalarField(out + ydiff / g.dy**2, g)
+    return ScalarField._trusted(out + ydiff / g.dy**2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +114,7 @@ def helmholtz_solve_neumann(rhs: ScalarField, a: float, b: float) -> ScalarField
         denom = denom.copy()
         denom[0, 0] = 1.0
         coeffs[0, 0] = 0.0
-    return ScalarField(g.from_spectral(coeffs / denom), g)
+    return ScalarField._trusted(g.from_spectral(coeffs / denom), g)
 
 
 def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
@@ -114,7 +130,7 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     lam[0, 0] = 1.0
     coeffs /= lam
     coeffs[0, 0] = 0.0          # mean(div) vanishes identically by telescoping
-    q = ScalarField(g.from_spectral(coeffs), g)
+    q = ScalarField._trusted(g.from_spectral(coeffs), g)
     return v - gradient(q), q
 
 
@@ -123,7 +139,7 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
 # ---------------------------------------------------------------------------
 
 def interp_center_to_xface(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.roll(a, 1, axis=0))
+    return 0.5 * (a + _west(a))
 
 
 def interp_center_to_yface(a: np.ndarray) -> np.ndarray:
@@ -138,7 +154,7 @@ def advect_scalar(v: VectorField, s: ScalarField) -> ScalarField:
     flux_x = v.ux * interp_center_to_xface(s.values)
     flux_y = np.zeros((g.nx, g.ny + 1))
     flux_y[:, 1:-1] = v.uy[:, 1:-1] * interp_center_to_yface(s.values)
-    return divergence(VectorField(flux_x, flux_y, g))
+    return divergence(VectorField._trusted(flux_x, flux_y, g))
 
 
 def advect_velocity(v: VectorField, w: VectorField) -> VectorField:
@@ -154,24 +170,24 @@ def advect_velocity(v: VectorField, w: VectorField) -> VectorField:
     dx, dy = g.dx, g.dy
 
     # x-component: dual cells centered on vertical faces.
-    uc = 0.5 * (v.ux + np.roll(v.ux, -1, axis=0))            # at cell centers
-    fe = uc * 0.5 * (w.ux + np.roll(w.ux, -1, axis=0))       # east/west dual fluxes
-    vcorn = 0.5 * (v.uy + np.roll(v.uy, 1, axis=0))          # at corners, rows 0..ny
+    uc = 0.5 * (v.ux + _east(v.ux))                          # at cell centers
+    fe = uc * 0.5 * (w.ux + _east(w.ux))                     # east/west dual fluxes
+    vcorn = 0.5 * (v.uy + _west(v.uy))                       # at corners, rows 0..ny
     fn = np.zeros((g.nx, g.ny + 1))
     fn[:, 1:-1] = vcorn[:, 1:-1] * 0.5 * (w.ux[:, 1:] + w.ux[:, :-1])
-    adv_x = (fe - np.roll(fe, 1, axis=0)) / dx + (fn[:, 1:] - fn[:, :-1]) / dy
+    adv_x = (fe - _west(fe)) / dx + (fn[:, 1:] - fn[:, :-1]) / dy
 
     # y-component: dual cells centered on interior horizontal faces.
     ucorn = np.zeros((g.nx, g.ny + 1))
     ucorn[:, 1:-1] = 0.5 * (v.ux[:, 1:] + v.ux[:, :-1])      # at corners
     fxc = np.zeros((g.nx, g.ny + 1))
-    fxc[:, 1:-1] = ucorn[:, 1:-1] * 0.5 * (w.uy[:, 1:-1] + np.roll(w.uy[:, 1:-1], 1, axis=0))
+    fxc[:, 1:-1] = ucorn[:, 1:-1] * 0.5 * (w.uy[:, 1:-1] + _west(w.uy[:, 1:-1]))
     vc = 0.5 * (v.uy[:, 1:] + v.uy[:, :-1])                  # at cell centers
     fyc = vc * 0.5 * (w.uy[:, 1:] + w.uy[:, :-1])
     adv_y = np.zeros((g.nx, g.ny + 1))
-    adv_y[:, 1:-1] = (np.roll(fxc[:, 1:-1], -1, axis=0) - fxc[:, 1:-1]) / dx \
+    adv_y[:, 1:-1] = (_east(fxc[:, 1:-1]) - fxc[:, 1:-1]) / dx \
         + (fyc[:, 1:] - fyc[:, :-1]) / dy
-    return VectorField(adv_x, adv_y, g)
+    return VectorField._trusted(adv_x, adv_y, g)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,7 @@ def _nu_at_corners(nu: np.ndarray) -> np.ndarray:
     """Viscosity averaged to corner points, rows 0..ny (reflecting wall ghosts)."""
     nx, ny = nu.shape
     out = np.zeros((nx, ny + 1))
-    avg_x = 0.5 * (nu + np.roll(nu, 1, axis=0))
+    avg_x = 0.5 * (nu + _west(nu))
     out[:, 1:-1] = 0.5 * (avg_x[:, 1:] + avg_x[:, :-1])
     out[:, 0] = avg_x[:, 0]
     out[:, -1] = avg_x[:, -1]
@@ -209,7 +225,7 @@ def viscous_term(nu_field: ScalarField, v: VectorField,
 
     dx, dy = g.dx, g.dy
     # Normal stresses at cell centers.
-    txx = nu * (np.roll(v.ux, -1, axis=0) - v.ux) / dx
+    txx = nu * (_east(v.ux) - v.ux) / dx
     tyy = nu * (v.uy[:, 1:] - v.uy[:, :-1]) / dy
 
     # Shear stress at corners (rows 0..ny); ghost rows encode the wall data.
@@ -217,14 +233,14 @@ def viscous_term(nu_field: ScalarField, v: VectorField,
     dyux[:, 1:-1] = (v.ux[:, 1:] - v.ux[:, :-1]) / dy
     dyux[:, 0] = 2.0 * (v.ux[:, 0] - gb) / dy
     dyux[:, -1] = 2.0 * (gt - v.ux[:, -1]) / dy
-    dxuy = (v.uy - np.roll(v.uy, 1, axis=0)) / dx
+    dxuy = (v.uy - _west(v.uy)) / dx
     txy = _nu_at_corners(nu) * 0.5 * (dyux + dxuy)
 
-    out_x = (txx - np.roll(txx, 1, axis=0)) / dx + (txy[:, 1:] - txy[:, :-1]) / dy
+    out_x = (txx - _west(txx)) / dx + (txy[:, 1:] - txy[:, :-1]) / dy
     out_y = np.zeros((g.nx, g.ny + 1))
-    out_y[:, 1:-1] = (np.roll(txy[:, 1:-1], -1, axis=0) - txy[:, 1:-1]) / dx \
+    out_y[:, 1:-1] = (_east(txy[:, 1:-1]) - txy[:, 1:-1]) / dx \
         + (tyy[:, 1:] - tyy[:, :-1]) / dy
-    return VectorField(out_x, out_y, g)
+    return VectorField._trusted(out_x, out_y, g)
 
 
 def vector_laplacian(v: VectorField,
@@ -237,7 +253,7 @@ def vector_laplacian(v: VectorField,
     dx2, dy2 = g.dx**2, g.dy**2
 
     a = v.ux
-    lap_x = (np.roll(a, -1, axis=0) - 2 * a + np.roll(a, 1, axis=0)) / dx2
+    lap_x = (_east(a) - 2 * a + _west(a)) / dx2
     ydiff = np.empty_like(a)
     ydiff[:, 1:-1] = a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]
     ydiff[:, 0] = a[:, 1] - 3 * a[:, 0] + 2 * gb
@@ -246,10 +262,9 @@ def vector_laplacian(v: VectorField,
 
     b = v.uy
     lap_y = np.zeros_like(b)
-    lap_y[:, 1:-1] = (np.roll(b[:, 1:-1], -1, axis=0) - 2 * b[:, 1:-1]
-                      + np.roll(b[:, 1:-1], 1, axis=0)) / dx2 \
+    lap_y[:, 1:-1] = (_east(b[:, 1:-1]) - 2 * b[:, 1:-1] + _west(b[:, 1:-1])) / dx2 \
         + (b[:, 2:] - 2 * b[:, 1:-1] + b[:, :-2]) / dy2
-    return VectorField(lap_x, lap_y, g)
+    return VectorField._trusted(lap_x, lap_y, g)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +293,26 @@ def h1(s: ScalarField) -> float:
 
 
 def hminus1(s: ScalarField) -> float:
-    """Dual norm against the H1 pairing: sqrt(<s, (I - Lap)^{-1} s>)."""
-    w = helmholtz_solve_neumann(s, 1.0, 1.0)
-    val = inner(s, w)
-    return float(np.sqrt(max(val, 0.0)))
+    """Dual norm against the H1 pairing: sqrt(<s, (I - Lap)^{-1} s>).
+
+    Evaluated by Parseval's identity on one forward transform c = T(s), rfft
+    in x and DCT-II in y, on which I - Lap is the diagonal 1 - lam_neumann:
+
+        |s|_{-1}^2 = dx dy sum_{k,m} wx_k wy_m |c_km|^2 / (1 - lam_km),
+
+    with wx_k = 1/nx at k = 0 and at the Nyquist mode k = nx/2 (their
+    coefficients stand for one mode) and 2/nx at every other k (each also
+    stands for its conjugate -k), and the DCT-II weights wy_0 = 1/(4 ny),
+    wy_m = 1/(2 ny) for m >= 1.  No solve and no inverse transform.
+    """
+    g = s.grid
+    c = g.to_spectral(s.values)
+    wx = np.full(g.nx // 2 + 1, 2.0 / g.nx)
+    wx[0] = wx[-1] = 1.0 / g.nx
+    wy = np.full(g.ny, 1.0 / (2 * g.ny))
+    wy[0] = 1.0 / (4 * g.ny)
+    power = (c.real**2 + c.imag**2) / (1.0 - g.lam_neumann)
+    return float(np.sqrt(g.cell_area * (wx @ power @ wy)))
 
 
 def grad_norm_sq(v: VectorField,
@@ -296,7 +327,7 @@ def grad_norm_sq(v: VectorField,
     gb = np.zeros(g.nx) if wall_bottom is None else np.asarray(wall_bottom, dtype=float)
     gt = np.zeros(g.nx) if wall_top is None else np.asarray(wall_top, dtype=float)
     w = g.cell_area
-    dxux = (np.roll(v.ux, -1, axis=0) - v.ux) / g.dx
+    dxux = (_east(v.ux) - v.ux) / g.dx
     dyuy = (v.uy[:, 1:] - v.uy[:, :-1]) / g.dy
     total = np.sum(dxux**2) + np.sum(dyuy**2)
 
@@ -305,7 +336,7 @@ def grad_norm_sq(v: VectorField,
     dyux_t = 2.0 * (gt - v.ux[:, -1]) / g.dy
     total += np.sum(dyux_int**2) + 0.5 * np.sum(dyux_b**2) + 0.5 * np.sum(dyux_t**2)
 
-    dxuy = (v.uy - np.roll(v.uy, 1, axis=0)) / g.dx
+    dxuy = (v.uy - _west(v.uy)) / g.dx
     total += np.sum(dxuy[:, 1:-1]**2)        # wall rows vanish identically
     return float(w * total)
 
@@ -344,4 +375,4 @@ def spectral_truncate(s: ScalarField, n_x: int, n_y: int) -> ScalarField:
     coeffs = g.to_spectral(s.values)
     coeffs[n_x + 1:, :] = 0.0
     coeffs[:, n_y:] = 0.0
-    return ScalarField(g.from_spectral(coeffs), g)
+    return ScalarField._trusted(g.from_spectral(coeffs), g)

@@ -110,8 +110,8 @@ class Forcing:
 
 def initial_mu(phi: ScalarField) -> ScalarField:
     """Scheme-consistent chemical potential at t = 0 (no stabilization lag)."""
-    fp = ScalarField(eval_dF(phi.values), phi.grid)
-    return ScalarField(-laplacian_neumann(phi).values + fp.values, phi.grid)
+    fp = ScalarField._trusted(eval_dF(phi.values), phi.grid)
+    return ScalarField._trusted(-laplacian_neumann(phi).values + fp.values, phi.grid)
 
 
 def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
@@ -144,8 +144,9 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
     else:
         phi_old, v_old = previous
         c0 = 1.5 / dt
-        phi_bar = ScalarField(2.0 * phi.values - phi_old.values, g)
-        v_bar = VectorField(2.0 * advecting.ux - v_old.ux, 2.0 * advecting.uy - v_old.uy, g)
+        phi_bar = ScalarField._trusted(2.0 * phi.values - phi_old.values, g)
+        v_bar = VectorField._trusted(2.0 * advecting.ux - v_old.ux,
+                                     2.0 * advecting.uy - v_old.uy, g)
         rhs = (2.0 * phi.values - 0.5 * phi_old.values) / dt
     fp = eval_dF(phi_bar.values)
 
@@ -155,11 +156,11 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
     lam = g.lam_neumann
     rhs_hat = g.to_spectral(rhs) + lam * g.to_spectral(fp - s * phi_bar.values)
     phi_hat = rhs_hat / (c0 + lam * lam - s * lam)
-    phi_new = ScalarField(g.from_spectral(phi_hat), g)
+    phi_new = ScalarField._trusted(g.from_spectral(phi_hat), g)
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
-    mu_new = ScalarField(-laplacian_neumann(phi_new).values + fp
-                         + s * (phi_new.values - phi_bar.values), g)
+    mu_new = ScalarField._trusted(-laplacian_neumann(phi_new).values + fp
+                                  + s * (phi_new.values - phi_bar.values), g)
     return phi_new, mu_new
 
 
@@ -175,7 +176,7 @@ def capillary_force(phi: ScalarField, mu: ScalarField) -> VectorField:
     fx = interp_center_to_xface(mu.values) * gr.ux
     fy = np.zeros((g.nx, g.ny + 1))
     fy[:, 1:-1] = interp_center_to_yface(mu.values) * gr.uy[:, 1:-1]
-    return VectorField(fx, fy, g)
+    return VectorField._trusted(fx, fy, g)
 
 
 def implicit_viscosity(viscosity: ViscositySpec) -> float:
@@ -191,7 +192,7 @@ def implicit_viscosity(viscosity: ViscositySpec) -> float:
 def _viscous_excess(nu: np.ndarray, a: float, v: VectorField,
                     gb: np.ndarray, gt: np.ndarray) -> VectorField:
     """div(nu sym grad v) - (a/2) Lap v: the explicitly treated viscous remainder."""
-    return viscous_term(ScalarField(nu, v.grid), v, wall_bottom=gb, wall_top=gt) \
+    return viscous_term(ScalarField._trusted(nu, v.grid), v, wall_bottom=gb, wall_top=gt) \
         - (0.5 * a) * vector_laplacian(v, gb, gt)
 
 
@@ -208,7 +209,7 @@ def _implicit_velocity_solve(rhs: VectorField, dt: float, a: float,
     ux = g.solve_helmholtz_ux(rx, coeff)
     uy = np.zeros((g.nx, g.ny + 1))
     uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
-    return VectorField(ux, uy, g)
+    return VectorField._trusted(ux, uy, g)
 
 
 def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,

@@ -12,8 +12,10 @@ from chns.diagnostics import (G_TERMS, DiagnosticsContext, EnergyRecord,
                               steady_state_residuals, zlem_tail_check)
 from chns.errors import MisalignedSeries, ModeMismatch
 from chns.grid import Grid, ScalarField, VectorField
-from chns.ops import l2, laplacian_neumann
-from chns.potential import PotentialSpec, ViscositySpec, eval_F
+from chns.ops import (grad_norm_sq, gradient, h1, h2_norm_sq, helmholtz_solve_neumann,
+                      inner, l2, laplacian_neumann, leray_project, v1_norm, v2_norm,
+                      vector_laplacian)
+from chns.potential import PotentialSpec, ViscositySpec, eval_dF, eval_F
 from chns.solver import SimState, Simulation, SolverConfig, run
 
 from conftest import random_vector
@@ -97,6 +99,17 @@ class TestEnergyInequality:
             sups.append(rep["sup_K"])
         assert all(math.isfinite(s) and s >= 0 for s in sups)
         assert sups[1] <= 2.0 * sups[0] + 1e-12 and sups[0] <= 2.0 * sups[1] + 1e-12
+
+
+    def test_single_record_report_is_complete(self):
+        grid = Grid(16, 16)
+        cfg = SolverConfig(dt=1e-3, t_end=0.0)
+        phi0 = ScalarField(np.full((16, 16), 0.1), grid)
+        _, records = run(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid))
+        assert len(records) == 1
+        rep = energy_inequality_report(records, WallData.zero(grid))
+        assert rep["dissipation_finite"] is True
+        assert rep["sup_K"] == 0.0 and rep["homogeneous"]
 
 
 class TestContextForRun:
@@ -303,3 +316,82 @@ class TestZlemTail:
         rep = zlem_tail_check(t, y, g=np.exp(-2 * t))
         assert rep["integral_y_finite"] and rep["integral_g_finite"]
         assert rep["decaying"]
+
+
+class TestRecordAgainstPublicNorms:
+    """Each record column against its definition written out in public norms."""
+
+    def expected(self, state, ctx):
+        phi, mu = state.phi, state.mu
+        ub = state.ubar if state.ubar is not None else state.u
+        r = ScalarField(-laplacian_neumann(phi).values + eval_dF(phi.values), phi.grid)
+        cols = {
+            "kinetic": 0.5 * l2(ub) ** 2,
+            "interfacial": 0.5 * l2(gradient(phi)) ** 2,
+            "bulk": float(np.sum(eval_F(phi.values)) * phi.grid.cell_area),
+            "diss_u": grad_norm_sq(ub),
+            "diss_mu": l2(gradient(mu)) ** 2,
+            "mass": phi.mean(),
+            "kinetic_total": 0.5 * l2(state.u) ** 2,
+            "res_phi": math.sqrt(inner(r, helmholtz_solve_neumann(r, 1.0, 1.0))),
+            "res_u": v1_norm(state.u - ctx.u_infinity),
+        }
+        cols["total"] = cols["kinetic"] + cols["interfacial"] + cols["bulk"]
+        if ctx.mode != "lifted_parabolic":
+            return cols
+        lap_phi = laplacian_neumann(phi)
+        cols["A"] = grad_norm_sq(ub) + l2(lap_phi) ** 2 + l2(mu) ** 2
+        stokes_u, _ = leray_project(-1.0 * vector_laplacian(ub))
+        cols["B"] = (ctx.viscosity.value * l2(stokes_u) ** 2
+                     + l2(laplacian_neumann(lap_phi)) ** 2
+                     + l2(laplacian_neumann(mu)) ** 2)
+        u_p = state.lift.u_p
+        hb, ht = ctx.data.eval_wall(state.t)
+        norms = {
+            "up_v1": v1_norm(u_p, wall_bottom=hb, wall_top=ht),
+            "up_v2": v2_norm(u_p, wall_bottom=hb, wall_top=ht),
+            "up_l2": l2(u_p),
+            "grad_up": math.sqrt(grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)),
+            "ubar_l2": l2(ub),
+            "phi_l2": l2(phi),
+            "phi_h1": h1(phi),
+            "phi_h2": math.sqrt(h2_norm_sq(phi)),
+            "grad_mu": l2(gradient(mu)),
+            "grad_phi": l2(gradient(phi)),
+        }
+        cols["G"] = evaluate_g(norms, ctx.potential.q)
+        return cols
+
+    def simulate(self, mode, viscosity):
+        grid = Grid(32, 32)
+        data = WallData(grid, wall_profile(grid, "single_mode"),
+                        wall_profile(grid, "uniform", 0.5),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=2.0))
+        cfg = SolverConfig(dt=1e-3, t_end=3e-3, mode=mode, viscosity=viscosity)
+        phi0 = ScalarField.from_function(
+            grid, lambda x, y: 0.3 * np.cos(2 * np.pi * x) * np.cos(np.pi * y) + 0.1)
+        sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+        for _ in range(3):
+            sim.step()
+        return sim, DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
+
+    def check(self, rec, want):
+        for key, value in want.items():
+            assert getattr(rec, key) == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
+    def test_lifted_parabolic_record(self):
+        sim, ctx = self.simulate(
+            "lifted_parabolic", ViscositySpec(nu1=0.8, nu2=1.2, kind="constant", value=1.0))
+        st = sim.state
+        assert l2(st.ubar) > 0.0 and l2(sim.par.w) > 0.0
+        want = self.expected(st, ctx)
+        rec = energy(st, ctx)
+        self.check(rec, want)
+        a, b, g = higher_order(st, ctx)
+        assert (a, b, g) == pytest.approx((want["A"], want["B"], want["G"]), rel=1e-12)
+
+    def test_direct_record(self):
+        sim, ctx = self.simulate("direct", ViscositySpec(nu1=0.5, nu2=1.5))
+        rec = energy(sim.state, ctx)
+        self.check(rec, self.expected(sim.state, ctx))
+        assert math.isnan(rec.A) and math.isnan(rec.B) and math.isnan(rec.G)

@@ -9,6 +9,7 @@ from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
                       grad_norm_sq, h1, helmholtz_solve_neumann, hminus1, inner,
                       inner_vec, l2, laplacian_neumann, leray_project,
                       spectral_truncate, vector_laplacian, viscous_term)
+from chns.solver import capillary_force
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -38,6 +39,44 @@ class TestGrid:
         uy[5, 0] = 1.0
         with pytest.raises(InvariantViolation):
             VectorField(np.zeros((32, 32)), uy, grid32)
+
+
+class TestFieldChecksAtTheEdges:
+    """Checks stay on the public constructor; internal outputs keep their walls."""
+
+    def test_public_constructor_still_checks(self, grid32):
+        uy = np.zeros((32, 33))
+        uy[3, -1] = 1e-300
+        with pytest.raises(InvariantViolation):
+            VectorField(np.zeros((32, 32)), uy, grid32)
+        with pytest.raises(InvariantViolation):
+            VectorField(np.zeros((32, 31)), np.zeros((32, 33)), grid32)
+        with pytest.raises(InvariantViolation):
+            VectorField(np.zeros((32, 32)), np.zeros((32, 32)), grid32)
+        with pytest.raises(InvariantViolation):
+            ScalarField(np.zeros((31, 32)), grid32)
+
+    def test_outputs_keep_zero_wall_rows(self, grid_rect, rng):
+        g = grid_rect
+        s, mu = random_scalar(g, rng), random_scalar(g, rng)
+        v, w = random_vector(g, rng), random_vector(g, rng)
+        nu = ScalarField(1.0 + 0.5 * rng.random((g.nx, g.ny)), g)
+        gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
+        outputs = {
+            "gradient": gradient(s),
+            "advect_velocity": advect_velocity(v, w),
+            "viscous_term": viscous_term(nu, v, wall_bottom=gb, wall_top=gt),
+            "vector_laplacian": vector_laplacian(v, gb, gt),
+            "leray_project": leray_project(v)[0],
+            "capillary_force": capillary_force(s, mu),
+            "add": v + w,
+            "sub": v - w,
+            "mul": 1.7 * v,
+        }
+        for name, out in outputs.items():
+            assert out.ux.shape == (g.nx, g.ny) and out.uy.shape == (g.nx, g.ny + 1), name
+            assert not out.uy[:, 0].any() and not out.uy[:, -1].any(), name
+            divergence(out)                 # the wall-row check at its input passes
 
 
 class TestDivergence:
@@ -248,6 +287,15 @@ class TestNorms:
     def test_hminus1_bounded_by_l2(self, grid_rect, rng):
         s = random_scalar(grid_rect, rng)
         assert hminus1(s) <= l2(s) * (1 + 1e-12)
+
+    def test_hminus1_matches_helmholtz_oracle(self, grid_rect, rng):
+        fields = [random_scalar(grid_rect, rng) for _ in range(3)]
+        fields.append(ScalarField(rng.standard_normal((grid_rect.nx, grid_rect.ny)) + 3.0,
+                                  grid_rect))
+        for s in fields:
+            oracle = np.sqrt(inner(s, helmholtz_solve_neumann(s, 1.0, 1.0)))
+            assert hminus1(s) == pytest.approx(oracle, rel=1e-12)
+        assert hminus1(ScalarField.zeros(grid_rect)) == 0.0
 
     def test_poincare(self, grid_rect, rng):
         v = random_vector(grid_rect, rng)
