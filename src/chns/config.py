@@ -6,10 +6,11 @@ key has a documented default, unknown keys or sections are rejected, and
 run can always be archived next to its outputs.
 
 The objects a config describes own their checks: ``validate_config`` builds
-the grid, the potential, the viscosity, the solver settings, the amplitude
-and each wall profile, and collects every one's ``InvariantViolation``
-message into a single ``ValidationError``.  The defaults of the keys that
-feed an object are that object's defaults.
+the grid, the viscosity, the solver settings, the amplitude and each wall
+profile, and collects every one's ``InvariantViolation`` message into a
+single ``ValidationError``.  The defaults of the keys that feed an object
+are that object's defaults.  The double well and its bound constants are
+fixed (``potential.PotentialSpec``), so there is no potential section.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .boundary import Amplitude, WallData, wall_profile
 from .errors import InvariantViolation, ParseError, ValidationError
 from .grid import Grid, ScalarField, VectorField
 from .ops import leray_project
-from .potential import PotentialSpec, ViscositySpec
+from .potential import ViscositySpec
 from .solver import SolverConfig
 
 
@@ -44,21 +45,11 @@ class RunConfig:
     mode: str = SolverConfig.mode
     stabilization: float = SolverConfig.stabilization
     cfl_safety: float = SolverConfig.cfl_safety
-    # [potential]
-    potential_kind: str = PotentialSpec.kind
-    q: float = PotentialSpec.q
-    c1: float = PotentialSpec.c1
-    c2: float = PotentialSpec.c2
-    c3: float = PotentialSpec.c3
-    c4: float = PotentialSpec.c4
-    c4p: float = PotentialSpec.c4p
-    c5: float = PotentialSpec.c5
     # [viscosity]
     viscosity_kind: str = ViscositySpec.kind
     nu1: float = ViscositySpec.nu1
     nu2: float = ViscositySpec.nu2
     nu_value: float | None = ViscositySpec.value
-    nu_gap: float | None = ViscositySpec.nu_gap
     # [boundary]
     family: str = "custom_static"
     a0: float = Amplitude.a0
@@ -103,12 +94,8 @@ SCHEMA = {
              "record_every": ("record_every", float)},
     "solver": {"mode": ("mode", str), "stabilization": ("stabilization", float),
                "cfl_safety": ("cfl_safety", float)},
-    "potential": {"kind": ("potential_kind", str), "q": ("q", float),
-                  "c1": ("c1", float), "c2": ("c2", float), "c3": ("c3", float),
-                  "c4": ("c4", float), "c4p": ("c4p", float), "c5": ("c5", float)},
     "viscosity": {"kind": ("viscosity_kind", str), "nu1": ("nu1", float),
-                  "nu2": ("nu2", float), "value": ("nu_value", _opt_float),
-                  "nu_gap": ("nu_gap", _opt_float)},
+                  "nu2": ("nu2", float), "value": ("nu_value", _opt_float)},
     "boundary": {"family": ("family", str), "a0": ("a0", float),
                  "a_inf": ("a_inf", float), "rate": ("rate", float),
                  "omega": ("omega", float), "p": ("p_exponent", float),
@@ -184,7 +171,6 @@ def validate_config(cfg: RunConfig) -> None:
             bad.append(f"{where} {exc}")
 
     grid = attempt("[grid]", build_grid, cfg)
-    attempt("[potential]", build_potential, cfg)
     attempt("[viscosity]", build_viscosity, cfg)
     attempt("[time]/[solver]", SolverConfig, **_solver_fields(cfg))
     attempt("[boundary]", _build_amplitude, cfg)
@@ -215,14 +201,9 @@ def build_grid(cfg: RunConfig) -> Grid:
     return _shared_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
 
 
-def build_potential(cfg: RunConfig) -> PotentialSpec:
-    return PotentialSpec(kind=cfg.potential_kind, q=cfg.q, c1=cfg.c1, c2=cfg.c2,
-                         c3=cfg.c3, c4=cfg.c4, c4p=cfg.c4p, c5=cfg.c5)
-
-
 def build_viscosity(cfg: RunConfig) -> ViscositySpec:
     return ViscositySpec(nu1=cfg.nu1, nu2=cfg.nu2, kind=cfg.viscosity_kind,
-                         value=cfg.nu_value, nu_gap=cfg.nu_gap)
+                         value=cfg.nu_value)
 
 
 def _build_amplitude(cfg: RunConfig) -> Amplitude:
@@ -288,5 +269,4 @@ def _solver_fields(cfg: RunConfig) -> dict:
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(**_solver_fields(cfg), potential=build_potential(cfg),
-                        viscosity=build_viscosity(cfg))
+    return SolverConfig(**_solver_fields(cfg), viscosity=build_viscosity(cfg))

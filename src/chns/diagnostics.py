@@ -29,8 +29,8 @@ class EnergyRecord:
     """Per-time diagnostics row.
 
     ``kinetic`` belongs to the homogenized field (ubar in lifted modes, the
-    physical velocity otherwise); ``kinetic_total`` always refers to the
-    physical velocity.  total = kinetic + interfacial + bulk by construction.
+    physical velocity otherwise).  total = kinetic + interfacial + bulk by
+    construction.
     """
 
     t: float
@@ -41,7 +41,6 @@ class EnergyRecord:
     diss_u: float
     diss_mu: float
     mass: float
-    kinetic_total: float
     A: float = math.nan
     B: float = math.nan
     G: float = math.nan
@@ -90,7 +89,6 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     phi = state.phi
     norms = _shared_norms(state)
     kinetic = 0.5 * norms["ub_l2"] ** 2
-    kinetic_total = 0.5 * l2(state.u) ** 2
     interfacial = 0.5 * norms["grad_phi"] ** 2
     bulk = float(np.sum(eval_F(phi.values)) * phi.grid.cell_area)
     diss_u = norms["diss_u"]
@@ -109,8 +107,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
                         diss_u=diss_u, diss_mu=diss_mu, mass=phi.mean(),
-                        kinetic_total=kinetic_total, A=a, B=b, G=gq,
-                        res_phi=res_phi, res_u=res_u)
+                        A=a, B=b, G=gq, res_phi=res_phi, res_u=res_u)
 
 
 # ---------------------------------------------------------------------------

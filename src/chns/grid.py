@@ -32,8 +32,9 @@ class Grid:
             raise InvariantViolation(f"need nx, ny >= 4, got {nx} x {ny}")
         if nx % 2 != 0:
             raise InvariantViolation(f"nx must be even for the real FFT, got {nx}")
-        if lx <= 0 or ly <= 0:
-            raise InvariantViolation("domain lengths must be positive")
+        if not (0 < lx < math.inf and 0 < ly < math.inf):      # nan fails too
+            raise InvariantViolation(f"domain lengths must be positive and finite, "
+                                     f"got {lx!r} x {ly!r}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.lx = float(lx)

@@ -30,7 +30,8 @@ import scipy.fft as sfft
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .ops import gradient, l2, leray_project, v1_norm, vector_laplacian
+from .ops import (gradient, helmholtz_solve_velocity, l2, leray_project, v1_norm,
+                  vector_laplacian)
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift", "LiftState",
@@ -116,15 +117,11 @@ def momentum_residual(u: VectorField, p: ScalarField, nu1: float,
 
 @dataclass(frozen=True)
 class LiftState:
-    """Snapshot of the active lift fields at one time."""
+    """The lift velocities at one time: stationary, and evolutionary if stepped."""
 
     t: float
     u_e: VectorField
-    p_e: ScalarField
-    du_e_dt: VectorField
     u_p: VectorField | None = None
-    p_p: ScalarField | None = None
-    du_p_dt: VectorField | None = None
 
 
 class EllipticLift:
@@ -158,8 +155,7 @@ class EllipticLift:
         return self.data.amplitude.limit() * self.unit_u
 
     def state_at(self, t: float) -> LiftState:
-        u_e, p_e = self.at(t)
-        return LiftState(t=t, u_e=u_e, p_e=p_e, du_e_dt=self.dt_at(t))
+        return LiftState(t=t, u_e=self.data.amplitude(t) * self.unit_u)
 
 
 def initial_lift(u0: VectorField, nu1: float) -> tuple[VectorField, ScalarField]:
@@ -174,34 +170,26 @@ class ParabolicLift:
 
     Keeps the decomposition u_p = a(t) U + w; each step advances w by an
     implicit solve with homogeneous walls followed by an exact projection,
-    then stores the new sum as ``u_p``.
+    then stores the new sum as ``u_p`` and its difference quotient as
+    ``du_p_dt`` (None before the first step).  ``u0=None`` declares initial
+    data compatible with the walls; any other u0 is checked.
     """
 
-    def __init__(self, elliptic: EllipticLift, u0: VectorField | None = None,
-                 compat_tol: float = 1e-8):
+    def __init__(self, elliptic: EllipticLift, u0: VectorField | None = None):
         self.ell = elliptic
         self.grid = elliptic.grid
         self.nu1 = elliptic.nu1
         self.data = elliptic.data
         self.t = 0.0
         a0 = self.data.amplitude(0.0)
-        if u0 is None or check_compatibility(u0, self.data, tol=compat_tol):
+        if u0 is None or check_compatibility(u0, self.data):
             # compatible data: same constructor as the stationary lift at t=0
             self.w = VectorField.zeros(self.grid)
         else:
             up0, _ = initial_lift(u0, self.nu1)
             self.w = up0 - a0 * self.ell.unit_u
-        self.q_w = ScalarField.zeros(self.grid)
-        self._du_p_dt: VectorField | None = None
+        self.du_p_dt: VectorField | None = None
         self.u_p = a0 * self.ell.unit_u + self.w
-
-    @property
-    def p_p(self) -> ScalarField:
-        return self.data.amplitude(self.t) * self.ell.unit_p + self.q_w
-
-    @property
-    def du_p_dt(self) -> VectorField | None:
-        return self._du_p_dt
 
     def difference_from_stationary(self) -> VectorField:
         """u_p - u_e; exactly the homogeneous part w."""
@@ -210,27 +198,18 @@ class ParabolicLift:
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise SolverDiverged("parabolic lift: dt must be positive")
-        g = self.grid
         t_new = self.t + dt
         up_old = self.u_p
         rhs = self.w - (dt * self.data.amplitude.dt(t_new)) * self.ell.unit_u
-        coeff = dt * self.nu1
-        ux = g.solve_helmholtz_ux(rhs.ux, coeff)
-        uy = np.zeros((g.nx, g.ny + 1))
-        uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
-        w_star = VectorField._trusted(ux, uy, g)
-        self.w, q = leray_project(w_star)
-        self.q_w = (1.0 / dt) * q
+        self.w, _ = leray_project(helmholtz_solve_velocity(rhs, dt * self.nu1))
         self.t = t_new
         self.u_p = self.data.amplitude(t_new) * self.ell.unit_u + self.w
-        self._du_p_dt = (1.0 / dt) * (self.u_p - up_old)
+        self.du_p_dt = (1.0 / dt) * (self.u_p - up_old)
         if not self.w.is_finite():
             raise SolverDiverged("parabolic lift produced non-finite values")
 
     def state(self) -> LiftState:
-        u_e, p_e = self.ell.at(self.t)
-        return LiftState(t=self.t, u_e=u_e, p_e=p_e, du_e_dt=self.ell.dt_at(self.t),
-                         u_p=self.u_p, p_p=self.p_p, du_p_dt=self._du_p_dt)
+        return LiftState(t=self.t, u_e=self.ell.state_at(self.t).u_e, u_p=self.u_p)
 
 
 # ---------------------------------------------------------------------------

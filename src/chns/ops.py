@@ -25,8 +25,8 @@ from .grid import Grid, ScalarField, VectorField, require_same_grid
 
 __all__ = [
     "divergence", "gradient", "laplacian_neumann", "helmholtz_solve_neumann",
-    "leray_project", "advect_scalar", "advect_velocity", "viscous_term",
-    "inner", "inner_vec", "l2", "h1", "hminus1", "grad_norm_sq",
+    "helmholtz_solve_velocity", "leray_project", "advect_scalar", "advect_velocity",
+    "viscous_term", "inner", "inner_vec", "l2", "h1", "hminus1", "grad_norm_sq",
     "vector_laplacian", "v1_norm", "v2_norm", "h2_norm_sq",
     "spectral_truncate", "interp_center_to_xface", "interp_center_to_yface",
 ]
@@ -115,6 +115,28 @@ def helmholtz_solve_neumann(rhs: ScalarField, a: float, b: float) -> ScalarField
         denom[0, 0] = 1.0
         coeffs[0, 0] = 0.0
     return ScalarField._trusted(g.from_spectral(coeffs / denom), g)
+
+
+def helmholtz_solve_velocity(rhs: VectorField, coeff: float,
+                             wall_bottom: np.ndarray | None = None,
+                             wall_top: np.ndarray | None = None) -> VectorField:
+    """Solve (I - coeff*Lap) u = rhs component-wise on the staggered layout, exactly.
+
+    ux is solved by the rfft in x and DST-II in y, the interior rows of uy
+    by the rfft and DST-I; the wall rows of uy stay zero.  Tangential wall
+    data (both walls or neither) enters through the ghosts ``2 g - interior``
+    of ``vector_laplacian``; without it the walls are homogeneous.
+    """
+    g = rhs.grid
+    rx = rhs.ux
+    if wall_bottom is not None:
+        rx = rx.copy()
+        rx[:, 0] += coeff * 2.0 * wall_bottom / g.dy**2
+        rx[:, -1] += coeff * 2.0 * wall_top / g.dy**2
+    ux = g.solve_helmholtz_ux(rx, coeff)
+    uy = np.zeros((g.nx, g.ny + 1))
+    uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
+    return VectorField._trusted(ux, uy, g)
 
 
 def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:

@@ -1,15 +1,16 @@
 """Double-well bulk energy density and the bounded viscosity law.
 
-The default well is F(s) = (s^2 - 1)^2 with closed-form derivatives up to
-third order.  The constants stored on PotentialSpec certify growth and
-curvature bounds numerically via verify_assumptions; the exponent attached
-to each bound is kept explicit because the first-derivative bound uses the
-cubic growth of F' while the curvature bounds use quadratic/linear growth.
+The well is F(s) = (s^2 - 1)^2 with closed-form derivatives up to third
+order.  Its growth exponent and bound constants are properties of F, stored
+on PotentialSpec and certified numerically by verify_assumptions; they are
+not run inputs.  The exponent attached to each bound is kept explicit
+because the first-derivative bound uses the cubic growth of F' while the
+curvature bounds use quadratic/linear growth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,7 @@ class PotentialSpec:
     """Quartic double well plus certified bound constants.
 
     The bounds backed by ``verify_assumptions`` are, with q the growth
-    exponent (3 for the default well):
+    exponent (3 for this well):
 
     * |F'(s)|  <= c1 |s|^q     + c2
     * F''(s)   >= -c3
@@ -29,7 +30,6 @@ class PotentialSpec:
     * |F'''(s)| <= c5 (1 + |s|^(q-2))
     """
 
-    kind: str = "quartic_double_well"
     q: float = 3.0
     c1: float = 8.0
     c2: float = 4.0
@@ -39,8 +39,6 @@ class PotentialSpec:
     c5: float = 24.0
 
     def __post_init__(self):
-        if self.kind != "quartic_double_well":
-            raise InvariantViolation(f"unknown potential kind {self.kind!r}")
         if min(self.c1, self.c3, self.c4, self.c5) <= 0 or min(self.c2, self.c4p) < 0:
             raise InvariantViolation("potential constants out of range")
 
@@ -70,38 +68,28 @@ class ViscositySpec:
     """Strictly bounded viscosity nu1 < nu(s) < nu2.
 
     kinds:
-      tanh           smooth profile (nu1+nu2)/2 + (nu2-nu1)/2 * tanh(s); the
-                     default, strict bounds and a global Lipschitz constant
-                     (nu2-nu1)/2.
-      constant       nu(s) = value everywhere (used by the long-time
-                     experiments); value must sit strictly inside (nu1, nu2).
-      clamped_linear experimental piecewise-linear profile; attains the
-                     bounds at |s| >= 1 so it is *not* strict.  Kept behind
-                     this flag for comparisons only.
-
-    nu_gap is a configuration floor for estimates that need a positive lower
-    bound on nu(phi) - nu1; no continuous profile approaching nu1 can supply
-    one, so it is a declared constant, not a derived one.
+      tanh      smooth profile (nu1+nu2)/2 + (nu2-nu1)/2 * tanh(s); the
+                default, strict bounds and a global Lipschitz constant
+                (nu2-nu1)/2.
+      constant  nu(s) = value everywhere (used by the long-time
+                experiments); value must sit strictly inside (nu1, nu2).
     """
 
     nu1: float = 0.5
     nu2: float = 1.5
     kind: str = "tanh"
     value: float | None = None
-    nu_gap: float | None = None
 
     def __post_init__(self):
         if not (0 < self.nu1 < self.nu2):
             raise InvariantViolation(f"need 0 < nu1 < nu2, got {self.nu1}, {self.nu2}")
-        if self.kind not in ("tanh", "constant", "clamped_linear"):
+        if self.kind not in ("tanh", "constant"):
             raise InvariantViolation(f"unknown viscosity kind {self.kind!r}")
         if self.kind == "constant":
             v = self.value if self.value is not None else 0.5 * (self.nu1 + self.nu2)
             if not (self.nu1 < v < self.nu2):
                 raise InvariantViolation("constant viscosity must lie strictly in (nu1, nu2)")
             object.__setattr__(self, "value", float(v))
-        if self.nu_gap is None:
-            object.__setattr__(self, "nu_gap", 0.01 * (self.nu2 - self.nu1))
 
     @property
     def is_constant(self) -> bool:
@@ -109,16 +97,14 @@ class ViscositySpec:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        mid = 0.5 * (self.nu1 + self.nu2)
-        half = 0.5 * (self.nu2 - self.nu1)
-        if self.kind == "tanh":
-            # Saturate the argument where 1 - tanh would underflow the strict
-            # margin; keeps nu inside [nu1 + 1e-12, nu2 - 1e-12] for any input.
-            s_max = 0.5 * np.log(max(0.4e12 * half, np.e**2))
-            return mid + half * np.tanh(np.clip(s, -s_max, s_max))
         if self.kind == "constant":
             return np.full_like(s, self.value)
-        return mid + half * np.clip(s, -1.0, 1.0)
+        mid = 0.5 * (self.nu1 + self.nu2)
+        half = 0.5 * (self.nu2 - self.nu1)
+        # Saturate the argument where 1 - tanh would underflow the strict
+        # margin; keeps nu inside [nu1 + 1e-12, nu2 - 1e-12] for any input.
+        s_max = 0.5 * np.log(max(0.4e12 * half, np.e**2))
+        return mid + half * np.tanh(np.clip(s, -s_max, s_max))
 
     def lipschitz_bound(self) -> float:
         return 0.5 * (self.nu2 - self.nu1) if self.kind != "constant" else 0.0
@@ -184,12 +170,10 @@ def verify_viscosity(spec: ViscositySpec, sample_range=(-50.0, 50.0),
     """Confirm strict bounds and the Lipschitz constant of the viscosity law."""
     s = np.linspace(sample_range[0], sample_range[1], n_samples)
     vals = spec(s)
-    strict = bool(vals.min() > spec.nu1 and vals.max() < spec.nu2)
     slopes = np.diff(vals) / np.diff(s)
     return {
-        "strict_bounds": strict if spec.kind != "clamped_linear" else False,
+        "strict_bounds": bool(vals.min() > spec.nu1 and vals.max() < spec.nu2),
         "min": float(vals.min()), "max": float(vals.max()),
         "max_slope": float(np.abs(slopes).max()),
         "lipschitz_bound": spec.lipschitz_bound(),
-        "declared_gap": spec.nu_gap,
     }

@@ -45,11 +45,16 @@ def read_records_csv(path) -> dict:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=2)
+                if line.strip()]
     if header != list(CSV_COLUMNS):
         raise InvariantViolation(f"unexpected CSV header {header}")
-    data = np.array([[float(v) for v in row] for row in rows]) if rows \
-        else np.zeros((0, len(CSV_COLUMNS)))
+    for n, row in rows:
+        if len(row) != len(CSV_COLUMNS):
+            raise InvariantViolation(f"{path}: line {n} has {len(row)} fields, "
+                                     f"the header {len(CSV_COLUMNS)}")
+    data = np.array([[float(v) for v in row] for _, row in rows]).reshape(
+        len(rows), len(CSV_COLUMNS))
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 

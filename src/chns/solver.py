@@ -44,9 +44,9 @@ from .errors import CFLViolation, InvariantViolation, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .lifting import EllipticLift, LiftState, ParabolicLift
 from .ops import (advect_scalar, advect_velocity, gradient, h1,
-                  interp_center_to_xface, interp_center_to_yface,
-                  laplacian_neumann, leray_project, spectral_truncate,
-                  vector_laplacian, viscous_term)
+                  helmholtz_solve_velocity, interp_center_to_xface,
+                  interp_center_to_yface, laplacian_neumann, leray_project,
+                  spectral_truncate, vector_laplacian, viscous_term)
 from .potential import PotentialSpec, ViscositySpec, eval_dF
 
 MODES = ("direct", "lifted_elliptic", "lifted_parabolic")
@@ -63,19 +63,15 @@ class SolverConfig:
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     viscosity: ViscositySpec = field(default_factory=ViscositySpec)
     galerkin_cutoff: tuple[int, int] | None = None
-    compat_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvariantViolation("dt must be positive")
-        if self.t_end < 0:
-            raise InvariantViolation("t_end must be nonnegative")
-        if self.record_every <= 0:
-            raise InvariantViolation("record_every must be positive")
-        if self.stabilization < 0:
-            raise InvariantViolation("stabilization must be nonnegative")
-        if self.cfl_safety <= 0:
-            raise InvariantViolation("cfl_safety must be positive")
+        # every comparison with nan is false, so nan fails its check
+        for name, zero_ok in (("dt", False), ("t_end", True), ("record_every", False),
+                              ("stabilization", True), ("cfl_safety", False)):
+            v = getattr(self, name)
+            if not ((0 <= v if zero_ok else 0 < v) and v < math.inf):
+                sign = "nonnegative" if zero_ok else "positive"
+                raise InvariantViolation(f"{name} must be {sign} and finite, got {v!r}")
         if self.mode not in MODES:
             raise InvariantViolation(f"unknown mode {self.mode!r}")
 
@@ -196,22 +192,6 @@ def _viscous_excess(nu: np.ndarray, a: float, v: VectorField,
         - (0.5 * a) * vector_laplacian(v, gb, gt)
 
 
-def _implicit_velocity_solve(rhs: VectorField, dt: float, a: float,
-                             hb: np.ndarray | None, ht: np.ndarray | None) -> VectorField:
-    """Solve (I - dt*(a/2)*Lap) u = rhs with tangential data (hb, ht)."""
-    g = rhs.grid
-    coeff = dt * 0.5 * a
-    rx = rhs.ux
-    if hb is not None:
-        rx = rx.copy()
-        rx[:, 0] += coeff * 2.0 * hb / g.dy**2
-        rx[:, -1] += coeff * 2.0 * ht / g.dy**2
-    ux = g.solve_helmholtz_ux(rx, coeff)
-    uy = np.zeros((g.nx, g.ny + 1))
-    uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
-    return VectorField._trusted(ux, uy, g)
-
-
 def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                       data: WallData, t_old: float, dt: float, cfg: SolverConfig,
                       f_u: VectorField | None = None) -> tuple[VectorField, ScalarField]:
@@ -225,7 +205,7 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
         + _viscous_excess(cfg.viscosity(phi_new.values), a, u, hb0, ht0)
     if f_u is not None:
         expl = expl + f_u
-    u_star = _implicit_velocity_solve(u + dt * expl, dt, a, hb1, ht1)
+    u_star = helmholtz_solve_velocity(u + dt * expl, dt * 0.5 * a, hb1, ht1)
     u_new, q = leray_project(u_star)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
@@ -253,7 +233,7 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
         - lift_coeff * dlift_dt
     if f_u is not None:
         expl = expl + f_u
-    u_star = _implicit_velocity_solve(ubar + dt * expl, dt, a, None, None)
+    u_star = helmholtz_solve_velocity(ubar + dt * expl, dt * 0.5 * a)
     ubar_new, q = leray_project(u_star)
     if not ubar_new.is_finite():
         raise SolverDiverged("lifted momentum update produced non-finite values")
@@ -317,7 +297,7 @@ class Simulation:
         self.cfg = cfg
         self.data = data
         self.forcing = forcing or Forcing()
-        self.compatible = check_compatibility(u0, data, tol=cfg.compat_tol)
+        self.compatible = check_compatibility(u0, data)
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
                           stacklevel=2)
@@ -334,7 +314,8 @@ class Simulation:
         else:
             self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
-                self.par = ParabolicLift(self.ell, u0=u0, compat_tol=cfg.compat_tol)
+                # compatible data needs no trace lift: u0=None skips a second check
+                self.par = ParabolicLift(self.ell, u0=None if self.compatible else u0)
                 lift0 = self.par.state()
                 ubar0 = u0 - self.par.u_p
             else:
@@ -380,8 +361,7 @@ class Simulation:
                                          st.t, dt, cfg, f_u)
             new = SimState(t_new, u_new, phi_new, mu_new, p)
         elif cfg.mode == "lifted_elliptic":
-            u_e_old, _ = self.ell.at(st.t)
-            ubar_new, p = ns_substep_lifted(st.ubar, u_e_old, self.ell.dt_at(t_new),
+            ubar_new, p = ns_substep_lifted(st.ubar, st.lift.u_e, self.ell.dt_at(t_new),
                                             1.0, phi_new, mu_new, self.data,
                                             st.t, dt, cfg, f_u)
             lift = self.ell.state_at(t_new)

@@ -1,19 +1,22 @@
 import dataclasses
+import warnings
 
+import numpy as np
 import pytest
 
 from chns.boundary import Amplitude
-from chns.config import (SCHEMA, RunConfig, build_grid, build_potential,
-                         build_solver_config, build_viscosity, build_wall_data,
-                         parse_config_text, serialize_config)
-from chns.errors import ValidationError
-from chns.potential import PotentialSpec, ViscositySpec
-from chns.solver import SolverConfig
+from chns.config import (SCHEMA, RunConfig, build_grid, build_initial_phi,
+                         build_initial_u, build_solver_config, build_viscosity,
+                         build_wall_data, parse_config_text, serialize_config)
+from chns.diagnostics import DiagnosticsContext
+from chns.errors import CFLViolation, ValidationError
+from chns.potential import ViscositySpec
+from chns.solver import Simulation, SolverConfig
 
 
 @pytest.mark.parametrize("cfg", [
     RunConfig(),
-    RunConfig(viscosity_kind="constant", nu1=0.8, nu2=1.2, nu_value=0.9, nu_gap=0.05,
+    RunConfig(viscosity_kind="constant", nu1=0.8, nu2=1.2, nu_value=0.9,
               dt=0.1 / 3, t_end=0.1, record_every=0.1 / 3),
 ], ids=["defaults", "constant_viscosity"])
 def test_serialize_parse_round_trip(cfg):
@@ -31,22 +34,33 @@ def test_schema_names_every_field_once():
 
 def test_defaults_are_the_objects_defaults():
     cfg = RunConfig()
-    assert build_potential(cfg) == PotentialSpec()
     assert build_viscosity(cfg) == ViscositySpec()
     assert build_solver_config(cfg) == SolverConfig(dt=cfg.dt, t_end=cfg.t_end)
     assert build_wall_data(cfg, build_grid(cfg)).amplitude == Amplitude("custom_static")
 
 
 @pytest.mark.parametrize("text, where", [
-    ("[potential]\nkind = cubic\n", "[potential]"),
-    ("[potential]\nc1 = -1\n", "[potential]"),
     ("[boundary]\nfamily = couette_ramp\nrate = 0\n", "[boundary]"),
     ("[boundary]\nfamily = power_decay\np = 0.25\n", "[boundary]"),
     ("[boundary]\ng_top = single_mode:abc\n", "[boundary] g_top"),
     ("[boundary]\ng_top = single_modefoo\n", "[boundary] g_top"),
     ("[solver]\ncfl_safety = -1\n", "[time]/[solver]"),
-], ids=["potential_kind", "potential_c1", "ramp_rate", "power_p", "mode_not_digits",
-        "mode_no_colon", "cfl_safety"])
+    ("[solver]\ncfl_safety = nan\n", "[time]/[solver]"),
+    ("[solver]\nstabilization = nan\n", "[time]/[solver]"),
+    ("[time]\ndt = nan\n", "[time]/[solver]"),
+    ("[time]\nt_end = nan\n", "[time]/[solver]"),
+    ("[time]\nt_end = inf\n", "[time]/[solver]"),
+    ("[time]\nrecord_every = nan\n", "[time]/[solver]"),
+    ("[grid]\nlx = nan\n", "[grid]"),
+    ("[grid]\nly = inf\n", "[grid]"),
+    # the well and its constants are fixed, and the viscosity is strictly bounded
+    ("[potential]\nc1 = 8.0\n", "unknown section [potential]"),
+    ("[viscosity]\nnu_gap = 0.01\n", "unknown key [viscosity] nu_gap"),
+    ("[viscosity]\nkind = clamped_linear\n", "[viscosity] unknown viscosity kind"),
+], ids=["ramp_rate", "power_p", "mode_not_digits", "mode_no_colon", "cfl_safety",
+        "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
+        "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
+        "clamped_linear"])
 def test_bad_object_rejected_at_parse(text, where):
     with pytest.raises(ValidationError) as exc:
         parse_config_text(text)
@@ -58,8 +72,6 @@ def test_every_bad_object_reported():
     text = """
 [grid]
 nx = 3
-[potential]
-c3 = 0
 [viscosity]
 nu1 = 2.0
 nu2 = 1.0
@@ -72,7 +84,7 @@ rate = -1
     with pytest.raises(ValidationError) as exc:
         parse_config_text(text)
     assert [v.split(" ")[0] for v in exc.value.violations] == [
-        "[grid]", "[potential]", "[viscosity]", "[time]/[solver]", "[boundary]"]
+        "[grid]", "[viscosity]", "[time]/[solver]", "[boundary]"]
 
 
 def test_profile_names_checked_when_grid_refused():
@@ -96,3 +108,110 @@ def test_grid_built_once_per_shape():
     cfg = parse_config_text("[grid]\nnx = 24\nny = 12\nlx = 2.0\n")
     assert build_grid(cfg) is build_grid(dataclasses.replace(cfg))
     assert build_grid(cfg) is not build_grid(dataclasses.replace(cfg, ny=16))
+
+
+# ---------------------------------------------------------------------------
+# every key is read
+# ---------------------------------------------------------------------------
+
+# A 16^2 run of two steps with a ramped wall speed, moving tangential data on
+# both walls and a noisy interface: every key below changes what it computes.
+BASE_RUN = {
+    "grid": {"nx": "16", "ny": "16"},
+    "time": {"dt": "0.001", "t_end": "0.002", "record_every": "0.001"},
+    "boundary": {"family": "couette_ramp", "a0": "0.0", "a_inf": "1.0", "rate": "2.0",
+                 "g_bottom": "single_mode", "g_top": "uniform"},
+    "initial": {"phi_amp": "0.1"},
+}
+
+# (section, key) -> (changes to BASE_RUN that make the key apply, second value)
+SECOND_VALUES = {
+    ("grid", "nx"): ({}, "20"),
+    ("grid", "ny"): ({}, "20"),
+    ("grid", "lx"): ({}, "2.0"),
+    ("grid", "ly"): ({}, "2.0"),
+    ("time", "dt"): ({}, "0.0005"),
+    ("time", "t_end"): ({}, "0.001"),
+    ("time", "record_every"): ({}, "0.002"),
+    ("solver", "mode"): ({}, "lifted_parabolic"),
+    ("solver", "stabilization"): ({}, "1.0"),
+    # the step bound at |u| ~ 1 is about cfl_safety * dx: above dt at the
+    # default 0.4, below it at 0.01, so the second value refuses the first step
+    ("solver", "cfl_safety"): ({("initial", "u"): "couette"}, "0.01"),
+    ("viscosity", "kind"): ({}, "constant"),
+    ("viscosity", "nu1"): ({}, "0.4"),
+    ("viscosity", "nu2"): ({}, "2.0"),
+    ("viscosity", "value"): ({("viscosity", "kind"): "constant",
+                              ("viscosity", "value"): "1.0"}, "0.8"),
+    ("boundary", "family"): ({}, "custom_static"),
+    ("boundary", "a0"): ({}, "0.5"),
+    ("boundary", "a_inf"): ({}, "0.5"),
+    ("boundary", "rate"): ({}, "3.0"),
+    ("boundary", "omega"): ({("boundary", "family"): "decaying_oscillation",
+                             ("boundary", "a0"): "1.0"}, "20.0"),
+    ("boundary", "p"): ({("boundary", "family"): "power_decay",
+                         ("boundary", "a0"): "1.0"}, "2.0"),
+    ("boundary", "g_bottom"): ({}, "uniform"),
+    ("boundary", "g_top"): ({}, "single_mode:2"),
+    ("boundary", "g_bottom_scale"): ({}, "0.5"),
+    ("boundary", "g_top_scale"): ({}, "0.5"),
+    ("initial", "phi"): ({}, "mode"),
+    ("initial", "phi_mean"): ({}, "0.2"),
+    ("initial", "phi_amp"): ({}, "0.05"),
+    ("initial", "phi_mode_x"): ({("initial", "phi"): "mode"}, "2"),
+    ("initial", "phi_mode_y"): ({("initial", "phi"): "mode"}, "2"),
+    ("initial", "seed"): ({}, "7"),
+    ("initial", "u"): ({}, "couette"),
+    ("initial", "u_vortex_amp"): ({("initial", "u"): "lift_vortex"}, "0.5"),
+}
+
+
+def _ini(changes: dict) -> str:
+    sections = {name: dict(keys) for name, keys in BASE_RUN.items()}
+    for (section, key), value in changes.items():
+        sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def _outcome(text: str) -> list:
+    """The records and final fields of the run a config describes, or its refusal."""
+    cfg = parse_config_text(text)
+    grid = build_grid(cfg)
+    data = build_wall_data(cfg, grid)
+    scfg = build_solver_config(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some second values make u0 incompatible
+        sim = Simulation(grid, scfg, data, build_initial_phi(cfg, grid),
+                         build_initial_u(cfg, grid, data))
+    ctx = DiagnosticsContext.for_run(grid, scfg, data, lift=sim.ell)
+    try:
+        records = sim.run(diagnostics_context=ctx)
+    except CFLViolation as exc:
+        return [str(exc)]
+    st = sim.state
+    return [np.array([r.as_row() for r in records]),
+            st.phi.values, st.mu.values, st.p.values, st.u.ux, st.u.uy]
+
+
+def _same(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        x == y if isinstance(x, str) else
+        not isinstance(y, str) and x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+        for x, y in zip(a, b))
+
+
+def test_second_values_cover_every_run_key():
+    run_keys = {(section, key) for section, keys in SCHEMA.items() if section != "outputs"
+                for key in keys}
+    assert set(SECOND_VALUES) == run_keys
+
+
+@pytest.mark.parametrize("section, key", list(SECOND_VALUES),
+                         ids=[f"{s}.{k}" for s, k in SECOND_VALUES])
+def test_every_key_is_read(section, key):
+    base, second = SECOND_VALUES[(section, key)]
+    first = _outcome(_ini(base))
+    assert len(first) > 1, f"base run of {section}.{key} refused: {first}"
+    changed = _outcome(_ini({**base, (section, key): second}))
+    assert not _same(first, changed), f"[{section}] {key} = {second} changes nothing"

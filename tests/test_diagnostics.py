@@ -64,7 +64,7 @@ class TestEnergyInequality:
     def test_static_state_at_minimum_all_zero(self):
         grid = Grid(16, 16)
         recs = [EnergyRecord(t=float(i), kinetic=0, interfacial=0, bulk=0, total=0,
-                             diss_u=0, diss_mu=0, mass=1.0, kinetic_total=0)
+                             diss_u=0, diss_mu=0, mass=1.0)
                 for i in range(3)]
         rep = energy_inequality_report(recs, WallData.zero(grid))
         assert rep["max_step_increase"] == 0.0
@@ -332,7 +332,6 @@ class TestRecordAgainstPublicNorms:
             "diss_u": grad_norm_sq(ub),
             "diss_mu": l2(gradient(mu)) ** 2,
             "mass": phi.mean(),
-            "kinetic_total": 0.5 * l2(state.u) ** 2,
             "res_phi": math.sqrt(inner(r, helmholtz_solve_neumann(r, 1.0, 1.0))),
             "res_u": v1_norm(state.u - ctx.u_infinity),
         }

@@ -6,7 +6,8 @@ import pytest
 from chns.errors import IncompatibleRHS, InvariantViolation, NonpositiveViscosity
 from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
-                      grad_norm_sq, h1, helmholtz_solve_neumann, hminus1, inner,
+                      grad_norm_sq, h1, helmholtz_solve_neumann,
+                      helmholtz_solve_velocity, hminus1, inner,
                       inner_vec, l2, laplacian_neumann, leray_project,
                       spectral_truncate, vector_laplacian, viscous_term)
 from chns.solver import capillary_force
@@ -165,6 +166,17 @@ class TestHelmholtz:
         res = ScalarField(-2.0 * laplacian_neumann(sol).values, s.grid) - rhs
         assert l2(res) <= 1e-10 * l2(rhs)
         assert abs(sol.mean()) < 1e-13
+
+    @pytest.mark.parametrize("walls", [False, True], ids=["homogeneous", "wall_data"])
+    def test_velocity_solve_residual(self, grid_rect, rng, walls):
+        g = grid_rect
+        rhs = random_vector(g, rng)
+        hb, ht = (rng.standard_normal(g.nx), rng.standard_normal(g.nx)) if walls \
+            else (None, None)
+        u = helmholtz_solve_velocity(rhs, 0.3, hb, ht)
+        res = u - 0.3 * vector_laplacian(u, hb, ht) - rhs
+        assert l2(res) <= 1e-12 * l2(rhs)
+        assert not u.uy[:, 0].any() and not u.uy[:, -1].any()
 
 
 class TestLeray:

@@ -71,11 +71,6 @@ class TestViscosity:
         with pytest.raises(InvariantViolation):
             ViscositySpec(nu1=0.9, nu2=1.1, kind="constant", value=1.2)
 
-    def test_clamped_linear_not_strict(self):
-        nu = ViscositySpec(nu1=0.5, nu2=1.5, kind="clamped_linear")
-        rep = verify_viscosity(nu)
-        assert rep["strict_bounds"] is False
-
     def test_bad_bounds(self):
         with pytest.raises(InvariantViolation):
             ViscositySpec(nu1=1.5, nu2=0.5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chns.errors import InvariantViolation
-from chns.runio import HEADER_BYTES, read_snapshot, write_snapshot
+from chns.diagnostics import CSV_COLUMNS
+from chns.runio import HEADER_BYTES, read_records_csv, read_snapshot, write_snapshot
 
 
 def test_snapshot_round_trip_is_exact(tmp_path, rng):
@@ -41,3 +42,33 @@ def test_malformed_snapshot_raises_package_error(tmp_path, corrupt, message):
     path.write_bytes(corrupt(raw))
     with pytest.raises(InvariantViolation, match=message):
         read_snapshot(path)
+
+
+def _csv(path, rows):
+    path.write_text("\n".join([",".join(CSV_COLUMNS)] + rows) + "\n", encoding="utf-8")
+
+
+FULL_ROW = ",".join(["1"] * len(CSV_COLUMNS))
+SHORT_ROW = ",".join(["1"] * (len(CSV_COLUMNS) - 3))
+
+
+@pytest.mark.parametrize("rows, line", [
+    ([FULL_ROW, SHORT_ROW, FULL_ROW], 3),
+    ([SHORT_ROW], 2),
+    ([FULL_ROW, FULL_ROW + ",1"], 3),
+], ids=["short_among_full", "only_row_short", "long_last_row"])
+def test_records_row_of_wrong_width_raises_package_error(tmp_path, rows, line):
+    path = tmp_path / "records.csv"
+    _csv(path, rows)
+    with pytest.raises(InvariantViolation, match=f"line {line} has"):
+        read_records_csv(path)
+
+
+def test_records_of_full_rows_read_back(tmp_path):
+    path = tmp_path / "records.csv"
+    _csv(path, [FULL_ROW, "", FULL_ROW])
+    columns = read_records_csv(path)
+    assert list(columns) == list(CSV_COLUMNS)
+    assert all(col.tolist() == [1.0, 1.0] for col in columns.values())
+    _csv(path, [])
+    assert all(col.shape == (0,) for col in read_records_csv(path).values())
