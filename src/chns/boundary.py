@@ -50,6 +50,9 @@ class Amplitude:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvariantViolation(f"unknown amplitude family {self.family!r}")
+        for name in ("a0", "a_inf", "rate", "omega", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.family in ("couette_ramp", "decaying_oscillation") and self.rate <= 0:
             raise InvariantViolation("decay rate must be positive")
         if self.family == "power_decay" and self.p <= 0.5:
@@ -156,7 +159,10 @@ def wall_profile(grid: Grid, kind: str, scale: float = 1.0) -> np.ndarray:
 
     kinds: ``zero``, ``uniform``, ``single_mode`` (mode 1) and
     ``single_mode:<m>`` for a whole number m, the profile cos(2 pi m x / lx).
+    The scale must be finite, whatever the profile.
     """
+    if not math.isfinite(scale):
+        raise InvariantViolation(f"scale must be finite, got {scale!r}")
     if kind == "zero":
         return np.zeros(grid.nx)
     if kind == "uniform":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import functools
 import io
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -176,12 +177,15 @@ def validate_config(cfg: RunConfig) -> None:
     attempt("[boundary]", _build_amplitude, cfg)
     # the profile names are checked even when the grid itself is refused
     probe = grid if grid is not None else Grid(4, 4)
-    attempt("[boundary] g_bottom:", wall_profile, probe, cfg.g_bottom)
-    attempt("[boundary] g_top:", wall_profile, probe, cfg.g_top)
+    attempt("[boundary] g_bottom:", wall_profile, probe, cfg.g_bottom, cfg.g_bottom_scale)
+    attempt("[boundary] g_top:", wall_profile, probe, cfg.g_top, cfg.g_top_scale)
     if cfg.phi_profile not in ("noise", "constant", "mode"):
         bad.append(f"[initial] unknown phi profile {cfg.phi_profile!r}")
     if cfg.u_profile not in ("zero", "couette", "lift", "lift_vortex"):
         bad.append(f"[initial] unknown u profile {cfg.u_profile!r}")
+    for name in ("phi_mean", "phi_amp", "u_vortex_amp"):
+        if not math.isfinite(getattr(cfg, name)):
+            bad.append(f"[initial] {name} must be finite, got {getattr(cfg, name)!r}")
     if bad:
         raise ValidationError(bad)
 

@@ -97,7 +97,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     a = b = gq = math.nan
     res_phi = res_u = math.nan
     if context is not None:
-        res_phi = steady_state_residual_phi(phi, context.potential)
+        res_phi = steady_state_residual_phi(phi)
         if context.u_infinity is not None:
             res_u = v1_norm(state.u - context.u_infinity)
         if (context.mode == "lifted_parabolic" and state.lift is not None
@@ -250,7 +250,7 @@ def higher_order(state, context: DiagnosticsContext,
 # steady states and continuous dependence
 # ---------------------------------------------------------------------------
 
-def steady_state_residual_phi(phi: ScalarField, potential: PotentialSpec) -> float:
+def steady_state_residual_phi(phi: ScalarField) -> float:
     """Dual-norm residual of the stationary concentration problem.
 
     Depends on phi alone (adding a constant to the chemical potential does
@@ -260,9 +260,8 @@ def steady_state_residual_phi(phi: ScalarField, potential: PotentialSpec) -> flo
     return hminus1(r)
 
 
-def steady_state_residuals(state, h_inf_field: VectorField,
-                           potential: PotentialSpec) -> tuple[float, float]:
-    res_phi = steady_state_residual_phi(state.phi, potential)
+def steady_state_residuals(state, h_inf_field: VectorField) -> tuple[float, float]:
+    res_phi = steady_state_residual_phi(state.phi)
     res_u = v1_norm(state.u - h_inf_field)
     return res_phi, res_u
 

@@ -51,6 +51,12 @@ class Grid:
         # Eigenvalues of the discrete 1D second-difference operators.
         k = np.arange(self.nx // 2 + 1)
         self.lam_x = -(2.0 / self.dx**2) * (1.0 - np.cos(2.0 * np.pi * k / self.nx))
+        # rfft symbols of the periodic first differences (a[i+1] - a[i])/dx and
+        # (a[i] - a[i-1])/dx; e^(i t) - 1 = -2 sin^2(t/2) + i sin(t) keeps the
+        # real part exact, and ddx_east * ddx_west = lam_x.
+        theta = 2.0 * np.pi * k / self.nx
+        self.ddx_east = (-2.0 * np.sin(0.5 * theta)**2 + 1j * np.sin(theta)) / self.dx
+        self.ddx_west = (2.0 * np.sin(0.5 * theta)**2 + 1j * np.sin(theta)) / self.dx
         m = np.arange(self.ny)
         self.lam_y_cos = -(2.0 / self.dy**2) * (1.0 - np.cos(np.pi * m / self.ny))
         # Half-sample Dirichlet rows (x-velocity): DST-II modes sin(pi(m+1)(j+1/2)/ny).
@@ -61,6 +67,9 @@ class Grid:
 
         # Neumann Laplacian symbol on the scalar transform layout.
         self.lam_neumann = self.lam_x[:, None] + self.lam_y_cos[None, :]
+        # its inverse on the mean-free modes and 0 on the mean: the pure-Neumann solve
+        self.inv_lam_neumann = np.zeros_like(self.lam_neumann)
+        self.inv_lam_neumann.flat[1:] = 1.0 / self.lam_neumann.flat[1:]
         # Smallest velocity-space eigenvalue of -Laplacian (discrete Poincare constant).
         self.poincare_lambda1 = min(-self.lam_y_dst2[0], -self.lam_y_dst1[0])
 

@@ -30,8 +30,7 @@ import scipy.fft as sfft
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .ops import (gradient, helmholtz_solve_velocity, l2, leray_project, v1_norm,
-                  vector_laplacian)
+from .ops import gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift", "LiftState",
@@ -201,7 +200,7 @@ class ParabolicLift:
         t_new = self.t + dt
         up_old = self.u_p
         rhs = self.w - (dt * self.data.amplitude.dt(t_new)) * self.ell.unit_u
-        self.w, _ = leray_project(helmholtz_solve_velocity(rhs, dt * self.nu1))
+        self.w, _ = helmholtz_project_velocity(rhs, dt * self.nu1)
         self.t = t_new
         self.u_p = self.data.amplitude(t_new) * self.ell.unit_u + self.w
         self.du_p_dt = (1.0 / dt) * (self.u_p - up_old)

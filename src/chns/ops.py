@@ -13,6 +13,15 @@ Sign and staggering conventions:
 * Wall closures: scalars reflect (homogeneous Neumann); tangential velocity
   uses linear ghost extrapolation ``ghost = 2 g - interior`` for Dirichlet
   data g, which reduces to an odd reflection when g = 0.
+
+The time step uses ``helmholtz_project_velocity``, the velocity solve and the
+projection in one pass, and ``solver.momentum_force``, which folds the
+advection, stress and Laplacian stencils into one flux form.  No step calls
+``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or
+``Grid.solve_helmholtz_ux/uy`` any more: they are the references those two
+are tested against.  ``vector_laplacian`` and ``leray_project`` are
+references too, and the diagnostics, the lift and the initial data still
+use them.
 """
 
 from __future__ import annotations
@@ -25,9 +34,9 @@ from .grid import Grid, ScalarField, VectorField, require_same_grid
 
 __all__ = [
     "divergence", "gradient", "laplacian_neumann", "helmholtz_solve_neumann",
-    "helmholtz_solve_velocity", "leray_project", "advect_scalar", "advect_velocity",
-    "viscous_term", "inner", "inner_vec", "l2", "h1", "hminus1", "grad_norm_sq",
-    "vector_laplacian", "v1_norm", "v2_norm", "h2_norm_sq",
+    "helmholtz_solve_velocity", "helmholtz_project_velocity", "leray_project",
+    "advect_scalar", "advect_velocity", "viscous_term", "inner", "inner_vec", "l2", "h1",
+    "hminus1", "grad_norm_sq", "vector_laplacian", "v1_norm", "v2_norm", "h2_norm_sq",
     "spectral_truncate", "interp_center_to_xface", "interp_center_to_yface",
 ]
 
@@ -117,6 +126,17 @@ def helmholtz_solve_neumann(rhs: ScalarField, a: float, b: float) -> ScalarField
     return ScalarField._trusted(g.from_spectral(coeffs / denom), g)
 
 
+def _fold_wall_data(rx: np.ndarray, coeff: float, g: Grid,
+                    wall_bottom: np.ndarray | None, wall_top: np.ndarray | None) -> np.ndarray:
+    """The x-velocity right-hand side with the wall ghosts ``2 g - interior`` folded in."""
+    if wall_bottom is None:
+        return rx
+    rx = rx.copy()
+    rx[:, 0] += coeff * 2.0 * wall_bottom / g.dy**2
+    rx[:, -1] += coeff * 2.0 * wall_top / g.dy**2
+    return rx
+
+
 def helmholtz_solve_velocity(rhs: VectorField, coeff: float,
                              wall_bottom: np.ndarray | None = None,
                              wall_top: np.ndarray | None = None) -> VectorField:
@@ -128,11 +148,7 @@ def helmholtz_solve_velocity(rhs: VectorField, coeff: float,
     of ``vector_laplacian``; without it the walls are homogeneous.
     """
     g = rhs.grid
-    rx = rhs.ux
-    if wall_bottom is not None:
-        rx = rx.copy()
-        rx[:, 0] += coeff * 2.0 * wall_bottom / g.dy**2
-        rx[:, -1] += coeff * 2.0 * wall_top / g.dy**2
+    rx = _fold_wall_data(rhs.ux, coeff, g, wall_bottom, wall_top)
     ux = g.solve_helmholtz_ux(rx, coeff)
     uy = np.zeros((g.nx, g.ny + 1))
     uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
@@ -154,6 +170,52 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     coeffs[0, 0] = 0.0          # mean(div) vanishes identically by telescoping
     q = ScalarField._trusted(g.from_spectral(coeffs), g)
     return v - gradient(q), q
+
+
+def helmholtz_project_velocity(rhs: VectorField, coeff: float,
+                               wall_bottom: np.ndarray | None = None,
+                               wall_top: np.ndarray | None = None
+                               ) -> tuple[VectorField, ScalarField]:
+    """``leray_project(helmholtz_solve_velocity(rhs, coeff, ...))`` in one pass.
+
+    The whole solve stays in x-Fourier space: the DST-II and DST-I Helmholtz
+    solves of ``helmholtz_solve_velocity`` transform back in y only; the MAC
+    divergence is the x-symbol ``Grid.ddx_east`` plus a y-difference; the
+    Neumann Poisson solve of ``leray_project`` is a DCT-II pair in y; the
+    pressure gradient is ``Grid.ddx_west`` plus a y-difference.  Three
+    inverse rffts at the end give (Pu, q), 11 transforms in all.  The
+    discrete operators are those of the composition; only the summation
+    order differs.
+    """
+    g = rhs.grid
+    rx = _fold_wall_data(rhs.ux, coeff, g, wall_bottom, wall_top)
+    lam_x = g.lam_x[:, None]
+    # complex arrays are scaled by real reciprocals: a product, not a division
+    ux_hat = sfft.dst(sfft.rfft(rx, axis=0), type=2, axis=1, overwrite_x=True)
+    ux_hat *= 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst2))
+    ux_hat = sfft.idst(ux_hat, type=2, axis=1, overwrite_x=True)
+    uy_hat = np.zeros((g.nx // 2 + 1, g.ny + 1), dtype=complex)
+    c = sfft.dst(sfft.rfft(rhs.uy[:, 1:-1], axis=0), type=1, axis=1, overwrite_x=True)
+    c *= 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst1))
+    uy_hat[:, 1:-1] = sfft.idst(c, type=1, axis=1, overwrite_x=True)
+
+    inv_dy = 1.0 / g.dy
+    div = g.ddx_east[:, None] * ux_hat
+    ddy = uy_hat[:, 1:] - uy_hat[:, :-1]
+    ddy *= inv_dy
+    div += ddy
+    c = sfft.dct(div, type=2, axis=1, overwrite_x=True)
+    c *= g.inv_lam_neumann      # zero on the mean mode, where mean(div) = 0 anyway
+    q_hat = sfft.idct(c, type=2, axis=1, overwrite_x=True)
+
+    ux_hat -= g.ddx_west[:, None] * q_hat
+    ddy = q_hat[:, 1:] - q_hat[:, :-1]
+    ddy *= inv_dy
+    uy_hat[:, 1:-1] -= ddy
+    ux = sfft.irfft(ux_hat, axis=0, n=g.nx)
+    uy = sfft.irfft(uy_hat, axis=0, n=g.nx)
+    q = sfft.irfft(q_hat, axis=0, n=g.nx)
+    return VectorField._trusted(ux, uy, g), ScalarField._trusted(q, g)
 
 
 # ---------------------------------------------------------------------------

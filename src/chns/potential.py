@@ -10,6 +10,7 @@ curvature bounds use quadratic/linear growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ class ViscositySpec:
     value: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.nu1 < self.nu2):
-            raise InvariantViolation(f"need 0 < nu1 < nu2, got {self.nu1}, {self.nu2}")
+        if not (0 < self.nu1 < self.nu2 < math.inf):       # nan fails too
+            raise InvariantViolation(f"need 0 < nu1 < nu2 < inf, got {self.nu1}, {self.nu2}")
         if self.kind not in ("tanh", "constant"):
             raise InvariantViolation(f"unknown viscosity kind {self.kind!r}")
         if self.kind == "constant":

@@ -14,6 +14,17 @@ explicit.  Since a >= nu2/2 >= nu(phi)/2 the split is unconditionally stable
 (see ``cfl_bound``), and for the constant viscosity at its default value a
 the explicit remainder vanishes to round-off on divergence-free velocities.
 
+The momentum step costs one explicit force and one solve.  The force
+(``momentum_force``) is the capillary term mu grad(phi), the self-advection
+and the viscous remainder in flux form: the four velocity difference
+quotients are formed once, and each component is one difference of centre
+and corner fluxes.  The solve (``ops.helmholtz_project_velocity``) is the
+implicit Helmholtz solve and the Leray projection in one pass through
+x-Fourier space, and it gives the pressure with the projected velocity.
+The operator-by-operator forms (``capillary_force``, ``ops.advect_velocity``,
+``ops.viscous_term``, ``ops.vector_laplacian``, ``ops.leray_project``) are
+the same discrete operators, summed in another order.
+
 Modes:
   direct            march the physical velocity; tangential wall data enters
                     the implicit solve through ghost rows.
@@ -40,13 +51,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boundary import WallData, check_compatibility
-from .errors import CFLViolation, InvariantViolation, SolverDiverged
+from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .lifting import EllipticLift, LiftState, ParabolicLift
-from .ops import (advect_scalar, advect_velocity, gradient, h1,
-                  helmholtz_solve_velocity, interp_center_to_xface,
-                  interp_center_to_yface, laplacian_neumann, leray_project,
-                  spectral_truncate, vector_laplacian, viscous_term)
+from .ops import (_east, _nu_at_corners, _west, advect_scalar, gradient, h1,
+                  helmholtz_project_velocity, interp_center_to_xface,
+                  interp_center_to_yface, laplacian_neumann, spectral_truncate)
 from .potential import PotentialSpec, ViscositySpec, eval_dF
 
 MODES = ("direct", "lifted_elliptic", "lifted_parabolic")
@@ -185,11 +195,67 @@ def implicit_viscosity(viscosity: ViscositySpec) -> float:
     return 0.5 * (viscosity.nu1 + viscosity.nu2)
 
 
-def _viscous_excess(nu: np.ndarray, a: float, v: VectorField,
-                    gb: np.ndarray, gt: np.ndarray) -> VectorField:
-    """div(nu sym grad v) - (a/2) Lap v: the explicitly treated viscous remainder."""
-    return viscous_term(ScalarField._trusted(nu, v.grid), v, wall_bottom=gb, wall_top=gt) \
-        - (0.5 * a) * vector_laplacian(v, gb, gt)
+def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.ndarray,
+                   a: float, gb: np.ndarray, gt: np.ndarray) -> VectorField:
+    """The explicit momentum force, as one flux difference per component:
+
+        mu grad(phi) - div(v v) + div(nu sym grad v) - (a/2) Lap v,
+
+    with the tangential wall data (gb, gt) in the ghosts ``2 g - interior``.
+    The four difference quotients of v are formed once: D_x v_x and D_y v_y
+    at cell centres, D_y v_x (with the ghost rows) and D_x v_y at corners.
+    Since ``vector_laplacian`` is D_x D_x + D_y D_y on these same quotients,
+    the viscous remainder folds into the stress fluxes, and the
+    self-advection corner flux vbar_x vbar_y is shared by both components:
+
+        centres   (nu - a/2) D_x v_x - vbar_x^2,  (nu - a/2) D_y v_y - vbar_y^2
+        corners   nu_c (D_y v_x + D_x v_y)/2 - vbar_x vbar_y - (a/2) D_y v_x  (x)
+                  the same with (a/2) D_x v_y                                 (y)
+
+    It equals ``capillary_force(phi, mu) - advect_velocity(v, v) +
+    viscous_term(nu, v, gb, gt) - (a/2) vector_laplacian(v, gb, gt)`` up to
+    the order of summation.
+    """
+    if np.any(nu <= 0.0):
+        raise NonpositiveViscosity(f"viscosity min = {nu.min():.3e}")
+    g = v.grid
+    dx, dy = g.dx, g.dy
+    ux, uy = v.ux, v.uy
+    half_a = 0.5 * a
+    excess = nu - half_a
+
+    # few live temporaries, as the force is where a step's memory peaks: each
+    # centre flux's temporaries end with its call, and vbar_y is dropped once used
+    def centre_flux(lo, hi, h):
+        mean = 0.5 * (lo + hi)
+        return excess * ((hi - lo) / h) - mean * mean
+
+    cx = centre_flux(ux, _east(ux), dx)
+    cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
+
+    # corner fluxes, rows 0..ny; D_x v_y and vbar_x vbar_y vanish on the walls
+    dyux = np.empty((g.nx, g.ny + 1))
+    dyux[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / dy
+    dyux[:, 0] = 2.0 * (ux[:, 0] - gb) / dy
+    dyux[:, -1] = 2.0 * (gt - ux[:, -1]) / dy
+    vbar_y = _west(uy)                          # v_y one cell west, then the corner mean
+    dxuy = (uy - vbar_y) / dx
+    shear = _nu_at_corners(nu) * (0.5 * (dyux + dxuy))
+    vbar_y += uy
+    vbar_y *= 0.5
+    shear[:, 1:-1] -= vbar_y[:, 1:-1] * (0.5 * (ux[:, 1:] + ux[:, :-1]))
+    del vbar_y
+    dyux *= -half_a
+    dyux += shear                               # the x corner flux
+    dxuy *= -half_a
+    dxuy += shear                               # the y corner flux
+
+    fx = (cx - _west(cx)) / dx + (dyux[:, 1:] - dyux[:, :-1]) / dy \
+        + interp_center_to_xface(mu.values) * ((phi.values - _west(phi.values)) / dx)
+    fy = np.zeros((g.nx, g.ny + 1))
+    fy[:, 1:-1] = (_east(dxuy[:, 1:-1]) - dxuy[:, 1:-1]) / dx + (cy[:, 1:] - cy[:, :-1]) / dy \
+        + interp_center_to_yface(mu.values) * ((phi.values[:, 1:] - phi.values[:, :-1]) / dy)
+    return VectorField._trusted(fx, fy, g)
 
 
 def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
@@ -200,13 +266,10 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
     hb0, ht0 = data.eval_wall(t_old)
     hb1, ht1 = data.eval_wall(t_old + dt)
 
-    expl = capillary_force(phi_new, mu_new) \
-        - advect_velocity(u, u) \
-        + _viscous_excess(cfg.viscosity(phi_new.values), a, u, hb0, ht0)
+    expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, hb0, ht0)
     if f_u is not None:
         expl = expl + f_u
-    u_star = helmholtz_solve_velocity(u + dt * expl, dt * 0.5 * a, hb1, ht1)
-    u_new, q = leray_project(u_star)
+    u_new, q = helmholtz_project_velocity(u + dt * expl, dt * 0.5 * a, hb1, ht1)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
     return u_new, (1.0 / dt) * q
@@ -227,14 +290,11 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
     hb0, ht0 = data.eval_wall(t_old)
     w = ubar + u_lift_old
 
-    expl = capillary_force(phi_new, mu_new) \
-        - advect_velocity(w, w) \
-        + _viscous_excess(cfg.viscosity(phi_new.values), a, w, hb0, ht0) \
+    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, hb0, ht0) \
         - lift_coeff * dlift_dt
     if f_u is not None:
         expl = expl + f_u
-    u_star = helmholtz_solve_velocity(ubar + dt * expl, dt * 0.5 * a)
-    ubar_new, q = leray_project(u_star)
+    ubar_new, q = helmholtz_project_velocity(ubar + dt * expl, dt * 0.5 * a)
     if not ubar_new.is_finite():
         raise SolverDiverged("lifted momentum update produced non-finite values")
     return ubar_new, (1.0 / dt) * q

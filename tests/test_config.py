@@ -57,10 +57,22 @@ def test_defaults_are_the_objects_defaults():
     ("[potential]\nc1 = 8.0\n", "unknown section [potential]"),
     ("[viscosity]\nnu_gap = 0.01\n", "unknown key [viscosity] nu_gap"),
     ("[viscosity]\nkind = clamped_linear\n", "[viscosity] unknown viscosity kind"),
+    # non-finite numbers, whether or not the chosen family or profile reads them
+    ("[boundary]\nomega = inf\n", "[boundary] omega"),
+    ("[boundary]\nfamily = couette_ramp\nrate = inf\n", "[boundary] rate"),
+    ("[boundary]\na_inf = nan\n", "[boundary] a_inf"),
+    ("[boundary]\ng_top_scale = nan\n", "[boundary] g_top"),
+    ("[boundary]\ng_bottom = uniform\ng_bottom_scale = inf\n", "[boundary] g_bottom"),
+    ("[viscosity]\nnu2 = inf\n", "[viscosity]"),
+    ("[initial]\nphi_amp = nan\n", "[initial] phi_amp"),
+    ("[initial]\nphi_mean = nan\n", "[initial] phi_mean"),
+    ("[initial]\nu_vortex_amp = inf\n", "[initial] u_vortex_amp"),
 ], ids=["ramp_rate", "power_p", "mode_not_digits", "mode_no_colon", "cfl_safety",
         "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
         "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
-        "clamped_linear"])
+        "clamped_linear", "omega_inf", "rate_inf", "a_inf_nan", "g_top_scale_nan",
+        "g_bottom_scale_inf", "nu2_inf", "phi_amp_nan", "phi_mean_nan",
+        "u_vortex_amp_inf"])
 def test_bad_object_rejected_at_parse(text, where):
     with pytest.raises(ValidationError) as exc:
         parse_config_text(text)

@@ -230,15 +230,13 @@ class TestSteadyResiduals:
     def test_pure_phase_and_matching_flow(self):
         grid = Grid(32, 32)
         st = plain_state(grid, ScalarField(np.ones((32, 32)), grid))
-        res_phi, res_u = steady_state_residuals(st, VectorField.zeros(grid),
-                                                PotentialSpec())
+        res_phi, res_u = steady_state_residuals(st, VectorField.zeros(grid))
         assert res_phi == pytest.approx(0.0, abs=1e-14)
         assert res_u == pytest.approx(0.0, abs=1e-14)
 
     def test_origin_is_critical_but_unstable(self):
         grid = Grid(32, 32)
-        assert steady_state_residual_phi(ScalarField.zeros(grid),
-                                         PotentialSpec()) == 0.0
+        assert steady_state_residual_phi(ScalarField.zeros(grid)) == 0.0
 
     def test_constant_shift_of_mu_irrelevant(self):
         grid = Grid(32, 32)
@@ -247,8 +245,7 @@ class TestSteadyResiduals:
         st1 = plain_state(grid, phi)
         st2 = SimState(0.0, st1.u, st1.phi,
                        ScalarField(st1.mu.values + 5.0, grid), st1.p)
-        assert steady_state_residual_phi(st1.phi, PotentialSpec()) == \
-            steady_state_residual_phi(st2.phi, PotentialSpec())
+        assert steady_state_residual_phi(st1.phi) == steady_state_residual_phi(st2.phi)
 
 
 class TestContinuousDependence:

@@ -6,7 +6,7 @@ import pytest
 from chns.errors import IncompatibleRHS, InvariantViolation, NonpositiveViscosity
 from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
-                      grad_norm_sq, h1, helmholtz_solve_neumann,
+                      grad_norm_sq, h1, helmholtz_project_velocity, helmholtz_solve_neumann,
                       helmholtz_solve_velocity, hminus1, inner,
                       inner_vec, l2, laplacian_neumann, leray_project,
                       spectral_truncate, vector_laplacian, viscous_term)
@@ -176,6 +176,24 @@ class TestHelmholtz:
         u = helmholtz_solve_velocity(rhs, 0.3, hb, ht)
         res = u - 0.3 * vector_laplacian(u, hb, ht) - rhs
         assert l2(res) <= 1e-12 * l2(rhs)
+        assert not u.uy[:, 0].any() and not u.uy[:, -1].any()
+
+
+class TestHelmholtzProject:
+    """The one-pass solve against leray_project(helmholtz_solve_velocity(...))."""
+
+    @pytest.mark.parametrize("walls", [False, True], ids=["homogeneous", "wall_data"])
+    def test_matches_solve_then_project(self, grid_rect, rng, walls):
+        g = grid_rect
+        rhs = random_vector(g, rng)
+        hb, ht = (rng.standard_normal(g.nx), rng.standard_normal(g.nx)) if walls \
+            else (None, None)
+        ref_u, ref_q = leray_project(helmholtz_solve_velocity(rhs, 0.3, hb, ht))
+        u, q = helmholtz_project_velocity(rhs, 0.3, hb, ht)
+        assert l2(u - ref_u) <= 1e-13 * l2(ref_u)
+        assert l2(q - ref_q) <= 1e-13 * l2(ref_q)
+        assert np.abs(divergence(u).values).max() <= 1e-13 * u.max_abs() / min(g.dx, g.dy)
+        assert abs(q.mean()) <= 1e-13 * l2(q)
         assert not u.uy[:, 0].any() and not u.uy[:, -1].any()
 
 

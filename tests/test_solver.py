@@ -6,15 +6,17 @@ import pytest
 
 from chns import solver
 from chns.boundary import Amplitude, WallData, wall_profile
-from chns.errors import CFLViolation, InvariantViolation, SolverDiverged
+from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
+                         SolverDiverged)
 from chns.grid import Grid, ScalarField, VectorField
-from chns.ops import (advect_scalar, divergence, gradient, inner, inner_vec, l2,
-                      laplacian_neumann, leray_project)
+from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
+                      inner_vec, l2, laplacian_neumann, leray_project, vector_laplacian,
+                      viscous_term)
 from chns.potential import ViscositySpec, eval_F
 from chns.solver import (Forcing, SimState, Simulation, SolverConfig, cfl_bound,
                          ch_substep, galerkin_study, initial_mu, run)
 
-from conftest import random_divfree
+from conftest import random_divfree, random_scalar, random_vector
 
 
 def constant_visc(value=1.0, gap=0.1):
@@ -182,6 +184,47 @@ class TestCapillaryForce:
         transport = inner(mu, advect_scalar(u, phi))
         assert abs(force) > 1.0
         assert abs(force - transport) < 1e-13 * l2(u) * l2(mu) * l2(gradient(phi))
+
+
+class TestMomentumForce:
+    """The flux-form explicit force against the sum of the reference operators."""
+
+    @pytest.mark.parametrize("walls", ["wall_data", "homogeneous"])
+    @pytest.mark.parametrize("viscosity", ["tanh", "constant"])
+    def test_matches_operator_sum(self, grid_rect, rng, viscosity, walls):
+        g = grid_rect
+        phi, mu, v = random_scalar(g, rng), random_scalar(g, rng), random_vector(g, rng)
+        spec = ViscositySpec(nu1=0.5, nu2=1.5) if viscosity == "tanh" \
+            else constant_visc(0.8, gap=0.4)
+        nu, a = spec(phi.values), solver.implicit_viscosity(spec)
+        if walls == "wall_data":
+            gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
+        else:
+            gb, gt = np.zeros(g.nx), np.zeros(g.nx)
+        ref = solver.capillary_force(phi, mu) - advect_velocity(v, v) \
+            + viscous_term(ScalarField(nu, g), v, gb, gt) \
+            - (0.5 * a) * vector_laplacian(v, gb, gt)
+        out = solver.momentum_force(phi, mu, v, nu, a, gb, gt)
+        assert l2(out - ref) <= 1e-13 * l2(ref)
+        assert not out.uy[:, 0].any() and not out.uy[:, -1].any()
+
+    def test_viscous_remainder_vanishes_at_nu_equal_a(self, grid_rect, rng):
+        # nu = a leaves (a/2) grad(div v), zero on divergence-free v, wall data or not
+        g = grid_rect
+        v, a = random_divfree(g, rng), 1.3
+        gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
+        zero = ScalarField.zeros(g)
+        out = solver.momentum_force(zero, zero, v, np.full((g.nx, g.ny), a), a, gb, gt)
+        adv = advect_velocity(v, v)
+        assert l2(out + adv) <= 1e-13 * (l2(adv) + a * l2(vector_laplacian(v, gb, gt)))
+
+    def test_nonpositive_viscosity_rejected(self, grid_rect, rng):
+        g = grid_rect
+        phi, v = random_scalar(g, rng), random_vector(g, rng)
+        nu = np.ones((g.nx, g.ny))
+        nu[3, 4] = 0.0
+        with pytest.raises(NonpositiveViscosity):
+            solver.momentum_force(phi, phi, v, nu, 1.0, np.zeros(g.nx), np.zeros(g.nx))
 
 
 class TestNsDirect:
@@ -414,9 +457,9 @@ class TestRunAndInvariants:
             for _ in range(50):
                 sim.step()
 
-    def test_orders_in_dt(self):
-        # the momentum projection step is first order in u and p; the BDF2
-        # concentration step is second order in phi
+    @staticmethod
+    def observed_orders(mode, visc):
+        """log2 error ratios of (u, phi, p) at dt = 2^-6, 2^-7, 2^-8 against dt/64."""
         grid = Grid(32, 32, 8.0, 8.0)
         data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
                         Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=4.0))
@@ -425,18 +468,34 @@ class TestRunAndInvariants:
         t_end, dt = 0.25, 2.0 ** -6
 
         def final(step):
-            cfg = cfg_for(grid, step, t_end, visc=ViscositySpec(nu1=0.5, nu2=1.5),
-                          record_every=t_end)
+            cfg = cfg_for(grid, step, t_end, mode=mode, visc=visc, record_every=t_end)
             state, _ = run(grid, cfg, data, phi0, VectorField.zeros(grid))
             return state
 
         ref = final(dt / 64)
         errs = [(l2(st.u - ref.u), l2(st.phi - ref.phi), l2(st.p - ref.p))
                 for st in (final(dt), final(dt / 2), final(dt / 4))]
+        return [[math.log2(c / f) for c, f in zip(coarse, fine)]
+                for coarse, fine in zip(errs, errs[1:])]
+
+    def test_orders_in_dt(self):
+        # the momentum projection step is first order in u and p; the BDF2
+        # concentration step is second order in phi
         windows = ((0.8, 1.3), (1.7, 2.3), (0.8, 1.3))      # u, phi, p
-        for coarse, fine in zip(errs, errs[1:]):
-            for e_coarse, e_fine, (lo, hi) in zip(coarse, fine, windows):
-                assert lo <= math.log2(e_coarse / e_fine) <= hi
+        for orders in self.observed_orders("direct", ViscositySpec(nu1=0.5, nu2=1.5)):
+            for order, (lo, hi) in zip(orders, windows):
+                assert lo <= order <= hi
+
+    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
+    def test_lifted_orders_in_dt(self, mode):
+        # u and p are first order in the lifted modes too.  At nu2 = 3 nu1 the
+        # parabolic lift coefficient 1 - a/(2 nu1) is zero and both lifted
+        # modes would give the same errors, hence nu2 = 2 nu1.  phi is not
+        # pinned: its observed order falls from about 1.8 to 1.5-1.7 here.
+        orders = self.observed_orders(mode, ViscositySpec(nu1=0.5, nu2=1.0))
+        for u_order, _, p_order in orders:
+            assert 0.8 <= u_order <= 1.3
+            assert 0.8 <= p_order <= 1.3
 
     def test_forced_nan_raises_solver_diverged_with_partial_records(self):
         grid = Grid(16, 16)
