@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, MisalignedSeries, UnsupportedFamily
+from .errors import InvariantViolation, MisalignedSeries
 from .grid import Grid, VectorField
 
-FAMILIES = ("couette_ramp", "decaying_oscillation", "custom_static", "power_decay", "custom")
+FAMILIES = ("couette_ramp", "decaying_oscillation", "custom_static", "power_decay")
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class Amplitude:
       decaying_oscillation  a(t) = a0 exp(-rate t) cos(omega t)
       custom_static         a(t) = a0
       power_decay           a(t) = a0 (1 + t)^(-p)
-      custom                arbitrary callables (no closed-form tails)
     """
 
     family: str
@@ -44,8 +43,6 @@ class Amplitude:
     rate: float = 1.0
     omega: float = 0.0
     p: float = 1.0
-    fn: object = None
-    fn_dt: object = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -57,8 +54,6 @@ class Amplitude:
             raise InvariantViolation("decay rate must be positive")
         if self.family == "power_decay" and self.p <= 0.5:
             raise InvariantViolation("power_decay needs p > 1/2 for square-integrable tails")
-        if self.family == "custom" and (self.fn is None or self.fn_dt is None):
-            raise InvariantViolation("custom amplitude needs fn and fn_dt callables")
 
     def __call__(self, t: float) -> float:
         if self.family == "couette_ramp":
@@ -67,9 +62,7 @@ class Amplitude:
             return self.a0 * math.exp(-self.rate * t) * math.cos(self.omega * t)
         if self.family == "custom_static":
             return self.a0
-        if self.family == "power_decay":
-            return self.a0 * (1.0 + t) ** (-self.p)
-        return float(self.fn(t))
+        return self.a0 * (1.0 + t) ** (-self.p)
 
     def dt(self, t: float) -> float:
         if self.family == "couette_ramp":
@@ -80,9 +73,7 @@ class Amplitude:
                                    + self.omega * math.sin(self.omega * t))
         if self.family == "custom_static":
             return 0.0
-        if self.family == "power_decay":
-            return -self.p * self.a0 * (1.0 + t) ** (-self.p - 1.0)
-        return float(self.fn_dt(t))
+        return -self.p * self.a0 * (1.0 + t) ** (-self.p - 1.0)
 
     def limit(self) -> float:
         """a(t) as t -> infinity (the stationary amplitude)."""
@@ -90,9 +81,7 @@ class Amplitude:
             return self.a_inf
         if self.family == "custom_static":
             return self.a0
-        if self.family in ("decaying_oscillation", "power_decay"):
-            return 0.0
-        raise UnsupportedFamily("custom amplitude has no declared limit")
+        return 0.0
 
     # -- closed-form integrals ----------------------------------------------
 
@@ -118,9 +107,7 @@ class Amplitude:
                                       2 * self.omega)
         if self.family == "custom_static":
             return 0.0 if self.a0 == 0.0 else math.inf
-        if self.family == "power_decay":
-            return self.a0**2 * (1.0 + t) ** (1.0 - 2 * self.p) / (2 * self.p - 1.0)
-        raise UnsupportedFamily("no closed-form tail for custom amplitude")
+        return self.a0**2 * (1.0 + t) ** (1.0 - 2 * self.p) / (2 * self.p - 1.0)
 
     def dt_sq_tail(self, t: float) -> float:
         """integral_t^inf a'(s)^2 ds."""
@@ -134,10 +121,8 @@ class Amplitude:
                                            0.5 * (r * r - w * w), r * w, 2 * w)
         if self.family == "custom_static":
             return 0.0
-        if self.family == "power_decay":
-            c = self.p * self.a0
-            return c * c * (1.0 + t) ** (-1.0 - 2 * self.p) / (2 * self.p + 1.0)
-        raise UnsupportedFamily("no closed-form tail for custom amplitude")
+        c = self.p * self.a0
+        return c * c * (1.0 + t) ** (-1.0 - 2 * self.p) / (2 * self.p + 1.0)
 
     def sq_integral(self, t: float) -> float:
         """integral_0^t a(s)^2 ds (always finite)."""
@@ -268,17 +253,12 @@ def check_compatibility(u0: VectorField, data: WallData, tol: float = 1e-8) -> b
 
 def _tail_exponent(amplitude: Amplitude, derivative: bool) -> float | None:
     """Polynomial decay exponent of the tail integral; None means exponential."""
-    fam = amplitude.family
-    if fam in ("couette_ramp", "decaying_oscillation"):
+    if amplitude.family != "power_decay":
         return None
-    if fam == "custom_static":
-        return None
-    if fam == "power_decay":
-        return 1.0 + 2 * amplitude.p if derivative else 2 * amplitude.p - 1.0
-    raise UnsupportedFamily("decay certification needs closed-form tails")
+    return 1.0 + 2 * amplitude.p if derivative else 2 * amplitude.p - 1.0
 
 
-def certify_decay(data: WallData, gamma: float, t_grid=None) -> dict:
+def certify_decay(data: WallData, gamma: float) -> dict:
     """Check the three tail-integral decay conditions at rate (1+t)^(-1-gamma).
 
     Conditions, each with its own trace-norm weight:
@@ -286,16 +266,11 @@ def certify_decay(data: WallData, gamma: float, t_grid=None) -> dict:
       2. tail of |da/dt|^2 * |g|_{+1/2}^2
       3. tail of |a|^2    * |g|_{+3/2}^2
     The report carries pass/fail per condition plus the smallest admissible
-    front constant over the probe grid.
+    front constant over the probe grid t = 0, 0.25, ..., 50.
     """
     if gamma <= 0:
         raise InvariantViolation("gamma must be positive")
     amp = data.amplitude
-    if amp.family == "custom":
-        raise UnsupportedFamily("decay certification needs closed-form tails")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 50.0, 201)
-    t_grid = np.asarray(t_grid, dtype=float)
 
     conditions = []
     for name, weight, derivative in (
@@ -316,7 +291,8 @@ def certify_decay(data: WallData, gamma: float, t_grid=None) -> dict:
             # polynomial tail too slow: sup over t of the ratio diverges
             conditions.append({"name": name, "pass": False, "constant": math.inf})
             continue
-        ratios = [weight * tail(t) * (1.0 + t) ** (1.0 + gamma) for t in t_grid]
+        ratios = [weight * tail(t) * (1.0 + t) ** (1.0 + gamma)
+                  for t in np.linspace(0.0, 50.0, 201)]
         conditions.append({"name": name, "pass": True, "constant": float(max(ratios))})
 
     return {

@@ -222,7 +222,7 @@ def build_wall_data(cfg: RunConfig, grid: Grid) -> WallData:
                     _build_amplitude(cfg))
 
 
-def build_initial_phi(cfg: RunConfig, grid: Grid, seed: int | None = None) -> ScalarField:
+def build_initial_phi(cfg: RunConfig, grid: Grid) -> ScalarField:
     if cfg.phi_profile == "constant":
         return ScalarField(np.full((grid.nx, grid.ny), cfg.phi_mean), grid)
     if cfg.phi_profile == "mode":
@@ -231,7 +231,7 @@ def build_initial_phi(cfg: RunConfig, grid: Grid, seed: int | None = None) -> Sc
             grid, lambda x, y: cfg.phi_mean
             + cfg.phi_amp * np.cos(2 * np.pi * mx * x / grid.lx)
             * np.cos(np.pi * my * y / grid.ly))
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     vals = cfg.phi_amp * rng.standard_normal((grid.nx, grid.ny))
     return ScalarField(vals - vals.mean() + cfg.phi_mean, grid)
 

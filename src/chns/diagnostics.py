@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import WallData, require_aligned
-from .errors import MisalignedSeries, ModeMismatch, UnsupportedFamily
+from .errors import MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
 from .ops import (gradient, grad_norm_sq, h1, h2_norm_sq, hminus1, l2,
@@ -64,15 +64,12 @@ class DiagnosticsContext:
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
         """Build the record context, reusing the run's lift for the limit field."""
-        try:
-            if lift is not None:
-                u_inf = lift.limit_field()
-            elif not data.is_zero():
-                u_inf = EllipticLift(grid, cfg.viscosity.nu1, data).limit_field()
-            else:
-                u_inf = VectorField.zeros(grid)
-        except UnsupportedFamily:
-            u_inf = None                          # custom amplitude: no limit field
+        if lift is not None:
+            u_inf = lift.limit_field()
+        elif not data.is_zero():
+            u_inf = EllipticLift(grid, cfg.viscosity.nu1, data).limit_field()
+        else:
+            u_inf = VectorField.zeros(grid)
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
                    u_infinity=u_inf, mode=cfg.mode)
 
@@ -100,9 +97,8 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
         res_phi = steady_state_residual_phi(phi)
         if context.u_infinity is not None:
             res_u = v1_norm(state.u - context.u_infinity)
-        if (context.mode == "lifted_parabolic" and state.lift is not None
-                and state.lift.u_p is not None and context.viscosity is not None
-                and context.viscosity.is_constant):
+        if (context.mode == "lifted_parabolic" and state.u_lift is not None
+                and context.viscosity is not None and context.viscosity.is_constant):
             a, b, gq = higher_order(state, context, norms)
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
@@ -114,7 +110,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
 # energy inequality certificates
 # ---------------------------------------------------------------------------
 
-def energy_inequality_report(records, data: WallData, nu1: float = 1.0) -> dict:
+def energy_inequality_report(records, data: WallData, nu1: float) -> dict:
     """Per-step decay check (homogeneous data) and the growth certificate.
 
     For h = 0 the interesting number is the largest per-step energy
@@ -122,6 +118,7 @@ def energy_inequality_report(records, data: WallData, nu1: float = 1.0) -> dict:
     K(t) = E(t) / [(E(0) + D(t)) exp(W(t))] with D the accumulated data
     integrals and W the exponential weight; finiteness and stability of
     sup K under dt-halving stand in for the unknowable front constant.
+    The dissipation integral weights diss_u with the run's nu1.
     """
     if len(records) < 2:
         return {"max_step_increase": 0.0, "sup_K": 0.0, "dissipation_integral": 0.0,
@@ -185,7 +182,7 @@ def _g_norms(state, context: DiagnosticsContext, norms: dict, lap_phi_l2: float)
 
     The lift's V1 and V2 norms carry its wall data at the state's time.
     """
-    u_p = state.lift.u_p
+    u_p = state.u_lift
     hb, ht = context.data.eval_wall(state.t)
     up_l2 = l2(u_p)
     up_grad_sq = grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)
@@ -225,7 +222,7 @@ def higher_order(state, context: DiagnosticsContext,
     has already computed for the same state; without them they are
     computed here.
     """
-    if context.mode != "lifted_parabolic" or state.lift is None or state.lift.u_p is None:
+    if context.mode != "lifted_parabolic" or state.u_lift is None:
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
     if context.viscosity is None or not context.viscosity.is_constant:
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")

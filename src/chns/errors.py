@@ -25,10 +25,6 @@ class AssumptionViolated(ChnsError):
         super().__init__(message or f"assumption check failed for {', '.join(self.items)}")
 
 
-class UnsupportedFamily(ChnsError):
-    """Requested operation needs closed-form time integrals the family does not provide."""
-
-
 class SolverDiverged(ChnsError):
     """Iterative solve failed to converge or produced non-finite values."""
 

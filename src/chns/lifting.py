@@ -33,7 +33,7 @@ from .grid import Grid, ScalarField, VectorField, whole_steps
 from .ops import gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
 
 __all__ = [
-    "StationaryStokes", "EllipticLift", "ParabolicLift", "LiftState",
+    "StationaryStokes", "EllipticLift", "ParabolicLift",
     "initial_lift", "momentum_residual", "LiftPairHistory", "run_lift_pair",
     "lift_difference_report",
 ]
@@ -114,15 +114,6 @@ def momentum_residual(u: VectorField, p: ScalarField, nu1: float,
     return l2(gradient(p) - nu1 * lap)
 
 
-@dataclass(frozen=True)
-class LiftState:
-    """The lift velocities at one time: stationary, and evolutionary if stepped."""
-
-    t: float
-    u_e: VectorField
-    u_p: VectorField | None = None
-
-
 class EllipticLift:
     """Unit stationary lift of a wall-data shape, rescaled by the amplitude.
 
@@ -153,8 +144,9 @@ class EllipticLift:
     def limit_field(self) -> VectorField:
         return self.data.amplitude.limit() * self.unit_u
 
-    def state_at(self, t: float) -> LiftState:
-        return LiftState(t=t, u_e=self.data.amplitude(t) * self.unit_u)
+    def state_at(self, t: float) -> VectorField:
+        """The stationary lift velocity u_e at time t."""
+        return self.data.amplitude(t) * self.unit_u
 
 
 def initial_lift(u0: VectorField, nu1: float) -> tuple[VectorField, ScalarField]:
@@ -170,8 +162,9 @@ class ParabolicLift:
     Keeps the decomposition u_p = a(t) U + w; each step advances w by an
     implicit solve with homogeneous walls followed by an exact projection,
     then stores the new sum as ``u_p`` and its difference quotient as
-    ``du_p_dt`` (None before the first step).  ``u0=None`` declares initial
-    data compatible with the walls; any other u0 is checked.
+    ``du_p_dt`` (None before the first step).  ``w`` is u_p - u_e, the
+    difference from the stationary lift.  ``u0=None`` declares initial data
+    compatible with the walls; any other u0 is checked.
     """
 
     def __init__(self, elliptic: EllipticLift, u0: VectorField | None = None):
@@ -190,10 +183,6 @@ class ParabolicLift:
         self.du_p_dt: VectorField | None = None
         self.u_p = a0 * self.ell.unit_u + self.w
 
-    def difference_from_stationary(self) -> VectorField:
-        """u_p - u_e; exactly the homogeneous part w."""
-        return self.w
-
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise SolverDiverged("parabolic lift: dt must be positive")
@@ -206,9 +195,6 @@ class ParabolicLift:
         self.du_p_dt = (1.0 / dt) * (self.u_p - up_old)
         if not self.w.is_finite():
             raise SolverDiverged("parabolic lift produced non-finite values")
-
-    def state(self) -> LiftState:
-        return LiftState(t=self.t, u_e=self.ell.state_at(self.t).u_e, u_p=self.u_p)
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +212,31 @@ class LiftPairHistory:
     rhs_cum: list = field(default_factory=list)        # int_0^t |d/dt h|_{-1/2}^2
 
 
-def run_lift_pair(data: WallData, grid: Grid, nu1: float, dt: float, t_end: float,
-                  sample_every: int = 1, u0: VectorField | None = None) -> LiftPairHistory:
-    """Integrate the evolutionary lift and record the difference series."""
+def run_lift_pair(data: WallData, grid: Grid, nu1: float, dt: float,
+                  t_end: float) -> LiftPairHistory:
+    """Integrate the evolutionary lift from compatible data, recording every step."""
     ell = EllipticLift(grid, nu1, data)
-    par = ParabolicLift(ell, u0=u0)
+    par = ParabolicLift(ell)
     shape_w = data.shape_trace_norm_sq(-0.5)
     hist = LiftPairHistory()
     lap_cum = 0.0
 
     def record():
-        w = par.difference_from_stationary()
         hist.times.append(par.t)
-        hist.diff_v1_sq.append(v1_norm(w) ** 2)
+        hist.diff_v1_sq.append(v1_norm(par.w) ** 2)
         hist.lap_diff_cum.append(lap_cum)
         hist.dtup_norm.append(l2(par.du_p_dt) if par.du_p_dt is not None else 0.0)
         hist.rhs_cum.append(shape_w * data.amplitude.dt_sq_integral(par.t))
 
     record()
-    n_steps = whole_steps(t_end, dt, "t_end")
-    for n in range(1, n_steps + 1):
+    for _ in range(whole_steps(t_end, dt, "t_end")):
         par.step(dt)
-        lap_cum += dt * l2(vector_laplacian(par.difference_from_stationary())) ** 2
-        if n % sample_every == 0 or n == n_steps:
-            record()
+        lap_cum += dt * l2(vector_laplacian(par.w)) ** 2
+        record()
     return hist
 
 
-def lift_difference_report(hist: LiftPairHistory, rhs_floor: float = 1e-14) -> dict:
+def lift_difference_report(hist: LiftPairHistory) -> dict:
     """Certificate for the difference estimate and the decay of d/dt u_p.
 
     The ratio sup_t LHS/RHS is reported as a finite constant; when the data
@@ -265,7 +248,7 @@ def lift_difference_report(hist: LiftPairHistory, rhs_floor: float = 1e-14) -> d
     rhs = np.asarray(hist.rhs_cum)
     if t.size != lhs.size or t.size != rhs.size:
         raise MisalignedSeries("lift difference history columns disagree")
-    live = rhs > rhs_floor
+    live = rhs > 1e-14                  # the rhs is zero at t = 0 and for static data
     if not live.any():
         return {"degenerate": True, "ratio_sup": 0.0, "max_lhs": float(lhs.max(initial=0.0))}
 

@@ -115,18 +115,15 @@ def _tightest(observed, default):
     return float(observed) if np.isfinite(observed) else default
 
 
-def verify_assumptions(spec: PotentialSpec, sample_range=(-3.0, 3.0),
-                       n_samples: int = 20001) -> dict:
-    """Check the stored bound constants on a dense sample grid.
+def verify_assumptions(spec: PotentialSpec) -> dict:
+    """Check the stored bound constants on 20001 samples of [-3, 3].
 
     Returns a report with per-item pass/fail and the tightest constant the
     samples would allow.  Raises AssumptionViolated listing the failing
-    items.  The sample range must cover at least [-3, 3]; the bounds are
-    polynomial, so violations show up at moderate |s| if they exist at all.
+    items.  The bounds are polynomial, so violations show up at moderate |s|
+    if they exist at all.
     """
-    lo, hi = float(sample_range[0]), float(sample_range[1])
-    if lo > -3.0 or hi < 3.0:
-        raise InvariantViolation(f"sample range [{lo}, {hi}] must cover [-3, 3]")
+    lo, hi, n_samples = -3.0, 3.0, 20001
     s = np.linspace(lo, hi, n_samples)
     absx = np.abs(s)
     eps = 1e-12
@@ -166,10 +163,10 @@ def verify_assumptions(spec: PotentialSpec, sample_range=(-3.0, 3.0),
     return report
 
 
-def verify_viscosity(spec: ViscositySpec, sample_range=(-50.0, 50.0),
-                     n_samples: int = 20001) -> dict:
-    """Confirm strict bounds and the Lipschitz constant of the viscosity law."""
-    s = np.linspace(sample_range[0], sample_range[1], n_samples)
+def verify_viscosity(spec: ViscositySpec) -> dict:
+    """Confirm strict bounds and the Lipschitz constant of the viscosity law
+    on 20001 samples of [-50, 50]."""
+    s = np.linspace(-50.0, 50.0, 20001)
     vals = spec(s)
     slopes = np.diff(vals) / np.diff(s)
     return {

@@ -40,6 +40,10 @@ Modes:
                     projection annihilates.  In the elliptic mode
                     nu1 Lap(u_e) is itself a gradient, so the coefficient
                     stays 1.
+
+Both lifted modes take the same step, ``ns_substep_lifted``, given the active
+lift's field, its time derivative and its coefficient; the state carries the
+lift field as ``SimState.u_lift``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .lifting import EllipticLift, LiftState, ParabolicLift
+from .lifting import EllipticLift, ParabolicLift
 from .ops import (_east, _nu_at_corners, _west, advect_scalar, gradient, h1,
                   helmholtz_project_velocity, interp_center_to_xface,
                   interp_center_to_yface, laplacian_neumann, spectral_truncate)
@@ -88,7 +92,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Simulation snapshot; in lifted modes u is the reconstructed total field."""
+    """Simulation snapshot.
+
+    In the lifted modes u = ubar + u_lift: ubar is the marched field with
+    homogeneous walls and u_lift the active lift at time t, the stationary
+    u_e or the evolutionary u_p.  Both are None in the direct mode.
+    """
 
     t: float
     u: VectorField
@@ -96,18 +105,10 @@ class SimState:
     mu: ScalarField
     p: ScalarField
     ubar: VectorField | None = None
-    lift: LiftState | None = None
+    u_lift: VectorField | None = None
 
     def velocity_for_energy(self) -> VectorField:
         return self.ubar if self.ubar is not None else self.u
-
-
-@dataclass(frozen=True)
-class Forcing:
-    """Optional body forces (manufactured-solution runs)."""
-
-    phi: object = None      # callable(grid, t) -> ScalarField
-    u: object = None        # callable(grid, t) -> VectorField
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,7 @@ def initial_mu(phi: ScalarField) -> ScalarField:
     return ScalarField._trusted(-laplacian_neumann(phi).values + fp.values, phi.grid)
 
 
-def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
-               stabilization: float, f_phi: ScalarField | None = None,
+def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilization: float,
                previous: tuple[ScalarField, VectorField] | None = None
                ) -> tuple[ScalarField, ScalarField]:
     """Advance the concentration by one stabilized semi-implicit step.
@@ -129,7 +129,7 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
     With ``previous = (phi_old, advecting_old)``, the state one step back,
     this is the stabilized BDF2 step of Shen & Yang (DCDS-A 28, 2010):
 
-        (3 phi+ - 4 phi + phi_old)/(2 dt) + div(vbar phibar) = Lap(mu+) + f,
+        (3 phi+ - 4 phi + phi_old)/(2 dt) + div(vbar phibar) = Lap(mu+),
         mu+ = -Lap(phi+) + F'(phibar) + S (phi+ - phibar),
 
     with the extrapolations phibar = 2 phi - phi_old and
@@ -139,8 +139,8 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
 
     Either way it is a single transform-diagonalized solve: everything but
     the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
-    two forward transforms.  The cell mean of phi is conserved exactly when
-    f = 0 (conservative advection, no-flux walls).
+    two forward transforms.  The cell mean of phi is conserved exactly
+    (conservative advection, no-flux walls).
     """
     g = phi.grid
     s = stabilization
@@ -157,8 +157,6 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float,
     fp = eval_dF(phi_bar.values)
 
     rhs = rhs - advect_scalar(v_bar, phi_bar).values
-    if f_phi is not None:
-        rhs = rhs + f_phi.values
     lam = g.lam_neumann
     rhs_hat = g.to_spectral(rhs) + lam * g.to_spectral(fp - s * phi_bar.values)
     phi_hat = rhs_hat / (c0 + lam * lam - s * lam)
@@ -259,16 +257,14 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
 
 
 def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
-                      data: WallData, t_old: float, dt: float, cfg: SolverConfig,
-                      f_u: VectorField | None = None) -> tuple[VectorField, ScalarField]:
+                      data: WallData, t_old: float, dt: float,
+                      cfg: SolverConfig) -> tuple[VectorField, ScalarField]:
     """One projection step of the momentum equation with physical wall data."""
     a = implicit_viscosity(cfg.viscosity)
     hb0, ht0 = data.eval_wall(t_old)
     hb1, ht1 = data.eval_wall(t_old + dt)
 
     expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, hb0, ht0)
-    if f_u is not None:
-        expl = expl + f_u
     u_new, q = helmholtz_project_velocity(u + dt * expl, dt * 0.5 * a, hb1, ht1)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
@@ -278,8 +274,8 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
 def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
                       dlift_dt: VectorField, lift_coeff: float,
                       phi_new: ScalarField, mu_new: ScalarField,
-                      data: WallData, t_old: float, dt: float, cfg: SolverConfig,
-                      f_u: VectorField | None = None) -> tuple[VectorField, ScalarField]:
+                      data: WallData, t_old: float, dt: float,
+                      cfg: SolverConfig) -> tuple[VectorField, ScalarField]:
     """Projection step for the homogeneous-wall field ubar.
 
     The advective and variable-viscosity terms act on the reconstructed
@@ -292,8 +288,6 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
 
     expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, hb0, ht0) \
         - lift_coeff * dlift_dt
-    if f_u is not None:
-        expl = expl + f_u
     ubar_new, q = helmholtz_project_velocity(ubar + dt * expl, dt * 0.5 * a)
     if not ubar_new.is_finite():
         raise SolverDiverged("lifted momentum update produced non-finite values")
@@ -352,11 +346,10 @@ class Simulation:
     """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
-                 phi0: ScalarField, u0: VectorField, forcing: Forcing | None = None):
+                 phi0: ScalarField, u0: VectorField):
         self.grid = grid
         self.cfg = cfg
         self.data = data
-        self.forcing = forcing or Forcing()
         self.compatible = check_compatibility(u0, data)
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
@@ -376,13 +369,11 @@ class Simulation:
             if cfg.mode == "lifted_parabolic":
                 # compatible data needs no trace lift: u0=None skips a second check
                 self.par = ParabolicLift(self.ell, u0=None if self.compatible else u0)
-                lift0 = self.par.state()
-                ubar0 = u0 - self.par.u_p
+                lift0 = self.par.u_p
             else:
                 lift0 = self.ell.state_at(0.0)
-                ubar0 = u0 - lift0.u_e
             self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid),
-                                  ubar=ubar0, lift=lift0)
+                                  ubar=u0 - lift0, u_lift=lift0)
 
     @property
     def state(self) -> SimState:
@@ -406,37 +397,28 @@ class Simulation:
         dt = cfg.dt
         self._check_cfl()
         t_new = st.t + dt
-        f_phi = self.forcing.phi(self.grid, t_new) if self.forcing.phi else None
-        f_u = self.forcing.u(self.grid, t_new) if self.forcing.u else None
 
         prev = self._previous
         history = None if prev is None else (prev.phi, prev.u)
-        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, f_phi, history)
+        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, history)
         if cfg.galerkin_cutoff is not None:
             phi_new = spectral_truncate(phi_new, *cfg.galerkin_cutoff)
             mu_new = spectral_truncate(mu_new, *cfg.galerkin_cutoff)
 
         if cfg.mode == "direct":
-            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, self.data,
-                                         st.t, dt, cfg, f_u)
+            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, self.data, st.t, dt, cfg)
             new = SimState(t_new, u_new, phi_new, mu_new, p)
-        elif cfg.mode == "lifted_elliptic":
-            ubar_new, p = ns_substep_lifted(st.ubar, st.lift.u_e, self.ell.dt_at(t_new),
-                                            1.0, phi_new, mu_new, self.data,
-                                            st.t, dt, cfg, f_u)
-            lift = self.ell.state_at(t_new)
-            new = SimState(t_new, ubar_new + lift.u_e, phi_new, mu_new, p,
-                           ubar=ubar_new, lift=lift)
         else:
-            u_p_old = self.par.u_p
-            self.par.step(dt)
-            coeff = 1.0 - implicit_viscosity(cfg.viscosity) / (2.0 * cfg.viscosity.nu1)
-            ubar_new, p = ns_substep_lifted(st.ubar, u_p_old, self.par.du_p_dt,
-                                            coeff, phi_new, mu_new, self.data,
-                                            st.t, dt, cfg, f_u)
-            lift = self.par.state()
-            new = SimState(t_new, ubar_new + self.par.u_p, phi_new, mu_new, p,
-                           ubar=ubar_new, lift=lift)
+            if self.par is None:
+                lift, dlift_dt, coeff = self.ell.state_at(t_new), self.ell.dt_at(t_new), 1.0
+            else:
+                self.par.step(dt)
+                lift, dlift_dt = self.par.u_p, self.par.du_p_dt
+                coeff = 1.0 - implicit_viscosity(cfg.viscosity) / (2.0 * cfg.viscosity.nu1)
+            ubar_new, p = ns_substep_lifted(st.ubar, st.u_lift, dlift_dt, coeff, phi_new,
+                                            mu_new, self.data, st.t, dt, cfg)
+            new = SimState(t_new, ubar_new + lift, phi_new, mu_new, p,
+                           ubar=ubar_new, u_lift=lift)
 
         if not (new.u.is_finite() and new.phi.is_finite()):
             raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")
@@ -475,9 +457,8 @@ class Simulation:
 
 
 def run(grid: Grid, cfg: SolverConfig, data: WallData, phi0: ScalarField,
-        u0: VectorField, observers=(), forcing: Forcing | None = None,
-        diagnostics_context=None) -> tuple[SimState, list]:
-    sim = Simulation(grid, cfg, data, phi0, u0, forcing)
+        u0: VectorField, observers=(), diagnostics_context=None) -> tuple[SimState, list]:
+    sim = Simulation(grid, cfg, data, phi0, u0)
     records = sim.run(observers=observers, diagnostics_context=diagnostics_context)
     return sim.state, records
 

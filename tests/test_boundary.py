@@ -6,7 +6,7 @@ import pytest
 from chns.boundary import (Amplitude, WallData, certify_decay,
                            check_compatibility, extrapolated_wall_trace,
                            trace_norm, wall_profile)
-from chns.errors import InvariantViolation, UnsupportedFamily
+from chns.errors import InvariantViolation
 from chns.grid import Grid, VectorField
 
 
@@ -153,12 +153,6 @@ class TestCertifyDecay:
                   for g in gammas]
         # once a gamma fails, every larger gamma fails too
         assert passes == sorted(passes, reverse=True)
-
-    def test_custom_amplitude_unsupported(self, grid):
-        amp = Amplitude("custom", fn=lambda t: 1.0 / (1 + t), fn_dt=lambda t: -1.0 / (1 + t) ** 2)
-        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"), amp)
-        with pytest.raises(UnsupportedFamily):
-            certify_decay(data, 1.0)
 
     def test_tail_integrals_match_quadrature(self, grid):
         amp = Amplitude("decaying_oscillation", a0=0.8, rate=0.7, omega=3.0)

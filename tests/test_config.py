@@ -42,6 +42,7 @@ def test_defaults_are_the_objects_defaults():
 @pytest.mark.parametrize("text, where", [
     ("[boundary]\nfamily = couette_ramp\nrate = 0\n", "[boundary]"),
     ("[boundary]\nfamily = power_decay\np = 0.25\n", "[boundary]"),
+    ("[boundary]\nfamily = custom\n", "[boundary] unknown amplitude family"),
     ("[boundary]\ng_top = single_mode:abc\n", "[boundary] g_top"),
     ("[boundary]\ng_top = single_modefoo\n", "[boundary] g_top"),
     ("[solver]\ncfl_safety = -1\n", "[time]/[solver]"),
@@ -67,7 +68,7 @@ def test_defaults_are_the_objects_defaults():
     ("[initial]\nphi_amp = nan\n", "[initial] phi_amp"),
     ("[initial]\nphi_mean = nan\n", "[initial] phi_mean"),
     ("[initial]\nu_vortex_amp = inf\n", "[initial] u_vortex_amp"),
-], ids=["ramp_rate", "power_p", "mode_not_digits", "mode_no_colon", "cfl_safety",
+], ids=["ramp_rate", "power_p", "custom_family", "mode_not_digits", "mode_no_colon", "cfl_safety",
         "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
         "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
         "clamped_linear", "omega_inf", "rate_inf", "a_inf_nan", "g_top_scale_nan",

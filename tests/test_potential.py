@@ -93,7 +93,3 @@ class TestVerifyAssumptions:
         with pytest.raises(AssumptionViolated) as exc:
             verify_assumptions(PotentialSpec(c3=1.0))
         assert "A_d2F_lower" in exc.value.items
-
-    def test_range_too_small(self):
-        with pytest.raises(InvariantViolation):
-            verify_assumptions(PotentialSpec(), sample_range=(-0.1, 0.1))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,8 +14,8 @@ from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inne
                       inner_vec, l2, laplacian_neumann, leray_project, vector_laplacian,
                       viscous_term)
 from chns.potential import ViscositySpec, eval_F
-from chns.solver import (Forcing, SimState, Simulation, SolverConfig, cfl_bound,
-                         ch_substep, galerkin_study, initial_mu, run)
+from chns.solver import (Simulation, SolverConfig, cfl_bound, ch_substep,
+                         galerkin_study, run)
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -304,7 +305,7 @@ class TestLiftedModes:
         for _ in range(30):
             st = sim.step()
             assert np.all(st.ubar.uy[:, 0] == 0.0) and np.all(st.ubar.uy[:, -1] == 0.0)
-            recon = st.ubar + st.lift.u_e
+            recon = st.ubar + st.u_lift
             assert l2(recon - st.u) < 1e-14
 
     @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
@@ -500,17 +501,15 @@ class TestRunAndInvariants:
     def test_forced_nan_raises_solver_diverged_with_partial_records(self):
         grid = Grid(16, 16)
         cfg = cfg_for(grid, 1e-3, 0.01, record_every=1e-3)
-
-        def bad_force(g, t):
-            vals = np.zeros((g.nx, g.ny))
-            if t > 5e-3:
-                vals[0, 0] = np.nan
-            return ScalarField(vals, g)
-
         sim = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                         VectorField.zeros(grid), forcing=Forcing(phi=bad_force))
+                         VectorField.zeros(grid))
+
+        def poison(state, record):
+            if state.t > 5e-3:
+                sim.state = dataclasses.replace(state, phi=math.nan * state.phi)
+
         with pytest.raises(SolverDiverged) as exc:
-            sim.run()
+            sim.run(observers=(poison,))
         assert len(exc.value.records) >= 1
 
 
