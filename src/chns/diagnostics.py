@@ -16,8 +16,8 @@ from .boundary import WallData, require_aligned
 from .errors import MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
-from .ops import (gradient, grad_norm_sq, h1, h2_norm_sq, hminus1, l2,
-                  laplacian_neumann, leray_project, v1_norm, vector_laplacian)
+from .ops import (grad_norm_sq, h1, h2_norm_sq, hminus1, l2, laplacian_neumann,
+                  parseval_sum, projected_norm_sq, v1_norm, vector_laplacian)
 from .potential import PotentialSpec, ViscositySpec, eval_F, eval_dF
 
 CSV_COLUMNS = ("t", "kinetic", "interfacial", "bulk", "total", "diss_u",
@@ -78,7 +78,8 @@ def _shared_norms(state) -> dict:
     """The norms that both the energy split and the higher-order functionals use."""
     ub = state.velocity_for_energy()
     return {"ub_l2": l2(ub), "diss_u": grad_norm_sq(ub),
-            "grad_phi": l2(gradient(state.phi)), "grad_mu": l2(gradient(state.mu))}
+            "grad_phi": math.sqrt(grad_norm_sq(state.phi)),
+            "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
 
 
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
@@ -177,7 +178,8 @@ G_TERMS = (
 )
 
 
-def _g_norms(state, context: DiagnosticsContext, norms: dict, lap_phi_l2: float) -> dict:
+def _g_norms(state, context: DiagnosticsContext, norms: dict,
+             phi_sq: float, lap_phi_sq: float) -> dict:
     """The factors of G, each norm assembled from its squared parts.
 
     The lift's V1 and V2 norms carry its wall data at the state's time.
@@ -187,7 +189,6 @@ def _g_norms(state, context: DiagnosticsContext, norms: dict, lap_phi_l2: float)
     up_l2 = l2(u_p)
     up_grad_sq = grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)
     up_lap_l2 = l2(vector_laplacian(u_p, hb, ht))
-    phi_l2 = l2(state.phi)
     grad_phi = norms["grad_phi"]
     return {
         "up_v1": math.sqrt(up_l2**2 + up_grad_sq),
@@ -195,9 +196,9 @@ def _g_norms(state, context: DiagnosticsContext, norms: dict, lap_phi_l2: float)
         "up_l2": up_l2,
         "grad_up": math.sqrt(up_grad_sq),
         "ubar_l2": norms["ub_l2"],
-        "phi_l2": phi_l2,
-        "phi_h1": math.sqrt(phi_l2**2 + grad_phi**2),
-        "phi_h2": math.sqrt(phi_l2**2 + grad_phi**2 + lap_phi_l2**2),
+        "phi_l2": math.sqrt(phi_sq),
+        "phi_h1": math.sqrt(phi_sq + grad_phi**2),
+        "phi_h2": math.sqrt(phi_sq + grad_phi**2 + lap_phi_sq),
         "grad_mu": norms["grad_mu"],
         "grad_phi": grad_phi,
     }
@@ -221,6 +222,10 @@ def higher_order(state, context: DiagnosticsContext,
     anything else raises ModeMismatch.  ``energy`` passes in the norms it
     has already computed for the same state; without them they are
     computed here.
+
+    phi's and mu's norms are Parseval sums over one stacked transform.  B's
+    Stokes term is |P v|^2 = |v|^2 - |grad q|^2, v = -vector_laplacian(ubar),
+    clamped at 0 against round-off (``ops.projected_norm_sq``).
     """
     if context.mode != "lifted_parabolic" or state.u_lift is None:
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
@@ -228,18 +233,18 @@ def higher_order(state, context: DiagnosticsContext,
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")
     if norms is None:
         norms = _shared_norms(state)
-    mu = state.mu
-    lap_phi = laplacian_neumann(state.phi)
-    lap_phi_l2 = l2(lap_phi)
+    grid = state.phi.grid
+    c = grid.to_spectral(np.stack((state.phi.values, state.mu.values)))
+    p_phi, p_mu = c.real**2 + c.imag**2
+    lam2 = grid.lam_neumann**2
+    phi_sq, lap_phi_sq, lap2_phi_sq, mu_sq, lap_mu_sq = parseval_sum(
+        grid, np.stack((p_phi, lam2 * p_phi, lam2**2 * p_phi, p_mu, lam2 * p_mu)))
 
-    a = norms["diss_u"] + lap_phi_l2 ** 2 + l2(mu) ** 2
-
-    stokes_u, _ = leray_project(-1.0 * vector_laplacian(state.ubar))
-    lap2_phi = laplacian_neumann(lap_phi)
-    lap_mu = laplacian_neumann(mu)
-    b = context.viscosity.value * l2(stokes_u) ** 2 + l2(lap2_phi) ** 2 + l2(lap_mu) ** 2
-
-    g = evaluate_g(_g_norms(state, context, norms, lap_phi_l2), context.potential.q)
+    a = norms["diss_u"] + lap_phi_sq + mu_sq
+    # the sign of v drops out of every norm of it
+    stokes_sq = projected_norm_sq(vector_laplacian(state.ubar))
+    b = context.viscosity.value * stokes_sq + lap2_phi_sq + lap_mu_sq
+    g = evaluate_g(_g_norms(state, context, norms, phi_sq, lap_phi_sq), context.potential.q)
     return float(a), float(b), float(g)
 
 

@@ -87,8 +87,8 @@ class Grid:
     # -- scalar transforms (periodic x, even/cosine y) ----------------------
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of a cell-centered array: rfft in x, DCT-II in y."""
-        return sfft.dct(sfft.rfft(values, axis=0), type=2, axis=1)
+        """Forward transform over the last two axes (stacks too): rfft in x, DCT-II in y."""
+        return sfft.dct(sfft.rfft(values, axis=-2), type=2, axis=-1)
 
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         return sfft.irfft(sfft.idct(coeffs, type=2, axis=1), axis=0, n=self.nx)

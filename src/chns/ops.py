@@ -20,8 +20,9 @@ advection, stress and Laplacian stencils into one flux form.  No step calls
 ``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or
 ``Grid.solve_helmholtz_ux/uy`` any more: they are the references those two
 are tested against.  ``vector_laplacian`` and ``leray_project`` are
-references too, and the diagnostics, the lift and the initial data still
-use them.
+references too: the lift and the diagnostics use ``vector_laplacian`` and
+the initial data ``leray_project``, whose norm ``projected_norm_sq`` gives
+without projecting.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ __all__ = [
     "divergence", "gradient", "laplacian_neumann", "helmholtz_solve_neumann",
     "helmholtz_solve_velocity", "helmholtz_project_velocity", "leray_project",
     "advect_scalar", "advect_velocity", "viscous_term", "inner", "inner_vec", "l2", "h1",
-    "hminus1", "grad_norm_sq", "vector_laplacian", "v1_norm", "v2_norm", "h2_norm_sq",
-    "spectral_truncate", "interp_center_to_xface", "interp_center_to_yface",
+    "hminus1", "parseval_sum", "projected_norm_sq", "grad_norm_sq", "vector_laplacian",
+    "v1_norm", "v2_norm", "h2_norm_sq", "spectral_truncate", "interp_center_to_xface",
+    "interp_center_to_yface",
 ]
 
 MEAN_TOL = 1e-10
@@ -376,53 +378,76 @@ def h1(s: ScalarField) -> float:
     return float(np.sqrt(l2(s)**2 + l2(gradient(s))**2))
 
 
-def hminus1(s: ScalarField) -> float:
-    """Dual norm against the H1 pairing: sqrt(<s, (I - Lap)^{-1} s>).
+def parseval_sum(g: Grid, power: np.ndarray):
+    """dx dy sum_{k,m} wx_k wy_m power_km over the last two axes (stacks give stacks).
 
-    Evaluated by Parseval's identity on one forward transform c = T(s), rfft
-    in x and DCT-II in y, on which I - Lap is the diagonal 1 - lam_neumann:
-
-        |s|_{-1}^2 = dx dy sum_{k,m} wx_k wy_m |c_km|^2 / (1 - lam_km),
-
-    with wx_k = 1/nx at k = 0 and at the Nyquist mode k = nx/2 (their
-    coefficients stand for one mode) and 2/nx at every other k (each also
-    stands for its conjugate -k), and the DCT-II weights wy_0 = 1/(4 ny),
-    wy_m = 1/(2 ny) for m >= 1.  No solve and no inverse transform.
+    For power = S |c|^2, c = Grid.to_spectral(s) and S the real symbol of a
+    Neumann operator, this is <s, S s>: S = 1 gives |s|^2, -lam_neumann
+    |gradient(s)|^2, lam_neumann^2 |Lap s|^2.  wx_k = 1/nx at k = 0 and at the
+    Nyquist mode (one mode each), 2/nx at every other k (also standing for -k);
+    the DCT-II weights are wy_0 = 1/(4 ny) and wy_m = 1/(2 ny) for m >= 1.
     """
-    g = s.grid
-    c = g.to_spectral(s.values)
     wx = np.full(g.nx // 2 + 1, 2.0 / g.nx)
     wx[0] = wx[-1] = 1.0 / g.nx
     wy = np.full(g.ny, 1.0 / (2 * g.ny))
     wy[0] = 1.0 / (4 * g.ny)
-    power = (c.real**2 + c.imag**2) / (1.0 - g.lam_neumann)
-    return float(np.sqrt(g.cell_area * (wx @ power @ wy)))
+    return g.cell_area * (wx @ power @ wy)
 
 
-def grad_norm_sq(v: VectorField,
+def hminus1(s: ScalarField) -> float:
+    """Dual norm against the H1 pairing, sqrt(<s, (I - Lap)^{-1} s>), by Parseval."""
+    g = s.grid
+    c = g.to_spectral(s.values)
+    return float(np.sqrt(parseval_sum(g, (c.real**2 + c.imag**2) / (1.0 - g.lam_neumann))))
+
+
+def projected_norm_sq(v: VectorField) -> float:
+    """``l2(leray_project(v)[0])**2`` without the projection.
+
+    The projection is orthogonal, so |Pv|^2 = |v|^2 - |grad q|^2, and as
+    gradient and divergence are negative adjoints |grad q|^2 is the Parseval
+    sum of div v with the symbol -inv_lam_neumann.  A pure gradient v leaves
+    round-off of either sign, so the difference is clamped at 0.
+    """
+    g = v.grid
+    c = g.to_spectral(divergence(v).values)
+    grad_q_sq = parseval_sum(g, -(c.real**2 + c.imag**2) * g.inv_lam_neumann)
+    return max(inner_vec(v, v) - float(grad_q_sq), 0.0)
+
+
+def _xdiff_sq(a: np.ndarray) -> float:
+    """Sum of the squared periodic x-differences a[i + 1] - a[i]."""
+    d, e = a[1:] - a[:-1], a[0] - a[-1]
+    return np.vdot(d, d) + np.vdot(e, e)
+
+
+def _ydiff_sq(a: np.ndarray) -> float:
+    """Sum of the squared differences a[:, j + 1] - a[:, j] of neighbouring rows."""
+    d = a[:, 1:] - a[:, :-1]
+    return np.vdot(d, d)
+
+
+def grad_norm_sq(v: VectorField | ScalarField,
                  wall_bottom: np.ndarray | None = None,
                  wall_top: np.ndarray | None = None) -> float:
-    """Squared discrete gradient norm of a staggered vector field.
+    """Squared discrete gradient norm of a staggered vector field or of a scalar.
 
     Corner rows carry trapezoid weight 1/2 so that for homogeneous data the
     value equals -<vector_laplacian(v), v> exactly (the dissipation form).
+    A scalar (reflecting walls) gives l2(gradient(s))**2; wall data is velocity's.
     """
     g = v.grid
+    if isinstance(v, ScalarField):
+        a = v.values
+        return float(g.cell_area * (_xdiff_sq(a) / g.dx**2 + _ydiff_sq(a) / g.dy**2))
     gb = np.zeros(g.nx) if wall_bottom is None else np.asarray(wall_bottom, dtype=float)
     gt = np.zeros(g.nx) if wall_top is None else np.asarray(wall_top, dtype=float)
-    w = g.cell_area
-    dxux = (_east(v.ux) - v.ux) / g.dx
-    dyuy = (v.uy[:, 1:] - v.uy[:, :-1]) / g.dy
-    total = np.sum(dxux**2) + np.sum(dyuy**2)
-
-    dyux_int = (v.ux[:, 1:] - v.ux[:, :-1]) / g.dy
-    dyux_b = 2.0 * (v.ux[:, 0] - gb) / g.dy
-    dyux_t = 2.0 * (gt - v.ux[:, -1]) / g.dy
-    total += np.sum(dyux_int**2) + 0.5 * np.sum(dyux_b**2) + 0.5 * np.sum(dyux_t**2)
-
-    dxuy = (v.uy - _west(v.uy)) / g.dx
-    total += np.sum(dxuy[:, 1:-1]**2)        # wall rows vanish identically
-    return float(w * total)
+    b = v.ux[:, 0] - gb             # half the jumps 2 (u - g) to the wall ghosts
+    t = gt - v.ux[:, -1]
+    # uy's wall rows vanish, so only its interior rows have x-differences
+    total = (_xdiff_sq(v.ux) + _xdiff_sq(v.uy[:, 1:-1])) / g.dx**2 \
+        + (_ydiff_sq(v.uy) + _ydiff_sq(v.ux) + 2.0 * (np.vdot(b, b) + np.vdot(t, t))) / g.dy**2
+    return float(g.cell_area * total)
 
 
 def v1_norm(v: VectorField, **wall_kw) -> float:

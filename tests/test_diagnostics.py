@@ -173,6 +173,22 @@ class TestHigherOrder:
         assert a == pytest.approx(expect_a, rel=1e-8)
         assert b == pytest.approx(expect_b, rel=1e-8)
 
+    def test_moving_ubar_against_projection(self):
+        grid = Grid(32, 24, lx=2.0, ly=1.5)
+        rng = np.random.default_rng(11)
+        ubar = random_vector(grid, rng, amp=0.1)
+        phi = ScalarField.from_function(
+            grid, lambda x, y: 0.3 * np.cos(np.pi * x) * np.cos(2 * np.pi * y / 1.5))
+        st = self.parabolic_state(grid, phi)
+        st = SimState(0.0, ubar + st.u_lift, phi, st.mu, st.p, ubar=ubar, u_lift=st.u_lift)
+        a, b, _ = higher_order(st, self.ctx(grid))
+        lap_phi = laplacian_neumann(phi)
+        stokes_u, _ = leray_project(-1.0 * vector_laplacian(ubar))
+        assert l2(stokes_u) > 0.0
+        assert a == pytest.approx(grad_norm_sq(ubar) + l2(lap_phi)**2 + l2(st.mu)**2, rel=1e-12)
+        assert b == pytest.approx(l2(stokes_u)**2 + l2(laplacian_neumann(lap_phi))**2
+                                  + l2(laplacian_neumann(st.mu))**2, rel=1e-12)
+
     def test_mode_mismatch(self):
         grid = Grid(16, 16)
         st = plain_state(grid, ScalarField.zeros(grid))

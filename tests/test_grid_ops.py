@@ -8,8 +8,8 @@ from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
                       grad_norm_sq, h1, helmholtz_project_velocity, helmholtz_solve_neumann,
                       helmholtz_solve_velocity, hminus1, inner,
-                      inner_vec, l2, laplacian_neumann, leray_project,
-                      spectral_truncate, vector_laplacian, viscous_term)
+                      inner_vec, l2, laplacian_neumann, leray_project, parseval_sum,
+                      projected_norm_sq, spectral_truncate, vector_laplacian, viscous_term)
 from chns.solver import capillary_force
 
 from conftest import random_divfree, random_scalar, random_vector
@@ -21,6 +21,20 @@ def lam_x_mode(grid, k):
 
 def lam_y_mode(grid, m):
     return -(2.0 / grid.dy**2) * (1.0 - np.cos(np.pi * m * grid.dy / grid.ly))
+
+
+def grad_norm_sq_stencil(v, gb, gt):
+    """grad_norm_sq's corner-weighted stencil sum, written out with np.roll."""
+    g = v.grid
+    dxux = (np.roll(v.ux, -1, axis=0) - v.ux) / g.dx
+    dyuy = np.diff(v.uy, axis=1) / g.dy
+    dyux = np.diff(v.ux, axis=1) / g.dy
+    dyux_b = 2.0 * (v.ux[:, 0] - gb) / g.dy
+    dyux_t = 2.0 * (gt - v.ux[:, -1]) / g.dy
+    dxuy = (v.uy - np.roll(v.uy, 1, axis=0))[:, 1:-1] / g.dx
+    return g.cell_area * (np.sum(dxux**2) + np.sum(dyuy**2) + np.sum(dyux**2)
+                          + 0.5 * np.sum(dyux_b**2) + 0.5 * np.sum(dyux_t**2)
+                          + np.sum(dxuy**2))
 
 
 class TestGrid:
@@ -335,6 +349,84 @@ class TestNorms:
         v = random_vector(grid_rect, rng)
         form = -inner_vec(vector_laplacian(v), v)
         assert grad_norm_sq(v) == pytest.approx(form, rel=1e-12)
+
+    def test_grad_norm_of_couette_profile(self, grid_rect):
+        g = grid_rect
+        gb, gt = -0.7, 1.3
+        v = VectorField.from_components(g, lambda x, y: gb + (gt - gb) * y / g.ly + 0.0 * x,
+                                        lambda x, y: 0.0 * x)
+        got = grad_norm_sq(v, wall_bottom=np.full(g.nx, gb), wall_top=np.full(g.nx, gt))
+        assert got == pytest.approx(((gt - gb) / g.ly) ** 2 * g.lx * g.ly, rel=1e-12)
+
+    def test_grad_norm_with_wall_data_matches_stencil(self, grid_rect, rng):
+        g = grid_rect
+        v = random_vector(g, rng)
+        gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
+        want = grad_norm_sq_stencil(v, gb, gt)
+        assert grad_norm_sq(v, wall_bottom=gb, wall_top=gt) == pytest.approx(want, rel=1e-12)
+        zero = np.zeros(g.nx)
+        assert grad_norm_sq(v) == pytest.approx(grad_norm_sq_stencil(v, zero, zero), rel=1e-12)
+
+
+class TestParseval:
+    """Parseval sums over one transform against the stencil values of the same norms."""
+
+    @staticmethod
+    def sums(s):
+        g = s.grid
+        c = g.to_spectral(s.values)
+        p = c.real**2 + c.imag**2
+        lam = g.lam_neumann
+        return parseval_sum(g, np.stack((p, -lam * p, lam**2 * p, lam**4 * p)))
+
+    @staticmethod
+    def stencils(s):
+        lap = laplacian_neumann(s)
+        return (l2(s)**2, l2(gradient(s))**2, l2(lap)**2, l2(laplacian_neumann(lap))**2)
+
+    def test_random_fields(self, grid_rect, rng):
+        g = grid_rect
+        for s in (random_scalar(g, rng),
+                  ScalarField(rng.standard_normal((g.nx, g.ny)) + 3.0, g)):
+            assert self.sums(s) == pytest.approx(self.stencils(s), rel=1e-12)
+
+    # the x-Nyquist mode k = nx/2 and the last cosine mode m = ny - 1 carry
+    # the edge weights of parseval_sum
+    @pytest.mark.parametrize("k, m", [(16, 0), (0, 23), (16, 23), (3, 23), (16, 5)])
+    def test_edge_modes(self, grid_rect, k, m):
+        g = grid_rect
+        s = ScalarField.from_function(
+            g, lambda x, y: np.cos(2 * np.pi * k * x / g.lx + 0.4) * np.cos(np.pi * m * y / g.ly))
+        assert l2(s) > 0.1
+        assert self.sums(s) == pytest.approx(self.stencils(s), rel=1e-12)
+
+    def test_stacked_transform_is_one_transform_per_field(self, grid_rect, rng):
+        g = grid_rect
+        a, b = random_scalar(g, rng), random_scalar(g, rng)
+        c = g.to_spectral(np.stack((a.values, b.values)))
+        assert np.array_equal(c[0], g.to_spectral(a.values))
+        assert np.array_equal(c[1], g.to_spectral(b.values))
+
+    def test_scalar_grad_norm_matches_stencil(self, grid_rect, rng):
+        s = random_scalar(grid_rect, rng)
+        assert grad_norm_sq(s) == pytest.approx(l2(gradient(s))**2, rel=1e-12)
+
+
+class TestProjectedNorm:
+    @pytest.mark.parametrize("divfree", [False, True])
+    def test_stokes_term_matches_projection(self, grid_rect, rng, divfree):
+        ubar = (random_divfree if divfree else random_vector)(grid_rect, rng)
+        v = -1.0 * vector_laplacian(ubar)
+        want = l2(leray_project(v)[0])**2
+        assert projected_norm_sq(v) == pytest.approx(want, rel=1e-12)
+
+    def test_pure_gradient_gives_zero(self, grid_rect):
+        # |v|^2 - |grad q|^2 is round-off of either sign here (negative for
+        # about 1 in 100 of these fields), so the clamp keeps B >= 0
+        for seed in range(200):
+            v = gradient(random_scalar(grid_rect, np.random.default_rng(seed)))
+            got = projected_norm_sq(v)
+            assert 0.0 <= got <= 1e-12 * l2(v)**2, seed
 
 
 class TestSpectralTruncate:
