@@ -186,6 +186,8 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("phi_mean", "phi_amp", "u_vortex_amp"):
         if not math.isfinite(getattr(cfg, name)):
             bad.append(f"[initial] {name} must be finite, got {getattr(cfg, name)!r}")
+    if cfg.seed < 0:
+        bad.append(f"[initial] seed must be nonnegative, got {cfg.seed!r}")
     if bad:
         raise ValidationError(bad)
 
@@ -260,7 +262,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid, data: WallData) -> VectorField:
                            np.zeros((grid.nx, grid.ny + 1)), grid)
     from .lifting import EllipticLift
     lift = EllipticLift(grid, cfg.nu1, data)
-    u0, _ = lift.at(0.0)
+    u0 = lift.state_at(0.0)
     if cfg.u_profile == "lift_vortex" and cfg.u_vortex_amp != 0.0:
         u0 = u0 + cfg.u_vortex_amp * _vortex(grid)
     return u0

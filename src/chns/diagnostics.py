@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import WallData, require_aligned
+from .boundary import WallData, require_aligned, trace_norm
 from .errors import MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
@@ -262,12 +262,6 @@ def steady_state_residual_phi(phi: ScalarField) -> float:
     return hminus1(r)
 
 
-def steady_state_residuals(state, h_inf_field: VectorField) -> tuple[float, float]:
-    res_phi = steady_state_residual_phi(state.phi)
-    res_u = v1_norm(state.u - h_inf_field)
-    return res_phi, res_u
-
-
 @dataclass
 class TrajectorySample:
     """Field snapshots at record times, for pairwise comparisons."""
@@ -317,7 +311,6 @@ def continuous_dependence_metric(run1: TrajectorySample, run2: TrajectorySample,
             b2, t2 = data2.eval_wall(ti)
             db1, dt1 = data1.eval_wall_dt(ti)
             db2, dt2 = data2.eval_wall_dt(ti)
-            from .boundary import trace_norm
             lx = run1.u[0].grid.lx
             sup_h = max(sup_h, math.hypot(trace_norm(b1 - b2, 0.5, lx),
                                           trace_norm(t1 - t2, 0.5, lx)))
@@ -346,8 +339,8 @@ def zlem_tail_check(t, y, g=None) -> dict:
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape:
         raise MisalignedSeries("zlem_tail_check: t and y disagree")
-    out = {"integral_y": float(np.trapezoid(y, t)),
-           "integral_y_finite": bool(np.isfinite(np.trapezoid(y, t)))}
+    integral_y = float(np.trapezoid(y, t))
+    out = {"integral_y": integral_y, "integral_y_finite": math.isfinite(integral_y)}
     if g is not None:
         g = np.asarray(g, dtype=float)
         if g.shape != t.shape:

@@ -9,10 +9,6 @@ class InvariantViolation(ChnsError):
     """A field or state violates a structural invariant (shape, wall rows, finiteness)."""
 
 
-class IncompatibleRHS(ChnsError):
-    """Pure-Neumann solve requested with a right-hand side of nonzero mean."""
-
-
 class NonpositiveViscosity(ChnsError):
     """Viscosity field contains entries <= 0."""
 

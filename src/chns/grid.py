@@ -12,7 +12,7 @@ iterative tolerance for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -67,7 +67,7 @@ class Grid:
 
         # Neumann Laplacian symbol on the scalar transform layout.
         self.lam_neumann = self.lam_x[:, None] + self.lam_y_cos[None, :]
-        # its inverse on the mean-free modes and 0 on the mean: the pure-Neumann solve
+        # its inverse on the mean-free modes and 0 on the mean: the one mean-free Poisson inverse
         self.inv_lam_neumann = np.zeros_like(self.lam_neumann)
         self.inv_lam_neumann.flat[1:] = 1.0 / self.lam_neumann.flat[1:]
         # Smallest velocity-space eigenvalue of -Laplacian (discrete Poincare constant).

@@ -19,10 +19,13 @@ projection in one pass, and ``solver.momentum_force``, which folds the
 advection, stress and Laplacian stencils into one flux form.  No step calls
 ``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or
 ``Grid.solve_helmholtz_ux/uy`` any more: they are the references those two
-are tested against.  ``vector_laplacian`` and ``leray_project`` are
+are tested against.  ``helmholtz_solve_neumann`` (a > 0) is likewise only the
+reference of ``hminus1``.  ``vector_laplacian`` and ``leray_project`` are
 references too: the lift and the diagnostics use ``vector_laplacian`` and
 the initial data ``leray_project``, whose norm ``projected_norm_sq`` gives
-without projecting.
+without projecting.  Every mean-free Neumann Poisson inverse, in
+``leray_project``, ``helmholtz_project_velocity`` and ``projected_norm_sq``,
+is the one table ``Grid.inv_lam_neumann``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import IncompatibleRHS, InvariantViolation, NonpositiveViscosity
+from .errors import InvariantViolation, NonpositiveViscosity
 from .grid import Grid, ScalarField, VectorField, require_same_grid
 
 __all__ = [
@@ -38,11 +41,8 @@ __all__ = [
     "helmholtz_solve_velocity", "helmholtz_project_velocity", "leray_project",
     "advect_scalar", "advect_velocity", "viscous_term", "inner", "inner_vec", "l2", "h1",
     "hminus1", "parseval_sum", "projected_norm_sq", "grad_norm_sq", "vector_laplacian",
-    "v1_norm", "v2_norm", "h2_norm_sq", "spectral_truncate", "interp_center_to_xface",
-    "interp_center_to_yface",
+    "v1_norm", "v2_norm", "h2_norm_sq", "interp_center_to_xface", "interp_center_to_yface",
 ]
-
-MEAN_TOL = 1e-10
 
 
 def _west(a: np.ndarray) -> np.ndarray:
@@ -104,28 +104,12 @@ def laplacian_neumann(s: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def helmholtz_solve_neumann(rhs: ScalarField, a: float, b: float) -> ScalarField:
-    """Solve (a*I - b*Lap) s = rhs with the periodic/Neumann closure, exactly.
-
-    For a = 0 the operator has the constants in its kernel: the right-hand
-    side must have (numerically) zero mean and the returned field is the
-    zero-mean solution.
-    """
-    if b <= 0:
-        raise InvariantViolation("helmholtz_solve_neumann: need b > 0")
-    if a < 0:
-        raise InvariantViolation("helmholtz_solve_neumann: need a >= 0")
+    """Solve (a*I - b*Lap) s = rhs with the periodic/Neumann closure, exactly (a, b > 0)."""
+    if not (a > 0 and b > 0):
+        raise InvariantViolation(f"helmholtz_solve_neumann: need a, b > 0, got {a!r}, {b!r}")
     g = rhs.grid
     coeffs = g.to_spectral(rhs.values)
-    denom = a - b * g.lam_neumann
-    if a == 0:
-        scale = l2(rhs)
-        if abs(rhs.mean()) > MEAN_TOL * max(scale, 1.0):
-            raise IncompatibleRHS(
-                f"pure-Neumann solve needs zero-mean rhs; |mean| = {abs(rhs.mean()):.3e}")
-        denom = denom.copy()
-        denom[0, 0] = 1.0
-        coeffs[0, 0] = 0.0
-    return ScalarField._trusted(g.from_spectral(coeffs / denom), g)
+    return ScalarField._trusted(g.from_spectral(coeffs / (a - b * g.lam_neumann)), g)
 
 
 def _fold_wall_data(rx: np.ndarray, coeff: float, g: Grid,
@@ -164,12 +148,8 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     round-off, and q zero-mean.
     """
     g = v.grid
-    div = divergence(v)
-    coeffs = g.to_spectral(div.values)
-    lam = g.lam_neumann.copy()
-    lam[0, 0] = 1.0
-    coeffs /= lam
-    coeffs[0, 0] = 0.0          # mean(div) vanishes identically by telescoping
+    coeffs = g.to_spectral(divergence(v).values)
+    coeffs *= g.inv_lam_neumann     # zero on the mean mode, where mean(div) = 0 anyway
     q = ScalarField._trusted(g.from_spectral(coeffs), g)
     return v - gradient(q), q
 
@@ -464,24 +444,3 @@ def v2_norm(v: VectorField,
 def h2_norm_sq(s: ScalarField) -> float:
     return l2(s)**2 + l2(gradient(s))**2 + l2(laplacian_neumann(s))**2
 
-
-# ---------------------------------------------------------------------------
-# spectral truncation
-# ---------------------------------------------------------------------------
-
-def spectral_truncate(s: ScalarField, n_x: int, n_y: int) -> ScalarField:
-    """Zero every transform coefficient above the cutoffs.
-
-    Keeps periodic x-modes k <= n_x and cosine y-modes m < n_y; the full
-    cutoffs (nx/2, ny) give the identity.  Orthogonality of both bases makes
-    the truncation idempotent and norm non-increasing.
-    """
-    g = s.grid
-    if not (0 <= n_x <= g.nx // 2):
-        raise InvariantViolation(f"x cutoff {n_x} outside [0, {g.nx // 2}]")
-    if not (1 <= n_y <= g.ny):
-        raise InvariantViolation(f"y cutoff {n_y} outside [1, {g.ny}]")
-    coeffs = g.to_spectral(s.values)
-    coeffs[n_x + 1:, :] = 0.0
-    coeffs[:, n_y:] = 0.0
-    return ScalarField._trusted(g.from_spectral(coeffs), g)

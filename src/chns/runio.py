@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, EnergyRecord
+from .diagnostics import CSV_COLUMNS
 from .errors import InvariantViolation
 
 MAGIC = b"CHNS0001"

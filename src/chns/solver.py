@@ -44,13 +44,16 @@ Modes:
 Both lifted modes take the same step, ``ns_substep_lifted``, given the active
 lift's field, its time derivative and its coefficient; the state carries the
 lift field as ``SimState.u_lift``.
+
+Every mode marches the full discrete system: the paper's Faedo-Galerkin
+approximations serve its existence proof and have no truncated step here.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,9 +61,9 @@ from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .lifting import EllipticLift, ParabolicLift
-from .ops import (_east, _nu_at_corners, _west, advect_scalar, gradient, h1,
+from .ops import (_east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
-                  interp_center_to_yface, laplacian_neumann, spectral_truncate)
+                  interp_center_to_yface, laplacian_neumann)
 from .potential import PotentialSpec, ViscositySpec, eval_dF
 
 MODES = ("direct", "lifted_elliptic", "lifted_parabolic")
@@ -76,7 +79,6 @@ class SolverConfig:
     record_every: float = 0.01
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     viscosity: ViscositySpec = field(default_factory=ViscositySpec)
-    galerkin_cutoff: tuple[int, int] | None = None
 
     def __post_init__(self):
         # every comparison with nan is false, so nan fails its check
@@ -357,13 +359,10 @@ class Simulation:
 
         self.ell: EllipticLift | None = None
         self.par: ParabolicLift | None = None
-        phi_init = phi0
-        if cfg.galerkin_cutoff is not None:
-            phi_init = spectral_truncate(phi0, *cfg.galerkin_cutoff)
-        mu0 = initial_mu(phi_init)
+        mu0 = initial_mu(phi0)
 
         if cfg.mode == "direct":
-            self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid))
+            self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid))
         else:
             self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
@@ -372,7 +371,7 @@ class Simulation:
                 lift0 = self.par.u_p
             else:
                 lift0 = self.ell.state_at(0.0)
-            self.state = SimState(0.0, u0, phi_init, mu0, ScalarField.zeros(grid),
+            self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid),
                                   ubar=u0 - lift0, u_lift=lift0)
 
     @property
@@ -401,9 +400,6 @@ class Simulation:
         prev = self._previous
         history = None if prev is None else (prev.phi, prev.u)
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, history)
-        if cfg.galerkin_cutoff is not None:
-            phi_new = spectral_truncate(phi_new, *cfg.galerkin_cutoff)
-            mu_new = spectral_truncate(mu_new, *cfg.galerkin_cutoff)
 
         if cfg.mode == "direct":
             u_new, p = ns_substep_direct(st.u, phi_new, mu_new, self.data, st.t, dt, cfg)
@@ -462,31 +458,3 @@ def run(grid: Grid, cfg: SolverConfig, data: WallData, phi0: ScalarField,
     records = sim.run(observers=observers, diagnostics_context=diagnostics_context)
     return sim.state, records
 
-
-def galerkin_study(grid: Grid, cfg: SolverConfig, data: WallData,
-                   phi0: ScalarField, u0: VectorField, cutoffs) -> dict:
-    """Spectral-truncation study of the concentration equation.
-
-    Repeats the run with the concentration (and its potential) projected to
-    the first n periodic/cosine modes after every concentration substep,
-    including the initial data, and reports the final-time H1 distance to
-    the untruncated run per cutoff.
-    """
-    cutoffs = sorted(int(n) for n in cutoffs)
-    if any(n <= 0 for n in cutoffs):
-        raise InvariantViolation("cutoffs must be positive")
-    full_state, _ = run(grid, cfg, data, phi0, u0)
-    errors = []
-    for n in cutoffs:
-        cut = (min(n, grid.nx // 2), min(n, grid.ny))
-        cfg_n = replace(cfg, galerkin_cutoff=cut)
-        state_n, _ = run(grid, cfg_n, data, phi0, u0)
-        errors.append(h1(state_n.phi - full_state.phi))
-    report = {
-        "cutoffs": cutoffs,
-        "errors": errors,
-        "tail_nonincreasing": all(
-            errors[i + 1] <= errors[i] * (1.0 + 1e-9) + 1e-14
-            for i in range(max(len(errors) - 2, 0), len(errors) - 1)),
-    }
-    return report

@@ -68,12 +68,13 @@ def test_defaults_are_the_objects_defaults():
     ("[initial]\nphi_amp = nan\n", "[initial] phi_amp"),
     ("[initial]\nphi_mean = nan\n", "[initial] phi_mean"),
     ("[initial]\nu_vortex_amp = inf\n", "[initial] u_vortex_amp"),
+    ("[initial]\nseed = -1\n", "[initial] seed must be nonnegative"),
 ], ids=["ramp_rate", "power_p", "custom_family", "mode_not_digits", "mode_no_colon", "cfl_safety",
         "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
         "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
         "clamped_linear", "omega_inf", "rate_inf", "a_inf_nan", "g_top_scale_nan",
         "g_bottom_scale_inf", "nu2_inf", "phi_amp_nan", "phi_mean_nan",
-        "u_vortex_amp_inf"])
+        "u_vortex_amp_inf", "seed_negative"])
 def test_bad_object_rejected_at_parse(text, where):
     with pytest.raises(ValidationError) as exc:
         parse_config_text(text)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from chns.errors import IncompatibleRHS, InvariantViolation, NonpositiveViscosity
+from chns.errors import InvariantViolation, NonpositiveViscosity
 from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
                       grad_norm_sq, h1, helmholtz_project_velocity, helmholtz_solve_neumann,
                       helmholtz_solve_velocity, hminus1, inner,
                       inner_vec, l2, laplacian_neumann, leray_project, parseval_sum,
-                      projected_norm_sq, spectral_truncate, vector_laplacian, viscous_term)
+                      projected_norm_sq, vector_laplacian, viscous_term)
 from chns.solver import capillary_force
 
 from conftest import random_divfree, random_scalar, random_vector
@@ -168,18 +168,11 @@ class TestHelmholtz:
         sol = helmholtz_solve_neumann(rhs, 1.0, 1.0)
         assert np.allclose(sol.values, 0.7, rtol=1e-13)
 
-    def test_incompatible_rhs(self, grid32):
-        rhs = ScalarField(np.full((32, 32), 0.1), grid32)
-        with pytest.raises(IncompatibleRHS):
-            helmholtz_solve_neumann(rhs, 0.0, 1.0)
-
-    def test_residual_and_zero_mean(self, grid_rect, rng):
-        s = random_scalar(grid_rect, rng)
-        rhs = s - ScalarField(np.full(s.values.shape, s.mean()), s.grid)
-        sol = helmholtz_solve_neumann(rhs, 0.0, 2.0)
-        res = ScalarField(-2.0 * laplacian_neumann(sol).values, s.grid) - rhs
-        assert l2(res) <= 1e-10 * l2(rhs)
-        assert abs(sol.mean()) < 1e-13
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)])
+    def test_needs_positive_coefficients(self, grid32, a, b):
+        rhs = ScalarField(np.zeros((32, 32)), grid32)
+        with pytest.raises(InvariantViolation):
+            helmholtz_solve_neumann(rhs, a, b)
 
     @pytest.mark.parametrize("walls", [False, True], ids=["homogeneous", "wall_data"])
     def test_velocity_solve_residual(self, grid_rect, rng, walls):
@@ -427,31 +420,3 @@ class TestProjectedNorm:
             v = gradient(random_scalar(grid_rect, np.random.default_rng(seed)))
             got = projected_norm_sq(v)
             assert 0.0 <= got <= 1e-12 * l2(v)**2, seed
-
-
-class TestSpectralTruncate:
-    def test_full_cutoffs_identity(self, grid_rect, rng):
-        s = random_scalar(grid_rect, rng)
-        out = spectral_truncate(s, grid_rect.nx // 2, grid_rect.ny)
-        assert l2(out - s) < 1e-12 * l2(s)
-
-    def test_retained_mode_unchanged(self, grid_rect):
-        g = grid_rect
-        s = ScalarField.from_function(
-            g, lambda x, y: np.cos(2 * np.pi * x / g.lx) * np.cos(np.pi * y / g.ly))
-        out = spectral_truncate(s, 2, 2)
-        assert l2(out - s) < 1e-12 * l2(s)
-
-    def test_norm_nonincreasing_and_idempotent(self, grid_rect, rng):
-        s = random_scalar(grid_rect, rng)
-        t1 = spectral_truncate(s, 4, 6)
-        t2 = spectral_truncate(t1, 4, 6)
-        assert l2(t1) <= l2(s) * (1 + 1e-13)
-        assert l2(t2 - t1) < 1e-12 * max(l2(t1), 1e-30)
-
-    def test_cutoff_out_of_range(self, grid32, rng):
-        s = random_scalar(grid32, rng)
-        with pytest.raises(InvariantViolation):
-            spectral_truncate(s, 17, 16)
-        with pytest.raises(InvariantViolation):
-            spectral_truncate(s, 4, 33)

@@ -182,6 +182,19 @@ class TestStationaryStokes:
         couette = 0.5 - 0.75 * grid.yc / grid.ly
         assert np.abs(mean_ux - couette).max() < 1e-13
 
+    def test_pressure_on_long_box(self):
+        """p = nu D_y(omega) / G_x divides round-off by a small G_x at low k.
+
+        On this 1000 x 1 box the residual is about 2.0e-12 of nu/h^2, against
+        about 1e-14 on near-square grids; the bound keeps a factor 5.
+        """
+        grid = Grid(8, 256, lx=1000.0)
+        rng = np.random.default_rng(1)
+        gb, gt = rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)
+        u, p, _ = StationaryStokes(grid, NU1).solve(gb, gt)
+        h = min(grid.dx, grid.dy)
+        assert momentum_residual(u, p, NU1, gb, gt) < 1e-11 * NU1 / h**2
+
     def test_zero_data(self):
         grid = Grid(32, 24, lx=2.0, ly=1.0)
         u, p, info = StationaryStokes(grid, NU1).solve(np.zeros(32), np.zeros(32))

@@ -11,11 +11,9 @@ from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
                          SolverDiverged)
 from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
-                      inner_vec, l2, laplacian_neumann, leray_project, vector_laplacian,
-                      viscous_term)
+                      inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
 from chns.potential import ViscositySpec, eval_F
-from chns.solver import (Simulation, SolverConfig, cfl_bound, ch_substep,
-                         galerkin_study, run)
+from chns.solver import Simulation, SolverConfig, cfl_bound, ch_substep, run
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -511,30 +509,3 @@ class TestRunAndInvariants:
         with pytest.raises(SolverDiverged) as exc:
             sim.run(observers=(poison,))
         assert len(exc.value.records) >= 1
-
-
-class TestGalerkin:
-    def test_full_cutoff_identity(self):
-        grid = Grid(16, 16)
-        cfg = cfg_for(grid, 1e-3, 0.02)
-        rep = galerkin_study(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                             VectorField.zeros(grid), cutoffs=[max(grid.nx // 2, grid.ny)])
-        assert rep["errors"][0] < 1e-12
-
-    def test_bandlimited_linear_regime_agreement(self):
-        grid = Grid(32, 32)
-        phi0 = ScalarField.from_function(
-            grid, lambda x, y: 1e-5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-        cfg = cfg_for(grid, 1e-3, 0.02)
-        rep = galerkin_study(grid, cfg, WallData.zero(grid), phi0,
-                             VectorField.zeros(grid), cutoffs=[4, 8, 16])
-        assert all(e < 1e-12 for e in rep["errors"])
-
-    def test_truncation_errors_shrink_with_cutoff(self):
-        grid = Grid(32, 32)
-        cfg = cfg_for(grid, 1e-3, 0.05)
-        rep = galerkin_study(grid, cfg, WallData.zero(grid),
-                             noise_phi(grid, amp=0.05), VectorField.zeros(grid),
-                             cutoffs=[2, 4, 8])
-        assert rep["errors"][2] < rep["errors"][0]
-        assert rep["tail_nonincreasing"]
