@@ -188,6 +188,9 @@ def validate_config(cfg: RunConfig) -> None:
             bad.append(f"[initial] {name} must be finite, got {getattr(cfg, name)!r}")
     if cfg.seed < 0:
         bad.append(f"[initial] seed must be nonnegative, got {cfg.seed!r}")
+    if not 0 <= cfg.snapshot_every < math.inf:
+        bad.append(f"[outputs] snapshot_every must be nonnegative and finite, "
+                   f"got {cfg.snapshot_every!r}")
     if bad:
         raise ValidationError(bad)
 

@@ -8,7 +8,7 @@ time-step halving, or monotone tail behaviour of the tracked quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from .lifting import EllipticLift
 from .ops import (grad_norm_sq, h1, h2_norm_sq, hminus1, l2, laplacian_neumann,
                   parseval_sum, projected_norm_sq, v1_norm, vector_laplacian)
 from .potential import PotentialSpec, ViscositySpec, eval_F, eval_dF
-
-CSV_COLUMNS = ("t", "kinetic", "interfacial", "bulk", "total", "diss_u",
-               "diss_mu", "mass", "A", "B", "G", "res_phi", "res_u")
-
 
 @dataclass(frozen=True)
 class EnergyRecord:
@@ -49,6 +45,10 @@ class EnergyRecord:
 
     def as_row(self) -> tuple:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
+
+
+# the records.csv header: the record's fields, in their order
+CSV_COLUMNS = tuple(f.name for f in fields(EnergyRecord))
 
 
 @dataclass
@@ -185,10 +185,10 @@ def _g_norms(state, context: DiagnosticsContext, norms: dict,
     The lift's V1 and V2 norms carry its wall data at the state's time.
     """
     u_p = state.u_lift
-    hb, ht = context.data.eval_wall(state.t)
+    walls = context.data.eval_wall(state.t)
     up_l2 = l2(u_p)
-    up_grad_sq = grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)
-    up_lap_l2 = l2(vector_laplacian(u_p, hb, ht))
+    up_grad_sq = grad_norm_sq(u_p, walls)
+    up_lap_l2 = l2(vector_laplacian(u_p, walls))
     grad_phi = norms["grad_phi"]
     return {
         "up_v1": math.sqrt(up_l2**2 + up_grad_sq),

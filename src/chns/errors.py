@@ -22,7 +22,7 @@ class AssumptionViolated(ChnsError):
 
 
 class SolverDiverged(ChnsError):
-    """Iterative solve failed to converge or produced non-finite values."""
+    """A step produced non-finite values, or a lift step was given a nonpositive dt."""
 
 
 class CFLViolation(ChnsError):

@@ -30,7 +30,7 @@ import scipy.fft as sfft
 from .boundary import WallData, check_compatibility, extrapolated_wall_trace
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .ops import gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
+from .ops import Walls, gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift",
@@ -52,7 +52,8 @@ class StationaryStokes:
     uy = -D_x psi with psi = 0 on both walls, so it is divergence-free by
     construction; the curl of the momentum rows removes p and leaves
     L(L psi) = 0 with L = lam_x + D_yy.  The wall ghosts ``2 g - interior``
-    become psi_(-1) = psi_1 - 2 dy g_b and psi_(ny+1) = psi_(ny-1) + 2 dy g_t.
+    of ``ops._dy_ux`` become psi_(-1) = psi_1 - 2 dy g_b and
+    psi_(ny+1) = psi_(ny-1) + 2 dy g_t.
 
     The vorticity omega = L psi is discrete-harmonic in y, so it is fixed by
     its two wall values: a mix of sinh(kappa (ny - j)) / sinh(kappa ny) and
@@ -66,12 +67,11 @@ class StationaryStokes:
         self.grid = grid
         self.nu1 = float(nu1)
 
-    def solve(self, gb: np.ndarray, gt: np.ndarray) -> tuple[VectorField, ScalarField, dict]:
+    def solve(self, walls: Walls) -> tuple[VectorField, ScalarField, dict]:
         g = self.grid
-        gb = np.asarray(gb, dtype=float)
-        gt = np.asarray(gt, dtype=float)
-        if not (gb.any() or gt.any()):
+        if walls is None or not (np.any(walls[0]) or np.any(walls[1])):
             return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0}
+        gb, gt = walls
 
         dy, ny = g.dy, g.ny
         bhat, that = sfft.rfft(gb), sfft.rfft(gt)
@@ -107,10 +107,9 @@ class StationaryStokes:
         return u, p, {"iterations": 1}
 
 
-def momentum_residual(u: VectorField, p: ScalarField, nu1: float,
-                      gb: np.ndarray, gt: np.ndarray) -> float:
+def momentum_residual(u: VectorField, p: ScalarField, nu1: float, walls: Walls) -> float:
     """L2 norm of -nu1 Lap(u) + grad(p) with the data folded into ghosts."""
-    lap = vector_laplacian(u, gb, gt)
+    lap = vector_laplacian(u, walls)
     return l2(gradient(p) - nu1 * lap)
 
 
@@ -128,7 +127,7 @@ class EllipticLift:
         self.data = data
         key = (grid.key, self.nu1)
         if key not in data.lift_cache:
-            u, p, _ = StationaryStokes(grid, nu1).solve(data.g_bottom, data.g_top)
+            u, p, _ = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
             for arr in (u.ux, u.uy, p.values):
                 arr.flags.writeable = False
             data.lift_cache[key] = (u, p)
@@ -151,8 +150,7 @@ class EllipticLift:
 
 def initial_lift(u0: VectorField, nu1: float) -> tuple[VectorField, ScalarField]:
     """Stationary lift of the tangential trace of the initial velocity."""
-    gb, gt = extrapolated_wall_trace(u0)
-    u, p, _ = StationaryStokes(u0.grid, nu1).solve(gb, gt)
+    u, p, _ = StationaryStokes(u0.grid, nu1).solve(extrapolated_wall_trace(u0))
     return u, p
 
 

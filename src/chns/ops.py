@@ -12,7 +12,13 @@ Sign and staggering conventions:
   any advecting field with zero wall-normal component.
 * Wall closures: scalars reflect (homogeneous Neumann); tangential velocity
   uses linear ghost extrapolation ``ghost = 2 g - interior`` for Dirichlet
-  data g, which reduces to an odd reflection when g = 0.
+  data g, which reduces to an odd reflection when g = 0.  The data is one
+  value ``walls``: None for homogeneous walls, or the pair (bottom, top)
+  that ``WallData.eval_wall`` returns.  Every stencil (``viscous_term``,
+  ``vector_laplacian``, ``grad_norm_sq`` and ``solver.momentum_force``)
+  takes the corner quotient D_y u_x, ghost rows included, from ``_dy_ux``;
+  the implicit solves fold the same ghosts into their right-hand side
+  (``_fold_wall_data``).
 
 The time step uses ``helmholtz_project_velocity``, the velocity solve and the
 projection in one pass, and ``solver.momentum_force``, which folds the
@@ -112,29 +118,41 @@ def helmholtz_solve_neumann(rhs: ScalarField, a: float, b: float) -> ScalarField
     return ScalarField._trusted(g.from_spectral(coeffs / (a - b * g.lam_neumann)), g)
 
 
-def _fold_wall_data(rx: np.ndarray, coeff: float, g: Grid,
-                    wall_bottom: np.ndarray | None, wall_top: np.ndarray | None) -> np.ndarray:
-    """The x-velocity right-hand side with the wall ghosts ``2 g - interior`` folded in."""
-    if wall_bottom is None:
+# Tangential wall data: None (homogeneous walls) or the (bottom, top) pair.
+Walls = tuple[np.ndarray, np.ndarray] | None
+
+
+def _dy_ux(ux: np.ndarray, walls: Walls, dy: float) -> np.ndarray:
+    """D_y u_x at the corner rows 0..ny; the wall rows see the ghosts ``2 g - interior``."""
+    gb, gt = (0.0, 0.0) if walls is None else walls
+    out = np.empty((ux.shape[0], ux.shape[1] + 1))
+    inner = np.subtract(ux[:, 1:], ux[:, :-1], out=out[:, 1:-1])   # no temporaries
+    inner /= dy
+    out[:, 0] = 2.0 * (ux[:, 0] - gb) / dy
+    out[:, -1] = 2.0 * (gt - ux[:, -1]) / dy
+    return out
+
+
+def _fold_wall_data(rx: np.ndarray, coeff: float, g: Grid, walls: Walls) -> np.ndarray:
+    """The x-velocity right-hand side with the ghosts of ``_dy_ux`` folded in."""
+    if walls is None:
         return rx
+    gb, gt = walls
     rx = rx.copy()
-    rx[:, 0] += coeff * 2.0 * wall_bottom / g.dy**2
-    rx[:, -1] += coeff * 2.0 * wall_top / g.dy**2
+    rx[:, 0] += coeff * 2.0 * gb / g.dy**2
+    rx[:, -1] += coeff * 2.0 * gt / g.dy**2
     return rx
 
 
-def helmholtz_solve_velocity(rhs: VectorField, coeff: float,
-                             wall_bottom: np.ndarray | None = None,
-                             wall_top: np.ndarray | None = None) -> VectorField:
+def helmholtz_solve_velocity(rhs: VectorField, coeff: float, walls: Walls = None) -> VectorField:
     """Solve (I - coeff*Lap) u = rhs component-wise on the staggered layout, exactly.
 
     ux is solved by the rfft in x and DST-II in y, the interior rows of uy
     by the rfft and DST-I; the wall rows of uy stay zero.  Tangential wall
-    data (both walls or neither) enters through the ghosts ``2 g - interior``
-    of ``vector_laplacian``; without it the walls are homogeneous.
+    data enters through the ghosts of ``vector_laplacian``.
     """
     g = rhs.grid
-    rx = _fold_wall_data(rhs.ux, coeff, g, wall_bottom, wall_top)
+    rx = _fold_wall_data(rhs.ux, coeff, g, walls)
     ux = g.solve_helmholtz_ux(rx, coeff)
     uy = np.zeros((g.nx, g.ny + 1))
     uy[:, 1:-1] = g.solve_helmholtz_uy(rhs.uy[:, 1:-1], coeff)
@@ -155,9 +173,7 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
 
 
 def helmholtz_project_velocity(rhs: VectorField, coeff: float,
-                               wall_bottom: np.ndarray | None = None,
-                               wall_top: np.ndarray | None = None
-                               ) -> tuple[VectorField, ScalarField]:
+                               walls: Walls = None) -> tuple[VectorField, ScalarField]:
     """``leray_project(helmholtz_solve_velocity(rhs, coeff, ...))`` in one pass.
 
     The whole solve stays in x-Fourier space: the DST-II and DST-I Helmholtz
@@ -170,7 +186,7 @@ def helmholtz_project_velocity(rhs: VectorField, coeff: float,
     order differs.
     """
     g = rhs.grid
-    rx = _fold_wall_data(rhs.ux, coeff, g, wall_bottom, wall_top)
+    rx = _fold_wall_data(rhs.ux, coeff, g, walls)
     lam_x = g.lam_x[:, None]
     # complex arrays are scaled by real reciprocals: a product, not a division
     ux_hat = sfft.dst(sfft.rfft(rx, axis=0), type=2, axis=1, overwrite_x=True)
@@ -271,9 +287,7 @@ def _nu_at_corners(nu: np.ndarray) -> np.ndarray:
     return out
 
 
-def viscous_term(nu_field: ScalarField, v: VectorField,
-                 wall_bottom: np.ndarray | None = None,
-                 wall_top: np.ndarray | None = None) -> VectorField:
+def viscous_term(nu_field: ScalarField, v: VectorField, walls: Walls = None) -> VectorField:
     """Divergence of the viscous stress nu * sym(grad v).
 
     For constant nu and divergence-free v this is nu/2 times the vector
@@ -286,8 +300,6 @@ def viscous_term(nu_field: ScalarField, v: VectorField,
     nu = nu_field.values
     if np.any(nu <= 0.0):
         raise NonpositiveViscosity(f"viscosity min = {nu.min():.3e}")
-    gb = np.zeros(g.nx) if wall_bottom is None else np.asarray(wall_bottom, dtype=float)
-    gt = np.zeros(g.nx) if wall_top is None else np.asarray(wall_top, dtype=float)
 
     dx, dy = g.dx, g.dy
     # Normal stresses at cell centers.
@@ -295,10 +307,7 @@ def viscous_term(nu_field: ScalarField, v: VectorField,
     tyy = nu * (v.uy[:, 1:] - v.uy[:, :-1]) / dy
 
     # Shear stress at corners (rows 0..ny); ghost rows encode the wall data.
-    dyux = np.zeros((g.nx, g.ny + 1))
-    dyux[:, 1:-1] = (v.ux[:, 1:] - v.ux[:, :-1]) / dy
-    dyux[:, 0] = 2.0 * (v.ux[:, 0] - gb) / dy
-    dyux[:, -1] = 2.0 * (gt - v.ux[:, -1]) / dy
+    dyux = _dy_ux(v.ux, walls, dy)
     dxuy = (v.uy - _west(v.uy)) / dx
     txy = _nu_at_corners(nu) * 0.5 * (dyux + dxuy)
 
@@ -309,22 +318,18 @@ def viscous_term(nu_field: ScalarField, v: VectorField,
     return VectorField._trusted(out_x, out_y, g)
 
 
-def vector_laplacian(v: VectorField,
-                     wall_bottom: np.ndarray | None = None,
-                     wall_top: np.ndarray | None = None) -> VectorField:
-    """Component-wise 5-point Laplacian with tangential Dirichlet ghosts."""
+def vector_laplacian(v: VectorField, walls: Walls = None) -> VectorField:
+    """Component-wise 5-point Laplacian with tangential Dirichlet ghosts.
+
+    The y-part of the x-component is D_y of the corner quotient ``_dy_ux``.
+    """
     g = v.grid
-    gb = np.zeros(g.nx) if wall_bottom is None else np.asarray(wall_bottom, dtype=float)
-    gt = np.zeros(g.nx) if wall_top is None else np.asarray(wall_top, dtype=float)
     dx2, dy2 = g.dx**2, g.dy**2
 
     a = v.ux
     lap_x = (_east(a) - 2 * a + _west(a)) / dx2
-    ydiff = np.empty_like(a)
-    ydiff[:, 1:-1] = a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]
-    ydiff[:, 0] = a[:, 1] - 3 * a[:, 0] + 2 * gb
-    ydiff[:, -1] = 2 * gt - 3 * a[:, -1] + a[:, -2]
-    lap_x += ydiff / dy2
+    dyux = _dy_ux(a, walls, g.dy)
+    lap_x += (dyux[:, 1:] - dyux[:, :-1]) / g.dy
 
     b = v.uy
     lap_y = np.zeros_like(b)
@@ -407,9 +412,7 @@ def _ydiff_sq(a: np.ndarray) -> float:
     return np.vdot(d, d)
 
 
-def grad_norm_sq(v: VectorField | ScalarField,
-                 wall_bottom: np.ndarray | None = None,
-                 wall_top: np.ndarray | None = None) -> float:
+def grad_norm_sq(v: VectorField | ScalarField, walls: Walls = None) -> float:
     """Squared discrete gradient norm of a staggered vector field or of a scalar.
 
     Corner rows carry trapezoid weight 1/2 so that for homogeneous data the
@@ -420,25 +423,23 @@ def grad_norm_sq(v: VectorField | ScalarField,
     if isinstance(v, ScalarField):
         a = v.values
         return float(g.cell_area * (_xdiff_sq(a) / g.dx**2 + _ydiff_sq(a) / g.dy**2))
-    gb = np.zeros(g.nx) if wall_bottom is None else np.asarray(wall_bottom, dtype=float)
-    gt = np.zeros(g.nx) if wall_top is None else np.asarray(wall_top, dtype=float)
-    b = v.ux[:, 0] - gb             # half the jumps 2 (u - g) to the wall ghosts
-    t = gt - v.ux[:, -1]
+    d = _dy_ux(v.ux, walls, 1.0)    # at dy = 1 the quotients are the differences
+    # contiguous copies: vdot sums a strided view in another order
+    b, t, inner = d[:, 0].copy(), d[:, -1].copy(), d[:, 1:-1].copy()
     # uy's wall rows vanish, so only its interior rows have x-differences
     total = (_xdiff_sq(v.ux) + _xdiff_sq(v.uy[:, 1:-1])) / g.dx**2 \
-        + (_ydiff_sq(v.uy) + _ydiff_sq(v.ux) + 2.0 * (np.vdot(b, b) + np.vdot(t, t))) / g.dy**2
+        + (_ydiff_sq(v.uy) + np.vdot(inner, inner)
+           + 0.5 * (np.vdot(b, b) + np.vdot(t, t))) / g.dy**2
     return float(g.cell_area * total)
 
 
-def v1_norm(v: VectorField, **wall_kw) -> float:
-    return float(np.sqrt(l2(v)**2 + grad_norm_sq(v, **wall_kw)))
+def v1_norm(v: VectorField, walls: Walls = None) -> float:
+    return float(np.sqrt(l2(v)**2 + grad_norm_sq(v, walls)))
 
 
-def v2_norm(v: VectorField,
-            wall_bottom: np.ndarray | None = None,
-            wall_top: np.ndarray | None = None) -> float:
-    lap = vector_laplacian(v, wall_bottom, wall_top)
-    return float(np.sqrt(l2(v)**2 + grad_norm_sq(v, wall_bottom, wall_top) + l2(lap)**2))
+def v2_norm(v: VectorField, walls: Walls = None) -> float:
+    lap = vector_laplacian(v, walls)
+    return float(np.sqrt(l2(v)**2 + grad_norm_sq(v, walls) + l2(lap)**2))
 
 
 def h2_norm_sq(s: ScalarField) -> float:

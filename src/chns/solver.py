@@ -61,7 +61,7 @@ from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .lifting import EllipticLift, ParabolicLift
-from .ops import (_east, _nu_at_corners, _west, advect_scalar, gradient,
+from .ops import (Walls, _dy_ux, _east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
                   interp_center_to_yface, laplacian_neumann)
 from .potential import PotentialSpec, ViscositySpec, eval_dF
@@ -196,12 +196,12 @@ def implicit_viscosity(viscosity: ViscositySpec) -> float:
 
 
 def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.ndarray,
-                   a: float, gb: np.ndarray, gt: np.ndarray) -> VectorField:
+                   a: float, walls: Walls) -> VectorField:
     """The explicit momentum force, as one flux difference per component:
 
         mu grad(phi) - div(v v) + div(nu sym grad v) - (a/2) Lap v,
 
-    with the tangential wall data (gb, gt) in the ghosts ``2 g - interior``.
+    with the tangential wall data ``walls`` in the ghosts of ``ops._dy_ux``.
     The four difference quotients of v are formed once: D_x v_x and D_y v_y
     at cell centres, D_y v_x (with the ghost rows) and D_x v_y at corners.
     Since ``vector_laplacian`` is D_x D_x + D_y D_y on these same quotients,
@@ -213,7 +213,7 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
                   the same with (a/2) D_x v_y                                 (y)
 
     It equals ``capillary_force(phi, mu) - advect_velocity(v, v) +
-    viscous_term(nu, v, gb, gt) - (a/2) vector_laplacian(v, gb, gt)`` up to
+    viscous_term(nu, v, walls) - (a/2) vector_laplacian(v, walls)`` up to
     the order of summation.
     """
     if np.any(nu <= 0.0):
@@ -234,10 +234,7 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
     cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
 
     # corner fluxes, rows 0..ny; D_x v_y and vbar_x vbar_y vanish on the walls
-    dyux = np.empty((g.nx, g.ny + 1))
-    dyux[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / dy
-    dyux[:, 0] = 2.0 * (ux[:, 0] - gb) / dy
-    dyux[:, -1] = 2.0 * (gt - ux[:, -1]) / dy
+    dyux = _dy_ux(ux, walls, dy)
     vbar_y = _west(uy)                          # v_y one cell west, then the corner mean
     dxuy = (uy - vbar_y) / dx
     shear = _nu_at_corners(nu) * (0.5 * (dyux + dxuy))
@@ -263,11 +260,10 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                       cfg: SolverConfig) -> tuple[VectorField, ScalarField]:
     """One projection step of the momentum equation with physical wall data."""
     a = implicit_viscosity(cfg.viscosity)
-    hb0, ht0 = data.eval_wall(t_old)
-    hb1, ht1 = data.eval_wall(t_old + dt)
+    walls0, walls1 = data.eval_wall(t_old), data.eval_wall(t_old + dt)
 
-    expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, hb0, ht0)
-    u_new, q = helmholtz_project_velocity(u + dt * expl, dt * 0.5 * a, hb1, ht1)
+    expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, walls0)
+    u_new, q = helmholtz_project_velocity(u + dt * expl, dt * 0.5 * a, walls1)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
     return u_new, (1.0 / dt) * q
@@ -285,10 +281,10 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
     enters the force with the given coefficient.
     """
     a = implicit_viscosity(cfg.viscosity)
-    hb0, ht0 = data.eval_wall(t_old)
+    walls0 = data.eval_wall(t_old)
     w = ubar + u_lift_old
 
-    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, hb0, ht0) \
+    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, walls0) \
         - lift_coeff * dlift_dt
     ubar_new, q = helmholtz_project_velocity(ubar + dt * expl, dt * 0.5 * a)
     if not ubar_new.is_finite():
@@ -450,11 +446,3 @@ class Simulation:
             exc.records = records
             raise
         return records
-
-
-def run(grid: Grid, cfg: SolverConfig, data: WallData, phi0: ScalarField,
-        u0: VectorField, observers=(), diagnostics_context=None) -> tuple[SimState, list]:
-    sim = Simulation(grid, cfg, data, phi0, u0)
-    records = sim.run(observers=observers, diagnostics_context=diagnostics_context)
-    return sim.state, records
-

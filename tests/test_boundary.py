@@ -80,6 +80,18 @@ class TestEvalWallDt:
             assert np.abs((ht_p - ht_m) / (2 * eps) - dt_).max() < 1e-6
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda g: WallData(g, np.zeros(g.nx - 1), np.zeros(g.nx), Amplitude("custom_static")),
+     "length nx"),
+    (lambda g: WallData(g, np.zeros(g.nx), np.full(g.nx, np.nan), Amplitude("custom_static")),
+     "finite"),
+    (lambda g: certify_decay(couette_ramp(g), gamma=0.0), "gamma must be positive"),
+], ids=["wall_short", "wall_nan", "gamma_zero"])
+def test_bad_wall_input_rejected(grid, build, match):
+    with pytest.raises(InvariantViolation, match=match):
+        build(grid)
+
+
 class TestTraceNorm:
     def test_constant_any_order(self):
         data = np.full(64, 0.7)

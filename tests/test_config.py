@@ -9,7 +9,7 @@ from chns.config import (SCHEMA, RunConfig, build_grid, build_initial_phi,
                          build_initial_u, build_solver_config, build_viscosity,
                          build_wall_data, parse_config_text, serialize_config)
 from chns.diagnostics import DiagnosticsContext
-from chns.errors import CFLViolation, ValidationError
+from chns.errors import CFLViolation, ParseError, ValidationError
 from chns.potential import ViscositySpec
 from chns.solver import Simulation, SolverConfig
 
@@ -69,17 +69,28 @@ def test_defaults_are_the_objects_defaults():
     ("[initial]\nphi_mean = nan\n", "[initial] phi_mean"),
     ("[initial]\nu_vortex_amp = inf\n", "[initial] u_vortex_amp"),
     ("[initial]\nseed = -1\n", "[initial] seed must be nonnegative"),
+    ("[initial]\nu = vortex\n", "[initial] unknown u profile"),
+    ("[outputs]\nsnapshot_every = -1\n", "[outputs] snapshot_every"),
+    ("[outputs]\nsnapshot_every = nan\n", "[outputs] snapshot_every"),
 ], ids=["ramp_rate", "power_p", "custom_family", "mode_not_digits", "mode_no_colon", "cfl_safety",
         "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
         "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
         "clamped_linear", "omega_inf", "rate_inf", "a_inf_nan", "g_top_scale_nan",
         "g_bottom_scale_inf", "nu2_inf", "phi_amp_nan", "phi_mean_nan",
-        "u_vortex_amp_inf", "seed_negative"])
+        "u_vortex_amp_inf", "seed_negative", "u_unknown", "snapshot_every_negative",
+        "snapshot_every_nan"])
 def test_bad_object_rejected_at_parse(text, where):
     with pytest.raises(ValidationError) as exc:
         parse_config_text(text)
     assert len(exc.value.violations) == 1
     assert exc.value.violations[0].startswith(where)
+
+
+@pytest.mark.parametrize("text", ["nx = 4\n", "[grid]\nnx = 4\nnx = 8\n"],
+                         ids=["no_section_header", "duplicate_key"])
+def test_malformed_text_raises_parse_error(text):
+    with pytest.raises(ParseError, match="<string>"):
+        parse_config_text(text)
 
 
 def test_every_bad_object_reported():

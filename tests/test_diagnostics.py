@@ -15,7 +15,7 @@ from chns.ops import (grad_norm_sq, gradient, h1, h2_norm_sq, helmholtz_solve_ne
                       inner, l2, laplacian_neumann, leray_project, v1_norm, v2_norm,
                       vector_laplacian)
 from chns.potential import PotentialSpec, ViscositySpec, eval_dF, eval_F
-from chns.solver import SimState, Simulation, SolverConfig, run
+from chns.solver import SimState, Simulation, SolverConfig
 
 from conftest import random_vector
 
@@ -77,7 +77,7 @@ class TestEnergyInequality:
         phi0 = ScalarField(vals - vals.mean(), grid)
         cfg = SolverConfig(dt=1e-3, t_end=0.2, record_every=1e-3,
                            viscosity=ViscositySpec(nu1=1.0, nu2=1.05))
-        _, records = run(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid))
+        records = Simulation(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid)).run()
         rep = energy_inequality_report(records, WallData.zero(grid), nu1=1.0)
         assert rep["max_step_increase"] <= 1e-10
         assert rep["dissipation_finite"]
@@ -91,9 +91,8 @@ class TestEnergyInequality:
             cfg = SolverConfig(dt=dt, t_end=0.5, mode="lifted_elliptic",
                                record_every=1e-2,
                                viscosity=ViscositySpec(nu1=1.0, nu2=1.04))
-            _, records = run(grid, cfg, data,
-                             ScalarField(np.full((32, 32), 0.1), grid),
-                             VectorField.zeros(grid))
+            records = Simulation(grid, cfg, data, ScalarField(np.full((32, 32), 0.1), grid),
+                                 VectorField.zeros(grid)).run()
             rep = energy_inequality_report(records, data, nu1=1.0)
             sups.append(rep["sup_K"])
         assert all(math.isfinite(s) and s >= 0 for s in sups)
@@ -104,7 +103,7 @@ class TestEnergyInequality:
         grid = Grid(16, 16)
         cfg = SolverConfig(dt=1e-3, t_end=0.0)
         phi0 = ScalarField(np.full((16, 16), 0.1), grid)
-        _, records = run(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid))
+        records = Simulation(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid)).run()
         assert len(records) == 1
         rep = energy_inequality_report(records, WallData.zero(grid), cfg.viscosity.nu1)
         assert rep["dissipation_finite"] is True
@@ -266,7 +265,7 @@ class TestContinuousDependence:
                            viscosity=ViscositySpec(nu1=1.0, nu2=1.04))
         sample = TrajectorySample()
         phi0 = ScalarField(np.full((grid.nx, grid.ny), 0.1 + phi_shift), grid)
-        run(grid, cfg, data, phi0, VectorField.zeros(grid),
+        Simulation(grid, cfg, data, phi0, VectorField.zeros(grid)).run(
             observers=[sample.append])
         return sample, data
 
@@ -314,6 +313,14 @@ class TestZlemTail:
         rep = zlem_tail_check(t, np.ones_like(t))
         assert not rep["decaying"]
 
+    @pytest.mark.parametrize("series", ["y", "g"])
+    def test_misaligned_series_rejected(self, series):
+        t = np.linspace(0, 1, 11)
+        short = np.ones(10)
+        args = (t, short) if series == "y" else (t, np.ones(11), short)
+        with pytest.raises(MisalignedSeries, match=f"t and {series} disagree"):
+            zlem_tail_check(*args)
+
     def test_spiky_but_integrable(self):
         t = np.linspace(0, 40, 4001)
         y = np.exp(-t)
@@ -350,12 +357,12 @@ class TestRecordAgainstPublicNorms:
                      + l2(laplacian_neumann(lap_phi)) ** 2
                      + l2(laplacian_neumann(mu)) ** 2)
         u_p = state.u_lift
-        hb, ht = ctx.data.eval_wall(state.t)
+        walls = ctx.data.eval_wall(state.t)
         norms = {
-            "up_v1": v1_norm(u_p, wall_bottom=hb, wall_top=ht),
-            "up_v2": v2_norm(u_p, wall_bottom=hb, wall_top=ht),
+            "up_v1": v1_norm(u_p, walls),
+            "up_v2": v2_norm(u_p, walls),
             "up_l2": l2(u_p),
-            "grad_up": math.sqrt(grad_norm_sq(u_p, wall_bottom=hb, wall_top=ht)),
+            "grad_up": math.sqrt(grad_norm_sq(u_p, walls)),
             "ubar_l2": l2(ub),
             "phi_l2": l2(phi),
             "phi_h1": h1(phi),

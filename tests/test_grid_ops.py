@@ -37,6 +37,17 @@ def grad_norm_sq_stencil(v, gb, gt):
                           + np.sum(dxuy**2))
 
 
+WALL_CASES = ["homogeneous", "wall_data", "moving_top"]
+
+
+def wall_case(grid, rng, case):
+    """None, random data on both walls, or a resting bottom wall under a moving top."""
+    if case == "homogeneous":
+        return None
+    bottom = rng.standard_normal(grid.nx) if case == "wall_data" else np.zeros(grid.nx)
+    return bottom, rng.standard_normal(grid.nx)
+
+
 class TestGrid:
     def test_invariants(self):
         with pytest.raises(InvariantViolation):
@@ -80,8 +91,8 @@ class TestFieldChecksAtTheEdges:
         outputs = {
             "gradient": gradient(s),
             "advect_velocity": advect_velocity(v, w),
-            "viscous_term": viscous_term(nu, v, wall_bottom=gb, wall_top=gt),
-            "vector_laplacian": vector_laplacian(v, gb, gt),
+            "viscous_term": viscous_term(nu, v, (gb, gt)),
+            "vector_laplacian": vector_laplacian(v, (gb, gt)),
             "leray_project": leray_project(v)[0],
             "capillary_force": capillary_force(s, mu),
             "add": v + w,
@@ -174,14 +185,13 @@ class TestHelmholtz:
         with pytest.raises(InvariantViolation):
             helmholtz_solve_neumann(rhs, a, b)
 
-    @pytest.mark.parametrize("walls", [False, True], ids=["homogeneous", "wall_data"])
-    def test_velocity_solve_residual(self, grid_rect, rng, walls):
+    @pytest.mark.parametrize("case", WALL_CASES)
+    def test_velocity_solve_residual(self, grid_rect, rng, case):
         g = grid_rect
         rhs = random_vector(g, rng)
-        hb, ht = (rng.standard_normal(g.nx), rng.standard_normal(g.nx)) if walls \
-            else (None, None)
-        u = helmholtz_solve_velocity(rhs, 0.3, hb, ht)
-        res = u - 0.3 * vector_laplacian(u, hb, ht) - rhs
+        walls = wall_case(g, rng, case)
+        u = helmholtz_solve_velocity(rhs, 0.3, walls)
+        res = u - 0.3 * vector_laplacian(u, walls) - rhs
         assert l2(res) <= 1e-12 * l2(rhs)
         assert not u.uy[:, 0].any() and not u.uy[:, -1].any()
 
@@ -189,14 +199,13 @@ class TestHelmholtz:
 class TestHelmholtzProject:
     """The one-pass solve against leray_project(helmholtz_solve_velocity(...))."""
 
-    @pytest.mark.parametrize("walls", [False, True], ids=["homogeneous", "wall_data"])
-    def test_matches_solve_then_project(self, grid_rect, rng, walls):
+    @pytest.mark.parametrize("case", WALL_CASES)
+    def test_matches_solve_then_project(self, grid_rect, rng, case):
         g = grid_rect
         rhs = random_vector(g, rng)
-        hb, ht = (rng.standard_normal(g.nx), rng.standard_normal(g.nx)) if walls \
-            else (None, None)
-        ref_u, ref_q = leray_project(helmholtz_solve_velocity(rhs, 0.3, hb, ht))
-        u, q = helmholtz_project_velocity(rhs, 0.3, hb, ht)
+        walls = wall_case(g, rng, case)
+        ref_u, ref_q = leray_project(helmholtz_solve_velocity(rhs, 0.3, walls))
+        u, q = helmholtz_project_velocity(rhs, 0.3, walls)
         assert l2(u - ref_u) <= 1e-13 * l2(ref_u)
         assert l2(q - ref_q) <= 1e-13 * l2(ref_q)
         assert np.abs(divergence(u).values).max() <= 1e-13 * u.max_abs() / min(g.dx, g.dy)
@@ -348,7 +357,7 @@ class TestNorms:
         gb, gt = -0.7, 1.3
         v = VectorField.from_components(g, lambda x, y: gb + (gt - gb) * y / g.ly + 0.0 * x,
                                         lambda x, y: 0.0 * x)
-        got = grad_norm_sq(v, wall_bottom=np.full(g.nx, gb), wall_top=np.full(g.nx, gt))
+        got = grad_norm_sq(v, (np.full(g.nx, gb), np.full(g.nx, gt)))
         assert got == pytest.approx(((gt - gb) / g.ly) ** 2 * g.lx * g.ly, rel=1e-12)
 
     def test_grad_norm_with_wall_data_matches_stencil(self, grid_rect, rng):
@@ -356,7 +365,7 @@ class TestNorms:
         v = random_vector(g, rng)
         gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
         want = grad_norm_sq_stencil(v, gb, gt)
-        assert grad_norm_sq(v, wall_bottom=gb, wall_top=gt) == pytest.approx(want, rel=1e-12)
+        assert grad_norm_sq(v, (gb, gt)) == pytest.approx(want, rel=1e-12)
         zero = np.zeros(g.nx)
         assert grad_norm_sq(v) == pytest.approx(grad_norm_sq_stencil(v, zero, zero), rel=1e-12)
 

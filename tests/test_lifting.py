@@ -63,7 +63,7 @@ class TestEllipticLift:
         grid = Grid(48, 48)
         data = make_data(grid, "single_mode:1")
         ell = EllipticLift(grid, NU1, data)
-        res = momentum_residual(ell.unit_u, ell.unit_p, NU1, data.g_bottom, data.g_top)
+        res = momentum_residual(ell.unit_u, ell.unit_p, NU1, (data.g_bottom, data.g_top))
         bound = 1e-8 * NU1 * math.sqrt(data.shape_trace_norm_sq(1.5)) + 1e-12
         assert res <= bound
         assert l2(divergence(ell.unit_u)) < 1e-11
@@ -104,7 +104,7 @@ class TestEllipticLift:
             g = Grid(n, n)
             data = make_data(g, "single_mode:1")
             ell = EllipticLift(g, NU1, data)
-            v2 = v2_norm(ell.unit_u, wall_bottom=data.g_bottom, wall_top=data.g_top)
+            v2 = v2_norm(ell.unit_u, (data.g_bottom, data.g_top))
             ratios.append(v2 / math.sqrt(data.shape_trace_norm_sq(1.5)))
         assert abs(ratios[1] / ratios[0] - 1.0) < 0.2
 
@@ -137,7 +137,7 @@ class TestLiftCache:
         solves = []
         solve = StationaryStokes.solve
         monkeypatch.setattr(StationaryStokes, "solve",
-                            lambda self, gb, gt: solves.append(self.nu1) or solve(self, gb, gt))
+                            lambda self, walls: solves.append(self.nu1) or solve(self, walls))
         first = EllipticLift(grid, cfg.nu1, data)
         second = EllipticLift(grid, cfg.nu1, data)
         u0 = build_initial_u(cfg, grid, data)
@@ -171,10 +171,10 @@ class TestStationaryStokes:
         i = np.arange(grid.nx)
         gb = 0.5 + (-1.0) ** i
         gt = -0.25 + wall_profile(grid, "single_mode:1")
-        u, p, info = StationaryStokes(grid, NU1).solve(gb, gt)
+        u, p, info = StationaryStokes(grid, NU1).solve((gb, gt))
         scale = max(np.abs(gb).max(), np.abs(gt).max())
         assert info["iterations"] == 1
-        assert momentum_residual(u, p, NU1, gb, gt) < 1e-12 * NU1 * scale / grid.dy**2
+        assert momentum_residual(u, p, NU1, (gb, gt)) < 1e-12 * NU1 * scale / grid.dy**2
         assert np.abs(divergence(u).values).max() < 1e-12 * scale / grid.dy
         assert abs(p.mean()) < 1e-14 * np.abs(p.values).max()
         # the mean of the data is carried by the Couette profile alone
@@ -191,13 +191,13 @@ class TestStationaryStokes:
         grid = Grid(8, 256, lx=1000.0)
         rng = np.random.default_rng(1)
         gb, gt = rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)
-        u, p, _ = StationaryStokes(grid, NU1).solve(gb, gt)
+        u, p, _ = StationaryStokes(grid, NU1).solve((gb, gt))
         h = min(grid.dx, grid.dy)
-        assert momentum_residual(u, p, NU1, gb, gt) < 1e-11 * NU1 / h**2
+        assert momentum_residual(u, p, NU1, (gb, gt)) < 1e-11 * NU1 / h**2
 
     def test_zero_data(self):
         grid = Grid(32, 24, lx=2.0, ly=1.0)
-        u, p, info = StationaryStokes(grid, NU1).solve(np.zeros(32), np.zeros(32))
+        u, p, info = StationaryStokes(grid, NU1).solve((np.zeros(32), np.zeros(32)))
         assert info["iterations"] == 0
         assert l2(u) == 0.0 and l2(p) == 0.0
 
@@ -216,7 +216,7 @@ def dense_stokes(grid, nu, gb, gt):
 
     def residual(z, wb, wt):
         u, p = unpack(z)
-        mom = gradient(p) - nu * vector_laplacian(u, wb, wt)
+        mom = gradient(p) - nu * vector_laplacian(u, (wb, wt))
         return np.concatenate([mom.ux.ravel(), mom.uy[:, 1:-1].ravel(),
                                divergence(u).values.ravel(), [p.values.mean()]])
 
@@ -263,7 +263,7 @@ class TestStationaryStokesOracles:
         nyquist = (-alt, 2.0 * alt)
         gb, gt = {"mean": mean, "mode_1": mode_1, "nyquist": nyquist,
                   "mix": tuple(a + b + c for a, b, c in zip(mean, mode_1, nyquist))}[case]
-        u, p, info = StationaryStokes(grid, NU1).solve(gb, gt)
+        u, p, info = StationaryStokes(grid, NU1).solve((gb, gt))
         u_ref, p_ref = dense_stokes(grid, NU1, gb, gt)
         assert info["iterations"] == 1
         scale = max(np.abs(gb).max(), np.abs(gt).max())
@@ -276,7 +276,7 @@ class TestStationaryStokesOracles:
         for n in (32, 64, 128):
             grid = Grid(n, n)
             u, p, _ = StationaryStokes(grid, NU1).solve(
-                np.zeros(n), wall_profile(grid, "single_mode:1"))
+                (np.zeros(n), wall_profile(grid, "single_mode:1")))
             u_ex, p_ex = channel_stokes_mode(grid, NU1)
             errs.append((l2(u - u_ex), l2(p - p_ex)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

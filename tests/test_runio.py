@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chns.errors import InvariantViolation
-from chns.diagnostics import CSV_COLUMNS
-from chns.runio import HEADER_BYTES, read_records_csv, read_snapshot, write_snapshot
+from chns.diagnostics import CSV_COLUMNS, EnergyRecord
+from chns.runio import (HEADER_BYTES, read_records_csv, read_snapshot, write_records_csv,
+                        write_snapshot)
 
 
 def test_snapshot_round_trip_is_exact(tmp_path, rng):
@@ -62,6 +63,36 @@ def test_records_row_of_wrong_width_raises_package_error(tmp_path, rows, line):
     _csv(path, rows)
     with pytest.raises(InvariantViolation, match=f"line {line} has"):
         read_records_csv(path)
+
+
+def _wrong_header(path):
+    path.write_text(",".join(reversed(CSV_COLUMNS)) + "\n", encoding="utf-8")
+    read_records_csv(path)
+
+
+def _three_dimensional_snapshot(path):
+    write_snapshot(path, np.zeros((2, 3, 4)), "phi", 0.0)
+
+
+@pytest.mark.parametrize("act, message", [
+    (_wrong_header, "unexpected CSV header"),
+    (_three_dimensional_snapshot, "2D arrays"),
+], ids=["csv_wrong_header", "snapshot_3d"])
+def test_bad_table_or_array_raises_package_error(tmp_path, act, message):
+    with pytest.raises(InvariantViolation, match=message):
+        act(tmp_path / "out")
+
+
+def test_records_header_is_the_record_fields_in_row_order(tmp_path):
+    assert CSV_COLUMNS == ("t", "kinetic", "interfacial", "bulk", "total", "diss_u",
+                           "diss_mu", "mass", "A", "B", "G", "res_phi", "res_u")
+    rec = EnergyRecord(*(0.5 + i for i in range(len(CSV_COLUMNS))))
+    path = tmp_path / "records.csv"
+    write_records_csv(path, [rec])
+    # each value is read back under the header name of the field it came from
+    columns = read_records_csv(path)
+    assert {name: col[0] for name, col in columns.items()} == \
+        {name: getattr(rec, name) for name in CSV_COLUMNS}
 
 
 def test_records_of_full_rows_read_back(tmp_path):

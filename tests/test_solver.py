@@ -13,7 +13,7 @@ from chns.grid import Grid, ScalarField, VectorField
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
 from chns.potential import ViscositySpec, eval_F
-from chns.solver import Simulation, SolverConfig, cfl_bound, ch_substep, run
+from chns.solver import Simulation, SolverConfig, cfl_bound, ch_substep
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -201,9 +201,9 @@ class TestMomentumForce:
         else:
             gb, gt = np.zeros(g.nx), np.zeros(g.nx)
         ref = solver.capillary_force(phi, mu) - advect_velocity(v, v) \
-            + viscous_term(ScalarField(nu, g), v, gb, gt) \
-            - (0.5 * a) * vector_laplacian(v, gb, gt)
-        out = solver.momentum_force(phi, mu, v, nu, a, gb, gt)
+            + viscous_term(ScalarField(nu, g), v, (gb, gt)) \
+            - (0.5 * a) * vector_laplacian(v, (gb, gt))
+        out = solver.momentum_force(phi, mu, v, nu, a, (gb, gt))
         assert l2(out - ref) <= 1e-13 * l2(ref)
         assert not out.uy[:, 0].any() and not out.uy[:, -1].any()
 
@@ -213,9 +213,9 @@ class TestMomentumForce:
         v, a = random_divfree(g, rng), 1.3
         gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
         zero = ScalarField.zeros(g)
-        out = solver.momentum_force(zero, zero, v, np.full((g.nx, g.ny), a), a, gb, gt)
+        out = solver.momentum_force(zero, zero, v, np.full((g.nx, g.ny), a), a, (gb, gt))
         adv = advect_velocity(v, v)
-        assert l2(out + adv) <= 1e-13 * (l2(adv) + a * l2(vector_laplacian(v, gb, gt)))
+        assert l2(out + adv) <= 1e-13 * (l2(adv) + a * l2(vector_laplacian(v, (gb, gt))))
 
     def test_nonpositive_viscosity_rejected(self, grid_rect, rng):
         g = grid_rect
@@ -223,7 +223,7 @@ class TestMomentumForce:
         nu = np.ones((g.nx, g.ny))
         nu[3, 4] = 0.0
         with pytest.raises(NonpositiveViscosity):
-            solver.momentum_force(phi, phi, v, nu, 1.0, np.zeros(g.nx), np.zeros(g.nx))
+            solver.momentum_force(phi, phi, v, nu, 1.0, (np.zeros(g.nx), np.zeros(g.nx)))
 
 
 class TestNsDirect:
@@ -351,8 +351,9 @@ class TestRunAndInvariants:
     def test_t_end_zero_returns_initial_only(self):
         grid = Grid(16, 16)
         cfg = cfg_for(grid, 1e-3, 0.0)
-        state, records = run(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                             VectorField.zeros(grid))
+        sim = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid), VectorField.zeros(grid))
+        records = sim.run()
+        state = sim.state
         assert state.t == 0.0
         assert len(records) == 1
 
@@ -366,19 +367,23 @@ class TestRunAndInvariants:
             sim.run()
         assert sim.state.t == 0.0
 
-    @pytest.mark.parametrize("field", ["record_every", "cfl_safety"])
-    def test_nonpositive_cadence_and_safety_rejected(self, field):
+    @pytest.mark.parametrize("field, value", [("record_every", 0.0), ("cfl_safety", 0.0),
+                                              ("mode", "bogus")],
+                             ids=["record_every", "cfl_safety", "mode"])
+    def test_nonpositive_cadence_and_safety_rejected(self, field, value):
         grid = Grid(16, 16)
         with pytest.raises(InvariantViolation, match=field):
-            cfg_for(grid, 1e-3, 0.01, **{field: 0.0})
+            cfg_for(grid, 1e-3, 0.01, **{field: value})
 
     def test_timestamps_strictly_increasing_and_deterministic(self):
         grid = Grid(16, 16)
         cfg = cfg_for(grid, 1e-3, 0.02, record_every=2e-3)
         outs = []
         for _ in range(2):
-            state, records = run(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                                 VectorField.zeros(grid))
+            sim = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid),
+                             VectorField.zeros(grid))
+            records = sim.run()
+            state = sim.state
             ts = [r.t for r in records]
             assert all(a < b for a, b in zip(ts, ts[1:]))
             outs.append((state, records))
@@ -388,8 +393,8 @@ class TestRunAndInvariants:
     def test_energy_nonincreasing_homogeneous(self):
         grid = Grid(32, 32)
         cfg = cfg_for(grid, 1e-3, 0.3, record_every=1e-3)
-        _, records = run(grid, cfg, WallData.zero(grid), noise_phi(grid),
-                         VectorField.zeros(grid))
+        records = Simulation(grid, cfg, WallData.zero(grid), noise_phi(grid),
+                             VectorField.zeros(grid)).run()
         totals = [r.total for r in records]
         assert all(b <= a + 1e-10 for a, b in zip(totals, totals[1:]))
 
@@ -399,8 +404,8 @@ class TestRunAndInvariants:
                         Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
         cfg = cfg_for(grid, 1e-3, 0.2, mode="lifted_elliptic",
                       visc=ViscositySpec(nu1=1.0, nu2=1.04))
-        _, records = run(grid, cfg, data, noise_phi(grid, mean=0.15),
-                         VectorField.zeros(grid))
+        records = Simulation(grid, cfg, data, noise_phi(grid, mean=0.15),
+                             VectorField.zeros(grid)).run()
         masses = [r.mass for r in records]
         assert max(abs(m - masses[0]) for m in masses) < 1e-10
 
@@ -468,8 +473,9 @@ class TestRunAndInvariants:
 
         def final(step):
             cfg = cfg_for(grid, step, t_end, mode=mode, visc=visc, record_every=t_end)
-            state, _ = run(grid, cfg, data, phi0, VectorField.zeros(grid))
-            return state
+            sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+            sim.run()
+            return sim.state
 
         ref = final(dt / 64)
         errs = [(l2(st.u - ref.u), l2(st.phi - ref.phi), l2(st.p - ref.p))
