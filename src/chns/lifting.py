@@ -14,10 +14,16 @@ field.
 The evolutionary lift integrates  d/dt u_p - nu1 Lap(u_p) + grad(p) = 0 with
 u_p = h on the walls.  It is stepped through the decomposition
 u_p(t) = a(t) U + w(t), where U is the unit stationary lift and w solves a
-homogeneous-data Stokes evolution forced by -a'(t) U.  Static data therefore
-keeps u_p identical to the stationary lift exactly (w stays zero), and
-u_p - u_e equals w at all times, which is what the difference estimates
-consume.
+homogeneous-data Stokes evolution forced by -a'(t) U, from w(0) = 0: u_p
+starts at the stationary lift, and a mismatch of u0 with the data stays in
+the solver's ubar(0).  Static data therefore keeps u_p identical to the
+stationary lift exactly, and u_p - u_e equals w at all times, which is what
+the difference estimates consume.  Moving a field d from ubar(0) into w(0)
+would move the solver's next u by c P H grad(q), as (I - dt (a/2) Lap) S =
+c S + (1 - c) I with S = (I - dt nu1 Lap)^-1 and H = (I - dt (a/2) Lap)^-1:
+c = 1 - a/(2 nu1) is the lift-force coefficient of ``ns_substep_lifted``, P
+the projection and q the projection potential of S d, so the change vanishes
+for nu2 = 3 nu1 (c = 0) and is O(dt) otherwise.
 """
 
 from __future__ import annotations
@@ -27,14 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .boundary import WallData, check_compatibility, extrapolated_wall_trace
+from .boundary import WallData
 from .errors import MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .ops import Walls, gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift",
-    "initial_lift", "momentum_residual", "LiftPairHistory", "run_lift_pair",
+    "momentum_residual", "LiftPairHistory", "run_lift_pair",
     "lift_difference_report",
 ]
 
@@ -148,38 +154,25 @@ class EllipticLift:
         return self.data.amplitude(t) * self.unit_u
 
 
-def initial_lift(u0: VectorField, nu1: float) -> tuple[VectorField, ScalarField]:
-    """Stationary lift of the tangential trace of the initial velocity."""
-    u, p, _ = StationaryStokes(u0.grid, nu1).solve(extrapolated_wall_trace(u0))
-    return u, p
-
-
 class ParabolicLift:
     """Backward-Euler integrator for the evolutionary lift.
 
-    Keeps the decomposition u_p = a(t) U + w; each step advances w by an
-    implicit solve with homogeneous walls followed by an exact projection,
-    then stores the new sum as ``u_p`` and its difference quotient as
-    ``du_p_dt`` (None before the first step).  ``w`` is u_p - u_e, the
-    difference from the stationary lift.  ``u0=None`` declares initial data
-    compatible with the walls; any other u0 is checked.
+    Keeps the decomposition u_p = a(t) U + w from w(0) = 0, the stationary
+    lift; each step advances w by an implicit solve with homogeneous walls
+    followed by an exact projection, then stores the new sum as ``u_p`` and
+    its difference quotient as ``du_p_dt`` (None before the first step).
+    ``w`` is u_p - u_e, the difference from the stationary lift.
     """
 
-    def __init__(self, elliptic: EllipticLift, u0: VectorField | None = None):
+    def __init__(self, elliptic: EllipticLift):
         self.ell = elliptic
         self.grid = elliptic.grid
         self.nu1 = elliptic.nu1
         self.data = elliptic.data
         self.t = 0.0
-        a0 = self.data.amplitude(0.0)
-        if u0 is None or check_compatibility(u0, self.data):
-            # compatible data: same constructor as the stationary lift at t=0
-            self.w = VectorField.zeros(self.grid)
-        else:
-            up0, _ = initial_lift(u0, self.nu1)
-            self.w = up0 - a0 * self.ell.unit_u
+        self.w = VectorField.zeros(self.grid)
         self.du_p_dt: VectorField | None = None
-        self.u_p = a0 * self.ell.unit_u + self.w
+        self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
 
     def step(self, dt: float) -> None:
         if dt <= 0:

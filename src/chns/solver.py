@@ -32,6 +32,8 @@ Modes:
                     stationary lift u_e carries the data and contributes the
                     explicit interaction terms and a -d/dt u_e force.
   lifted_parabolic  march ubar = u - u_p against the evolutionary lift; the
+                    lift starts at the stationary lift, u_p(0) = u_e(0), and
+                    any mismatch of u0 with the data stays in ubar(0).  The
                     lift force -d/dt u_p enters with coefficient
                     1 - a/(2 nu1).  The implicit part (a/2) Lap acts on ubar
                     only, so (a/2) Lap(u_p) is added explicitly; the lift
@@ -39,7 +41,8 @@ Modes:
                     into a/(2 nu1) d/dt u_p plus a gradient, which the
                     projection annihilates.  In the elliptic mode
                     nu1 Lap(u_e) is itself a gradient, so the coefficient
-                    stays 1.
+                    stays 1.  Where u_p starts moves u by the coefficient
+                    times an O(dt) splitting error (see ``lifting``).
 
 Both lifted modes take the same step, ``ns_substep_lifted``, given the active
 lift's field, its time derivative and its coefficient; the state carries the
@@ -345,30 +348,31 @@ class Simulation:
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
                  phi0: ScalarField, u0: VectorField):
+        for name, given in (("data", data), ("phi0", phi0), ("u0", u0)):
+            if given.grid.key != grid.key:
+                raise InvariantViolation(f"{name} is on grid {given.grid.key}, not {grid.key}")
         self.grid = grid
         self.cfg = cfg
         self.data = data
-        self.compatible = check_compatibility(u0, data)
-        if not self.compatible:
-            warnings.warn("initial velocity trace does not match the wall data at t=0",
-                          stacklevel=2)
-
         self.ell: EllipticLift | None = None
         self.par: ParabolicLift | None = None
         mu0 = initial_mu(phi0)
 
         if cfg.mode == "direct":
             self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid))
+            self.compatible = check_compatibility(u0, data)
         else:
             self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
-                # compatible data needs no trace lift: u0=None skips a second check
-                self.par = ParabolicLift(self.ell, u0=None if self.compatible else u0)
-                lift0 = self.par.u_p
-            else:
-                lift0 = self.ell.state_at(0.0)
+                self.par = ParabolicLift(self.ell)
+            lift0 = self.ell.state_at(0.0)
             self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid),
                                   ubar=u0 - lift0, u_lift=lift0)
+            # the marched ubar has homogeneous walls
+            self.compatible = check_compatibility(self.state.ubar, WallData.zero(grid))
+        if not self.compatible:
+            warnings.warn("initial velocity trace does not match the wall data at t=0",
+                          stacklevel=2)
 
     @property
     def state(self) -> SimState:

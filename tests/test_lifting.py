@@ -1,19 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from chns.boundary import Amplitude, WallData, wall_profile
-from chns.config import (RunConfig, build_grid, build_initial_u, build_solver_config,
-                         build_wall_data)
+from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
+from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
+                         build_solver_config, build_wall_data)
 from chns.diagnostics import DiagnosticsContext
 from chns.errors import InvariantViolation
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
-                          initial_lift, lift_difference_report,
-                          momentum_residual, run_lift_pair)
+                          lift_difference_report, momentum_residual, run_lift_pair)
 from chns.ops import (divergence, gradient, l2, leray_project, v1_norm, v2_norm,
                       vector_laplacian)
+from chns.solver import Simulation
 
 NU1 = 0.8
 
@@ -142,6 +143,9 @@ class TestLiftCache:
         second = EllipticLift(grid, cfg.nu1, data)
         u0 = build_initial_u(cfg, grid, data)
         ctx = DiagnosticsContext.for_run(grid, build_solver_config(cfg), data)
+        # the evolutionary lift starts at the cached stationary one
+        parabolic = build_solver_config(dataclasses.replace(cfg, mode="lifted_parabolic"))
+        Simulation(grid, parabolic, data, build_initial_phi(cfg, grid), u0)
         assert solves == [cfg.nu1]
         assert second.unit_u is first.unit_u
         assert np.array_equal(u0.ux, first.at(0.0)[0].ux)
@@ -283,15 +287,20 @@ class TestStationaryStokesOracles:
         assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
 
 
+def trace_lift(u: VectorField) -> VectorField:
+    """Stationary Stokes lift of the extrapolated tangential trace of u."""
+    return StationaryStokes(u.grid, NU1).solve(extrapolated_wall_trace(u))[0]
+
+
 class TestInitialLift:
     def test_zero_trace(self):
         grid = Grid(32, 32)
-        u, p = initial_lift(VectorField.zeros(grid), NU1)
+        u = trace_lift(VectorField.zeros(grid))
         assert l2(u) == 0.0
 
     def test_couette_trace(self):
         grid = Grid(32, 32)
-        u, _ = initial_lift(couette_exact(grid), NU1)
+        u = trace_lift(couette_exact(grid))
         assert np.abs(u.ux - couette_exact(grid).ux).max() < 1e-10
 
     def test_refinement_consistency(self):
@@ -308,11 +317,11 @@ class TestInitialLift:
             v, _ = leray_project(VectorField(ux, uy, grid))
             return v
 
-        ref, _ = initial_lift(sampled_flow(fine), NU1)
+        ref = trace_lift(sampled_flow(fine))
         errs = []
         for n in (32, 64):
             g = Grid(n, n)
-            u, _ = initial_lift(sampled_flow(g), NU1)
+            u = trace_lift(sampled_flow(g))
             errs.append(l2(u - restrict_vector(ref, g)))
         assert errs[1] < 0.5 * errs[0]
 
@@ -321,7 +330,7 @@ class TestParabolicLift:
     def test_static_data_is_exact_fixed_point(self):
         grid = Grid(32, 32)
         ell = EllipticLift(grid, NU1, make_data(grid))
-        par = ParabolicLift(ell, u0=couette_exact(grid))
+        par = ParabolicLift(ell)
         for _ in range(25):
             par.step(0.05)
         assert l2(par.w) == 0.0
@@ -339,7 +348,7 @@ class TestParabolicLift:
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
         ell = EllipticLift(grid, NU1, make_data(grid, "uniform", amp))
-        par = ParabolicLift(ell, u0=VectorField.zeros(grid))
+        par = ParabolicLift(ell)
         dt = 0.01
         norms = []
         for n in range(1, 1201):
@@ -349,16 +358,6 @@ class TestParabolicLift:
         # late-time tail shrinks monotonically toward the stationary lift
         assert all(a > b for a, b in zip(norms[2:], norms[3:]))
         assert norms[-1] < norms[0]
-
-    def test_incompatible_initial_data_uses_trace_lift(self):
-        grid = Grid(32, 32)
-        data = make_data(grid)  # static top speed 1
-        ell = EllipticLift(grid, NU1, data)
-        par = ParabolicLift(ell, u0=VectorField.zeros(grid))
-        # u0 trace (zero) disagrees with the data: w(0) = lift(0) - u_e = -u_e
-        assert l2(par.u_p) < 1e-12
-        par.step(0.01)
-        assert l2(par.u_p) > 0.0
 
 
 class TestLiftDifferenceReport:

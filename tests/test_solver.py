@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from chns import solver
-from chns.boundary import Amplitude, WallData, wall_profile
+from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
+from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
+                         build_solver_config, build_wall_data)
 from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
                          SolverDiverged)
 from chns.grid import Grid, ScalarField, VectorField
+from chns.lifting import StationaryStokes
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
 from chns.potential import ViscositySpec, eval_F
@@ -331,6 +334,56 @@ class TestLiftedModes:
         diff = l2(finals["lifted_parabolic"] - finals["direct"])
         assert diff < 0.01 * l2(finals["direct"])
 
+    @staticmethod
+    def lift_start_change(visc, u0, dt, n_steps):
+        """Relative changes of phi and u when the evolutionary lift starts at
+        the Stokes lift of u0's trace instead of at the stationary lift.
+
+        The walls move at t = 0 and the given u0 does not match them.
+        """
+        grid = u0.grid
+        amp = Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)
+        data = WallData(grid, wall_profile(grid, "single_mode:1"),
+                        wall_profile(grid, "uniform"), amp)
+        cfg = cfg_for(grid, dt, 0.0, mode="lifted_parabolic", visc=visc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # deliberately incompatible start
+            sims = [Simulation(grid, cfg, data, noise_phi(grid), u0) for _ in range(2)]
+        moved = sims[1]
+        stokes, _, _ = StationaryStokes(grid, visc.nu1).solve(extrapolated_wall_trace(u0))
+        w0 = stokes - amp(0.0) * moved.ell.unit_u
+        assert l2(w0) > 0.1 * l2(moved.ell.unit_u)
+        moved.par.w = w0
+        moved.par.u_p = moved.par.u_p + w0
+        moved.state = dataclasses.replace(moved.state, ubar=moved.state.ubar - w0,
+                                          u_lift=moved.par.u_p)
+        for sim in sims:
+            for _ in range(n_steps):
+                sim.step()
+        ref, other = sims[0].state, moved.state
+        return (np.abs(other.phi.values - ref.phi.values).max() / np.abs(ref.phi.values).max(),
+                l2(other.u - ref.u) / l2(ref.u))
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_parabolic_lift_start_moves_nothing_when_lift_force_vanishes(self, start):
+        # nu2 = 3 nu1 makes the lift force coefficient 1 - a/(2 nu1) zero, and
+        # then the implicit solves of ubar and of the lift are the same
+        grid = Grid(32, 32)
+        u0 = VectorField.zeros(grid) if start == "zero" \
+            else random_divfree(grid, np.random.default_rng(3), amp=0.1)
+        changes = self.lift_start_change(ViscositySpec(nu1=0.5, nu2=1.5), u0, 2e-3, 20)
+        assert max(changes) <= 1e-12, changes
+
+    def test_parabolic_lift_start_moves_u_at_first_order_in_dt(self):
+        # with nu2 = 2 nu1 the coefficient is 1/4; the start then moves u by
+        # the coefficient times an O(dt) term, a splitting error
+        grid = Grid(32, 32)
+        visc = ViscositySpec(nu1=0.5, nu2=1.0)
+        du = [self.lift_start_change(visc, VectorField.zeros(grid), dt, round(0.04 / dt))[1]
+              for dt in (4e-3, 2e-3)]
+        assert du[0] > 1e-4
+        assert 0.4 < du[1] / du[0] < 0.6, du
+
     def test_mode_difference_first_order_in_dt(self):
         grid = Grid(32, 32)
         errs = []
@@ -345,6 +398,48 @@ class TestLiftedModes:
             errs.append(l2(finals["direct"] - finals["lifted_elliptic"]))
         ratio = errs[1] / errs[0]
         assert 0.25 < ratio < 0.75
+
+
+class TestSimulationInputs:
+    @staticmethod
+    def lift_start(n, mode):
+        """Simulation inputs of a config with u = lift and walls moving at t = 0."""
+        cfg = RunConfig(nx=n, ny=n, family="couette_ramp", a0=1.0, a_inf=0.5,
+                        g_bottom="single_mode:1", g_top="uniform", u_profile="lift",
+                        mode=mode)
+        grid = build_grid(cfg)
+        data = build_wall_data(cfg, grid)
+        return (grid, build_solver_config(cfg), data, build_initial_phi(cfg, grid),
+                build_initial_u(cfg, grid, data))
+
+    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
+    def test_lift_start_is_compatible_in_lifted_modes(self, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = Simulation(*self.lift_start(64, mode))
+        assert sim.compatible
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_rest_start_against_moving_walls_warns(self, mode):
+        grid, cfg, data, phi0, _ = self.lift_start(16, mode)
+        with pytest.warns(UserWarning, match="does not match the wall data"):
+            sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+        assert not sim.compatible
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    @pytest.mark.parametrize("other", ["data", "phi0", "u0"])
+    def test_inputs_from_another_grid_rejected(self, mode, other):
+        def inputs(grid):
+            return {"data": WallData(grid, wall_profile(grid, "zero"),
+                                     wall_profile(grid, "uniform"),
+                                     Amplitude("custom_static", a0=1.0)),
+                    "phi0": noise_phi(grid), "u0": couette_field(grid)}
+
+        grid = Grid(16, 16, lx=2.0)
+        given = inputs(grid)
+        given[other] = inputs(Grid(16, 16, lx=4.0))[other]
+        with pytest.raises(InvariantViolation, match=other):
+            Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode), **given)
 
 
 class TestRunAndInvariants:
