@@ -191,14 +191,12 @@ class WallData:
         return cls(grid, z, z.copy(), Amplitude("custom_static", a0=0.0))
 
     def eval_wall(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if t < 0:
-            raise InvariantViolation(f"negative time {t}")
+        _require_time(t)
         a = self.amplitude(t)
         return a * self.g_bottom, a * self.g_top
 
     def eval_wall_dt(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if t < 0:
-            raise InvariantViolation(f"negative time {t}")
+        _require_time(t)
         a = self.amplitude.dt(t)
         return a * self.g_bottom, a * self.g_top
 
@@ -210,6 +208,12 @@ class WallData:
         """Both-wall squared trace norm of the unit shape (g_bottom, g_top)."""
         return trace_norm(self.g_bottom, s, self.grid.lx) ** 2 \
             + trace_norm(self.g_top, s, self.grid.lx) ** 2
+
+
+def _require_time(t: float) -> None:
+    # every comparison with nan is false, so nan fails the check
+    if not 0 <= t < math.inf:
+        raise InvariantViolation(f"time must be nonnegative and finite, got {t!r}")
 
 
 def trace_norm(data: np.ndarray, s: float, lx: float = 1.0) -> float:
@@ -268,8 +272,8 @@ def certify_decay(data: WallData, gamma: float) -> dict:
     The report carries pass/fail per condition plus the smallest admissible
     front constant over the probe grid t = 0, 0.25, ..., 50.
     """
-    if gamma <= 0:
-        raise InvariantViolation("gamma must be positive")
+    if not 0 < gamma < math.inf:        # nan fails too
+        raise InvariantViolation(f"gamma must be positive and finite, got {gamma!r}")
     amp = data.amplitude
 
     conditions = []

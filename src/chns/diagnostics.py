@@ -16,8 +16,9 @@ from .boundary import WallData, require_aligned, trace_norm
 from .errors import MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField
 from .lifting import EllipticLift
-from .ops import (grad_norm_sq, h1, h2_norm_sq, hminus1, l2, laplacian_neumann,
-                  parseval_sum, projected_norm_sq, v1_norm, vector_laplacian)
+from .ops import (_hminus1_of, _projected_norm_sq_of, divergence, grad_norm_sq, h1,
+                  h2_norm_sq, hminus1, l2, laplacian_neumann, parseval_sum, v1_norm,
+                  vector_laplacian)
 from .potential import PotentialSpec, ViscositySpec, eval_F, eval_dF
 
 @dataclass(frozen=True)
@@ -82,8 +83,34 @@ def _shared_norms(state) -> dict:
             "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
 
 
+def _spectra(state, residual: np.ndarray | None = None) -> dict:
+    """The Grid.to_spectral coefficients a record needs, from one stacked call.
+
+    Those of phi, mu and div(Lap ubar), which ``higher_order`` reads, and of
+    the stationary residual when it is given; Lap ubar comes along.
+    """
+    lap_ub = vector_laplacian(state.ubar)
+    fields = [state.phi.values, state.mu.values, divergence(lap_ub).values]
+    if residual is not None:
+        fields.append(residual)
+    c = state.phi.grid.to_spectral(np.stack(fields))
+    out = {"lap_ubar": lap_ub, "phi_hat": c[0], "mu_hat": c[1], "div_lap_ubar_hat": c[2]}
+    if residual is not None:
+        out["residual_hat"] = c[3]
+    return out
+
+
+def _stationary_residual(phi: ScalarField) -> np.ndarray:
+    """-Lap(phi) + F'(phi), whose dual norm is ``steady_state_residual_phi``."""
+    return -laplacian_neumann(phi).values + eval_dF(phi.values)
+
+
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
-    """Quadrature evaluation of the energy split plus the optional monitors."""
+    """Quadrature evaluation of the energy split plus the optional monitors.
+
+    With a context, every transform of the record (the residual's, and in
+    the certified mode those of ``higher_order``) is one stacked call.
+    """
     phi = state.phi
     norms = _shared_norms(state)
     kinetic = 0.5 * norms["ub_l2"] ** 2
@@ -95,11 +122,18 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     a = b = gq = math.nan
     res_phi = res_u = math.nan
     if context is not None:
-        res_phi = steady_state_residual_phi(phi)
+        certified = (context.mode == "lifted_parabolic" and state.u_lift is not None
+                     and context.viscosity is not None and context.viscosity.is_constant)
+        residual = _stationary_residual(phi)
+        if certified:
+            norms.update(_spectra(state, residual))
+            residual_hat = norms["residual_hat"]
+        else:
+            residual_hat = phi.grid.to_spectral(residual)
+        res_phi = _hminus1_of(phi.grid, residual_hat)
         if context.u_infinity is not None:
             res_u = v1_norm(state.u - context.u_infinity)
-        if (context.mode == "lifted_parabolic" and state.u_lift is not None
-                and context.viscosity is not None and context.viscosity.is_constant):
+        if certified:
             a, b, gq = higher_order(state, context, norms)
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
@@ -219,13 +253,14 @@ def higher_order(state, context: DiagnosticsContext,
     """Higher-order functionals of the evolutionary-lift splitting.
 
     Restricted to constant-viscosity runs in the evolutionary-lift mode;
-    anything else raises ModeMismatch.  ``energy`` passes in the norms it
-    has already computed for the same state; without them they are
-    computed here.
+    anything else raises ModeMismatch.  ``energy`` passes in the norms and
+    transforms it has already computed for the same state; without them
+    they are computed here.
 
-    phi's and mu's norms are Parseval sums over one stacked transform.  B's
-    Stokes term is |P v|^2 = |v|^2 - |grad q|^2, v = -vector_laplacian(ubar),
-    clamped at 0 against round-off (``ops.projected_norm_sq``).
+    phi's and mu's norms are Parseval sums over one stacked transform, which
+    also takes div(v) for B's Stokes term |P v|^2 = |v|^2 - |grad q|^2,
+    v = -vector_laplacian(ubar), clamped at 0 against round-off
+    (``ops.projected_norm_sq``).
     """
     if context.mode != "lifted_parabolic" or state.u_lift is None:
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
@@ -233,16 +268,18 @@ def higher_order(state, context: DiagnosticsContext,
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")
     if norms is None:
         norms = _shared_norms(state)
+    if "phi_hat" not in norms:
+        norms = {**norms, **_spectra(state)}
     grid = state.phi.grid
-    c = grid.to_spectral(np.stack((state.phi.values, state.mu.values)))
-    p_phi, p_mu = c.real**2 + c.imag**2
+    c_phi, c_mu = norms["phi_hat"], norms["mu_hat"]
+    p_phi, p_mu = c_phi.real**2 + c_phi.imag**2, c_mu.real**2 + c_mu.imag**2
     lam2 = grid.lam_neumann**2
     phi_sq, lap_phi_sq, lap2_phi_sq, mu_sq, lap_mu_sq = parseval_sum(
         grid, np.stack((p_phi, lam2 * p_phi, lam2**2 * p_phi, p_mu, lam2 * p_mu)))
 
     a = norms["diss_u"] + lap_phi_sq + mu_sq
     # the sign of v drops out of every norm of it
-    stokes_sq = projected_norm_sq(vector_laplacian(state.ubar))
+    stokes_sq = _projected_norm_sq_of(norms["lap_ubar"], norms["div_lap_ubar_hat"])
     b = context.viscosity.value * stokes_sq + lap2_phi_sq + lap_mu_sq
     g = evaluate_g(_g_norms(state, context, norms, phi_sq, lap_phi_sq), context.potential.q)
     return float(a), float(b), float(g)
@@ -258,8 +295,7 @@ def steady_state_residual_phi(phi: ScalarField) -> float:
     Depends on phi alone (adding a constant to the chemical potential does
     not change it); zero does not imply stability, merely criticality.
     """
-    r = ScalarField._trusted(-laplacian_neumann(phi).values + eval_dF(phi.values), phi.grid)
-    return hminus1(r)
+    return hminus1(ScalarField._trusted(_stationary_residual(phi), phi.grid))
 
 
 @dataclass

@@ -12,6 +12,7 @@ iterative tolerance for them.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ class Grid:
 
     A Grid may be shared freely across threads: construction precomputes
     every wavenumber/eigenvalue table and nothing is mutated afterwards.
+    Tables that also depend on a solve coefficient are built at first use
+    and kept read-only outside the grid (``solve_table``).
     """
 
     def __init__(self, nx: int, ny: int, lx: float = 1.0, ly: float = 1.0):
@@ -72,6 +75,11 @@ class Grid:
         self.inv_lam_neumann.flat[1:] = 1.0 / self.lam_neumann.flat[1:]
         # Smallest velocity-space eigenvalue of -Laplacian (discrete Poincare constant).
         self.poincare_lambda1 = min(-self.lam_y_dst2[0], -self.lam_y_dst1[0])
+        # Parseval weights of the scalar transform layout (see ``ops.parseval_sum``).
+        self.parseval_wx = np.full(self.nx // 2 + 1, 2.0 / self.nx)
+        self.parseval_wx[0] = self.parseval_wx[-1] = 1.0 / self.nx
+        self.parseval_wy = np.full(self.ny, 1.0 / (2 * self.ny))
+        self.parseval_wy[0] = 1.0 / (4 * self.ny)
 
     @property
     def key(self) -> tuple:
@@ -88,10 +96,10 @@ class Grid:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward transform over the last two axes (stacks too): rfft in x, DCT-II in y."""
-        return sfft.dct(sfft.rfft(values, axis=-2), type=2, axis=-1)
+        return complex_r2r(sfft.dct, sfft.rfft(values, axis=-2), 2, overwrite_x=True)
 
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        return sfft.irfft(sfft.idct(coeffs, type=2, axis=1), axis=0, n=self.nx)
+        return sfft.irfft(complex_r2r(sfft.idct, coeffs, 2), axis=0, n=self.nx)
 
     # -- velocity-component transforms for implicit solves -------------------
 
@@ -110,6 +118,20 @@ class Grid:
         shat = sfft.dst(sfft.rfft(rhs_interior, axis=0), type=1, axis=1)
         shat /= 1.0 - coeff * (self.lam_x[:, None] + self.lam_y_dst1[None, :])
         return sfft.irfft(sfft.idst(shat, type=1, axis=1), axis=0, n=self.nx)
+
+
+def complex_r2r(transform, c: np.ndarray, type: int, overwrite_x: bool = False) -> np.ndarray:
+    """``transform(c, type=type, axis=-1)`` for a complex array c, in one call.
+
+    ``transform`` is a real DCT or DST of ``scipy.fft``, which takes a complex
+    input as two transforms, of the real and of the imaginary part.  Along
+    axis -2 of the real view (..., n, 2) of c one transform takes both, with
+    the same values.
+    """
+    c = np.ascontiguousarray(c, dtype=np.complex128)      # no copy for a solve's arrays
+    out = transform(c.view(np.float64).reshape(*c.shape, 2), type=type, axis=-2,
+                    overwrite_x=overwrite_x)
+    return out.view(np.complex128).reshape(c.shape)
 
 
 def _as_array(values, shape, what):
@@ -241,12 +263,46 @@ def require_same_grid(*objs):
         raise InvariantViolation(f"fields live on different grids: {sorted(keys)}")
 
 
+# Tables that depend on a grid and a solve coefficient, such as the inverse
+# Helmholtz symbols of one dt: built at first use, read-only, and bounded in
+# number, so a ladder of step sizes cannot grow them without end.
+_SOLVE_TABLES: dict = {}
+_SOLVE_TABLES_MAX = 16
+_SOLVE_TABLES_LOCK = threading.Lock()
+
+
+def solve_table(name: str, grid: Grid, coeff, build):
+    """The table ``build()`` of ``name`` for this grid and coefficient, built once.
+
+    The table (an array or a tuple of arrays) is read-only and shared by every
+    grid with the same ``key``; the oldest table is dropped when the cache is full.
+    """
+    key = (name, grid.key, coeff)
+    with _SOLVE_TABLES_LOCK:
+        table = _SOLVE_TABLES.get(key)
+    if table is None:
+        table = build()
+        for arr in (table if isinstance(table, tuple) else (table,)):
+            arr.flags.writeable = False
+        with _SOLVE_TABLES_LOCK:
+            if len(_SOLVE_TABLES) >= _SOLVE_TABLES_MAX:
+                del _SOLVE_TABLES[next(iter(_SOLVE_TABLES))]
+            _SOLVE_TABLES[key] = table
+    return table
+
+
 def whole_steps(span: float, dt: float, what: str) -> int:
     """The number of dt steps in a time span that holds a whole number of them.
 
     A span such as t_end = 0.1 at dt = 0.0015 would otherwise be rounded to a
-    different time (0.1005) without notice.
+    different time (0.1005) without notice.  dt must be positive and finite,
+    the span nonnegative and finite.
     """
+    # every comparison with nan is false, so nan fails its check
+    if not 0 < dt < math.inf:
+        raise InvariantViolation(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= span < math.inf:
+        raise InvariantViolation(f"{what} must be nonnegative and finite, got {span!r}")
     n = round(span / dt)
     if not math.isclose(n * dt, span, rel_tol=1e-9):
         raise InvariantViolation(f"{what} = {span!r} is not a whole number of "

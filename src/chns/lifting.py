@@ -28,13 +28,14 @@ for nu2 = 3 nu1 (c = 0) and is O(dt) otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
 from .boundary import WallData
-from .errors import MisalignedSeries, SolverDiverged
+from .errors import InvariantViolation, MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
 from .ops import Walls, gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
 
@@ -161,7 +162,9 @@ class ParabolicLift:
     lift; each step advances w by an implicit solve with homogeneous walls
     followed by an exact projection, then stores the new sum as ``u_p`` and
     its difference quotient as ``du_p_dt`` (None before the first step).
-    ``w`` is u_p - u_e, the difference from the stationary lift.
+    ``w`` is u_p - u_e, the difference from the stationary lift.  Each step
+    builds new arrays for all three, so a field handed out earlier is never
+    written.
     """
 
     def __init__(self, elliptic: EllipticLift):
@@ -175,15 +178,29 @@ class ParabolicLift:
         self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
 
     def step(self, dt: float) -> None:
-        if dt <= 0:
-            raise SolverDiverged("parabolic lift: dt must be positive")
+        if not 0 < dt < math.inf:           # nan fails too
+            raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
+                                     f"got {dt!r}")
+        g, unit = self.grid, self.ell.unit_u
         t_new = self.t + dt
         up_old = self.u_p
-        rhs = self.w - (dt * self.data.amplitude.dt(t_new)) * self.ell.unit_u
-        self.w, _ = helmholtz_project_velocity(rhs, dt * self.nu1)
+        # w - (dt a'(t)) U, a(t) U + w and (u_p - up_old) / dt, each in new
+        # arrays: U is read-only, and u_p and du_p_dt have been handed out
+        scale = dt * self.data.amplitude.dt(t_new)
+        rx, ry = unit.ux * scale, unit.uy * scale
+        np.subtract(self.w.ux, rx, out=rx)
+        np.subtract(self.w.uy, ry, out=ry)
+        self.w, _ = helmholtz_project_velocity(VectorField._trusted(rx, ry, g), dt * self.nu1)
         self.t = t_new
-        self.u_p = self.data.amplitude(t_new) * self.ell.unit_u + self.w
-        self.du_p_dt = (1.0 / dt) * (self.u_p - up_old)
+        a = self.data.amplitude(t_new)
+        ux, uy = unit.ux * a, unit.uy * a
+        ux += self.w.ux
+        uy += self.w.uy
+        self.u_p = VectorField._trusted(ux, uy, g)
+        dux, duy = ux - up_old.ux, uy - up_old.uy
+        dux *= 1.0 / dt
+        duy *= 1.0 / dt
+        self.du_p_dt = VectorField._trusted(dux, duy, g)
         if not self.w.is_finite():
             raise SolverDiverged("parabolic lift produced non-finite values")
 

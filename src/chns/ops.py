@@ -14,11 +14,12 @@ Sign and staggering conventions:
   uses linear ghost extrapolation ``ghost = 2 g - interior`` for Dirichlet
   data g, which reduces to an odd reflection when g = 0.  The data is one
   value ``walls``: None for homogeneous walls, or the pair (bottom, top)
-  that ``WallData.eval_wall`` returns.  Every stencil (``viscous_term``,
-  ``vector_laplacian``, ``grad_norm_sq`` and ``solver.momentum_force``)
-  takes the corner quotient D_y u_x, ghost rows included, from ``_dy_ux``;
-  the implicit solves fold the same ghosts into their right-hand side
-  (``_fold_wall_data``).
+  that ``WallData.eval_wall`` returns.  The stencils ``viscous_term``,
+  ``vector_laplacian`` and ``solver.momentum_force`` take the corner
+  quotient D_y u_x, ghost rows included, from ``_dy_ux``; ``grad_norm_sq``
+  sums the squares of the same corner differences, ghost rows included,
+  without building the quotient array; the implicit solves fold the same
+  ghosts into their right-hand side (``_fold_wall_data``).
 
 The time step uses ``helmholtz_project_velocity``, the velocity solve and the
 projection in one pass, and ``solver.momentum_force``, which folds the
@@ -31,7 +32,9 @@ references too: the lift and the diagnostics use ``vector_laplacian`` and
 the initial data ``leray_project``, whose norm ``projected_norm_sq`` gives
 without projecting.  Every mean-free Neumann Poisson inverse, in
 ``leray_project``, ``helmholtz_project_velocity`` and ``projected_norm_sq``,
-is the one table ``Grid.inv_lam_neumann``.
+is the one table ``Grid.inv_lam_neumann``.  The inverse Helmholtz symbols of
+``helmholtz_project_velocity`` depend on the coefficient too: they are built
+once per grid and coefficient (``grid.solve_table``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import InvariantViolation, NonpositiveViscosity
-from .grid import Grid, ScalarField, VectorField, require_same_grid
+from .grid import (Grid, ScalarField, VectorField, complex_r2r, require_same_grid,
+                   solve_table)
 
 __all__ = [
     "divergence", "gradient", "laplacian_neumann", "helmholtz_solve_neumann",
@@ -64,6 +68,18 @@ def _east(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[:-1] = a[1:]
     out[-1] = a[0]
+    return out
+
+
+def _xx(a: np.ndarray, dx2: float) -> np.ndarray:
+    """(_east(a) - 2 a + _west(a)) / dx2 in that order, without the shifted copies."""
+    two_a = 2.0 * a
+    out = np.empty_like(two_a)
+    np.subtract(a[1:], two_a[:-1], out=out[:-1])
+    np.subtract(a[0], two_a[-1], out=out[-1])
+    out[1:] += a[:-1]
+    out[0] += a[-1]
+    out /= dx2
     return out
 
 
@@ -98,11 +114,14 @@ def laplacian_neumann(s: ScalarField) -> ScalarField:
     """
     g = s.grid
     a = s.values
-    out = (_east(a) - 2.0 * a + _west(a)) / g.dx**2
+    out = _xx(a, g.dx**2)
+    d = a[:, 1:] - a[:, :-1]
     ydiff = np.zeros_like(a)
-    ydiff[:, :-1] += (a[:, 1:] - a[:, :-1])
-    ydiff[:, 1:] += (a[:, :-1] - a[:, 1:])
-    return ScalarField._trusted(out + ydiff / g.dy**2, g)
+    ydiff[:, :-1] += d
+    ydiff[:, 1:] -= d           # adds a[:, :-1] - a[:, 1:], the same difference negated
+    ydiff /= g.dy**2
+    out += ydiff
+    return ScalarField._trusted(out, g)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +191,13 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     return v - gradient(q), q
 
 
+def _helmholtz_symbols(g: Grid, coeff: float) -> tuple[np.ndarray, np.ndarray]:
+    """1 / (1 - coeff (lam_x + lam_y)) on the DST-II (ux) and DST-I (interior uy) layouts."""
+    lam_x = g.lam_x[:, None]
+    return (1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst2)),
+            1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst1)))
+
+
 def helmholtz_project_velocity(rhs: VectorField, coeff: float,
                                walls: Walls = None) -> tuple[VectorField, ScalarField]:
     """``leray_project(helmholtz_solve_velocity(rhs, coeff, ...))`` in one pass.
@@ -187,24 +213,24 @@ def helmholtz_project_velocity(rhs: VectorField, coeff: float,
     """
     g = rhs.grid
     rx = _fold_wall_data(rhs.ux, coeff, g, walls)
-    lam_x = g.lam_x[:, None]
     # complex arrays are scaled by real reciprocals: a product, not a division
-    ux_hat = sfft.dst(sfft.rfft(rx, axis=0), type=2, axis=1, overwrite_x=True)
-    ux_hat *= 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst2))
-    ux_hat = sfft.idst(ux_hat, type=2, axis=1, overwrite_x=True)
+    inv_x, inv_y = solve_table("helmholtz", g, coeff, lambda: _helmholtz_symbols(g, coeff))
+    ux_hat = complex_r2r(sfft.dst, sfft.rfft(rx, axis=0), 2, overwrite_x=True)
+    ux_hat *= inv_x
+    ux_hat = complex_r2r(sfft.idst, ux_hat, 2, overwrite_x=True)
     uy_hat = np.zeros((g.nx // 2 + 1, g.ny + 1), dtype=complex)
-    c = sfft.dst(sfft.rfft(rhs.uy[:, 1:-1], axis=0), type=1, axis=1, overwrite_x=True)
-    c *= 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst1))
-    uy_hat[:, 1:-1] = sfft.idst(c, type=1, axis=1, overwrite_x=True)
+    c = complex_r2r(sfft.dst, sfft.rfft(rhs.uy[:, 1:-1], axis=0), 1, overwrite_x=True)
+    c *= inv_y
+    uy_hat[:, 1:-1] = complex_r2r(sfft.idst, c, 1, overwrite_x=True)
 
     inv_dy = 1.0 / g.dy
     div = g.ddx_east[:, None] * ux_hat
     ddy = uy_hat[:, 1:] - uy_hat[:, :-1]
     ddy *= inv_dy
     div += ddy
-    c = sfft.dct(div, type=2, axis=1, overwrite_x=True)
+    c = complex_r2r(sfft.dct, div, 2, overwrite_x=True)
     c *= g.inv_lam_neumann      # zero on the mean mode, where mean(div) = 0 anyway
-    q_hat = sfft.idct(c, type=2, axis=1, overwrite_x=True)
+    q_hat = complex_r2r(sfft.idct, c, 2, overwrite_x=True)
 
     ux_hat -= g.ddx_west[:, None] * q_hat
     ddy = q_hat[:, 1:] - q_hat[:, :-1]
@@ -233,10 +259,26 @@ def advect_scalar(v: VectorField, s: ScalarField) -> ScalarField:
     """Conservative transport term div(v s) with centered face values."""
     require_same_grid(v, s)
     g = v.grid
-    flux_x = v.ux * interp_center_to_xface(s.values)
-    flux_y = np.zeros((g.nx, g.ny + 1))
-    flux_y[:, 1:-1] = v.uy[:, 1:-1] * interp_center_to_yface(s.values)
-    return divergence(VectorField._trusted(flux_x, flux_y, g))
+    a = s.values
+    # the face fluxes v * interp(s) and their divergence, operation for
+    # operation, without the shifted copies (fy's wall rows are zero)
+    fx = np.empty_like(a)
+    np.add(a[1:], a[:-1], out=fx[1:])
+    np.add(a[0], a[-1], out=fx[0])
+    fx *= 0.5
+    fx *= v.ux
+    fy = np.zeros((g.nx, g.ny + 1))
+    inner = np.add(a[:, 1:], a[:, :-1], out=fy[:, 1:-1])
+    inner *= 0.5
+    inner *= v.uy[:, 1:-1]
+    out = np.empty_like(fx)
+    np.subtract(fx[1:], fx[:-1], out=out[:-1])
+    np.subtract(fx[0], fx[-1], out=out[-1])
+    out /= g.dx
+    ddy = fy[:, 1:] - fy[:, :-1]
+    ddy /= g.dy
+    out += ddy
+    return ScalarField._trusted(out, g)
 
 
 def advect_velocity(v: VectorField, w: VectorField) -> VectorField:
@@ -327,14 +369,18 @@ def vector_laplacian(v: VectorField, walls: Walls = None) -> VectorField:
     dx2, dy2 = g.dx**2, g.dy**2
 
     a = v.ux
-    lap_x = (_east(a) - 2 * a + _west(a)) / dx2
+    lap_x = _xx(a, dx2)
     dyux = _dy_ux(a, walls, g.dy)
-    lap_x += (dyux[:, 1:] - dyux[:, :-1]) / g.dy
+    ddy = dyux[:, 1:] - dyux[:, :-1]
+    ddy /= g.dy
+    lap_x += ddy
 
     b = v.uy
+    yy = b[:, 2:] - 2.0 * b[:, 1:-1]
+    yy += b[:, :-2]
+    yy /= dy2
     lap_y = np.zeros_like(b)
-    lap_y[:, 1:-1] = (_east(b[:, 1:-1]) - 2 * b[:, 1:-1] + _west(b[:, 1:-1])) / dx2 \
-        + (b[:, 2:] - 2 * b[:, 1:-1] + b[:, :-2]) / dy2
+    np.add(_xx(b[:, 1:-1], dx2), yy, out=lap_y[:, 1:-1])
     return VectorField._trusted(lap_x, lap_y, g)
 
 
@@ -371,19 +417,20 @@ def parseval_sum(g: Grid, power: np.ndarray):
     Neumann operator, this is <s, S s>: S = 1 gives |s|^2, -lam_neumann
     |gradient(s)|^2, lam_neumann^2 |Lap s|^2.  wx_k = 1/nx at k = 0 and at the
     Nyquist mode (one mode each), 2/nx at every other k (also standing for -k);
-    the DCT-II weights are wy_0 = 1/(4 ny) and wy_m = 1/(2 ny) for m >= 1.
+    the DCT-II weights are wy_0 = 1/(4 ny) and wy_m = 1/(2 ny) for m >= 1
+    (the tables ``Grid.parseval_wx`` and ``Grid.parseval_wy``).
     """
-    wx = np.full(g.nx // 2 + 1, 2.0 / g.nx)
-    wx[0] = wx[-1] = 1.0 / g.nx
-    wy = np.full(g.ny, 1.0 / (2 * g.ny))
-    wy[0] = 1.0 / (4 * g.ny)
-    return g.cell_area * (wx @ power @ wy)
+    return g.cell_area * (g.parseval_wx @ power @ g.parseval_wy)
 
 
 def hminus1(s: ScalarField) -> float:
     """Dual norm against the H1 pairing, sqrt(<s, (I - Lap)^{-1} s>), by Parseval."""
     g = s.grid
-    c = g.to_spectral(s.values)
+    return _hminus1_of(g, g.to_spectral(s.values))
+
+
+def _hminus1_of(g: Grid, c: np.ndarray) -> float:
+    """``hminus1`` of the field whose ``Grid.to_spectral`` coefficients are c."""
     return float(np.sqrt(parseval_sum(g, (c.real**2 + c.imag**2) / (1.0 - g.lam_neumann))))
 
 
@@ -395,8 +442,12 @@ def projected_norm_sq(v: VectorField) -> float:
     sum of div v with the symbol -inv_lam_neumann.  A pure gradient v leaves
     round-off of either sign, so the difference is clamped at 0.
     """
+    return _projected_norm_sq_of(v, v.grid.to_spectral(divergence(v).values))
+
+
+def _projected_norm_sq_of(v: VectorField, c: np.ndarray) -> float:
+    """``projected_norm_sq(v)`` given c, the ``Grid.to_spectral`` coefficients of div v."""
     g = v.grid
-    c = g.to_spectral(divergence(v).values)
     grad_q_sq = parseval_sum(g, -(c.real**2 + c.imag**2) * g.inv_lam_neumann)
     return max(inner_vec(v, v) - float(grad_q_sq), 0.0)
 
@@ -424,9 +475,13 @@ def grad_norm_sq(v: VectorField | ScalarField, walls: Walls = None) -> float:
     if isinstance(v, ScalarField):
         a = v.values
         return float(g.cell_area * (_xdiff_sq(a) / g.dx**2 + _ydiff_sq(a) / g.dy**2))
-    d = _dy_ux(v.ux, walls, 1.0)    # at dy = 1 the quotients are the differences
-    # contiguous copies: vdot sums a strided view in another order
-    b, t, inner = d[:, 0].copy(), d[:, -1].copy(), d[:, 1:-1].copy()
+    # the corner differences of u_x with the ghosts of ``_dy_ux``, each in a
+    # contiguous array: vdot sums a strided view in another order
+    ux = v.ux
+    gb, gt = (0.0, 0.0) if walls is None else walls
+    inner = ux[:, 1:] - ux[:, :-1]
+    b = 2.0 * (ux[:, 0] - gb)
+    t = 2.0 * (gt - ux[:, -1])
     # uy's wall rows vanish, so only its interior rows have x-differences
     total = (_xdiff_sq(v.ux) + _xdiff_sq(v.uy[:, 1:-1])) / g.dx**2 \
         + (_ydiff_sq(v.uy) + np.vdot(inner, inner)

@@ -4,14 +4,16 @@ One step advances the concentration first and then the momentum equation.
 The concentration step is the stabilized BDF2 scheme of Shen & Yang
 (DCDS-A 28, 2010): one transform-diagonalized fourth-order solve, with the
 nonlinear and advective terms evaluated at the extrapolations
-2 phi^n - phi^(n-1) and 2 u^n - u^(n-1).  It is second order in dt; the
-first step, which has no history, is the one-step (backward Euler) form of
-the same scheme.  The momentum step is a first-order projection step with
-the constant-coefficient split of Dong & Shen (J. Comput. Phys. 231,
-2012): (a/2) Lap u is implicit with the constant a = (nu1 + nu2)/2 of
-``implicit_viscosity``, and div(nu(phi) sym grad u) - (a/2) Lap u is
-explicit.  Since a >= nu2/2 >= nu(phi)/2 the split is unconditionally stable
-(see ``cfl_bound``), and for the constant viscosity at its default value a
+2 phi^n - phi^(n-1) and 2 u^n - u^(n-1).  It is second order in dt; its
+history is (phi^(n-1), u^(n-1)), the pair ``Simulation`` keeps of the
+previous state.  The first step, which has no history, is the one-step
+(backward Euler) form of the same scheme.  The momentum step is a
+first-order projection step with the constant-coefficient split of Dong &
+Shen (J. Comput. Phys. 231, 2012): (a/2) Lap u is implicit with the
+constant a = (nu1 + nu2)/2 of ``implicit_viscosity``, and
+div(nu(phi) sym grad u) - (a/2) Lap u is explicit.  Since
+a >= nu2/2 >= nu(phi)/2 the split is unconditionally stable (see
+``cfl_bound``), and for the constant viscosity at its default value a
 the explicit remainder vanishes to round-off on divergence-free velocities.
 
 The momentum step costs one explicit force and one solve.  The force
@@ -62,7 +64,7 @@ import numpy as np
 
 from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
-from .grid import Grid, ScalarField, VectorField, whole_steps
+from .grid import Grid, ScalarField, VectorField, solve_table, whole_steps
 from .lifting import EllipticLift, ParabolicLift
 from .ops import (Walls, _dy_ux, _east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
@@ -144,33 +146,55 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
 
     Either way it is a single transform-diagonalized solve: everything but
     the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
-    two forward transforms.  The cell mean of phi is conserved exactly
-    (conservative advection, no-flux walls).
+    two forward transforms, divided by c0 + lam^2 - S lam (for BDF2 a table
+    built once per grid, c0 and S).  The cell mean of phi is conserved exactly
+    (conservative advection, no-flux walls).  Every intermediate lives in an
+    array of this call's own; the inputs are only read.
     """
     g = phi.grid
     s = stabilization
     if previous is None:
-        c0, phi_bar, v_bar = 1.0 / dt, phi, advecting
+        c0, phi_bar, v_bar = 1.0 / dt, phi.values, advecting
         rhs = phi.values / dt
     else:
         phi_old, v_old = previous
         c0 = 1.5 / dt
-        phi_bar = ScalarField._trusted(2.0 * phi.values - phi_old.values, g)
-        v_bar = VectorField._trusted(2.0 * advecting.ux - v_old.ux,
-                                     2.0 * advecting.uy - v_old.uy, g)
-        rhs = (2.0 * phi.values - 0.5 * phi_old.values) / dt
-    fp = eval_dF(phi_bar.values)
+        phi_bar = 2.0 * phi.values
+        phi_bar -= phi_old.values
+        v_bar = VectorField._trusted(2.0 * advecting.ux, 2.0 * advecting.uy, g)
+        np.subtract(v_bar.ux, v_old.ux, out=v_bar.ux)
+        np.subtract(v_bar.uy, v_old.uy, out=v_bar.uy)
+        rhs = 2.0 * phi.values
+        rhs -= 0.5 * phi_old.values
+        rhs /= dt
+    fp = eval_dF(phi_bar)
 
-    rhs = rhs - advect_scalar(v_bar, phi_bar).values
+    # each array is dropped after its last use, to keep the step's memory peak low
+    rhs -= advect_scalar(v_bar, ScalarField._trusted(phi_bar, g)).values
+    del v_bar
+    source = s * phi_bar
+    np.subtract(fp, source, out=source)
     lam = g.lam_neumann
-    rhs_hat = g.to_spectral(rhs) + lam * g.to_spectral(fp - s * phi_bar.values)
-    phi_hat = rhs_hat / (c0 + lam * lam - s * lam)
+    phi_hat = g.to_spectral(rhs)
+    source_hat = g.to_spectral(source)
+    del rhs, source
+    source_hat *= lam
+    phi_hat += source_hat
+    del source_hat
+    if previous is None:        # the one-step start runs once a run: no table kept
+        phi_hat /= c0 + lam * lam - s * lam
+    else:
+        phi_hat /= solve_table("ch_denominator", g, (c0, s), lambda: c0 + lam * lam - s * lam)
     phi_new = ScalarField._trusted(g.from_spectral(phi_hat), g)
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
-    mu_new = ScalarField._trusted(-laplacian_neumann(phi_new).values + fp
-                                  + s * (phi_new.values - phi_bar.values), g)
-    return phi_new, mu_new
+    mu = laplacian_neumann(phi_new).values
+    np.negative(mu, out=mu)
+    mu += fp
+    shift = phi_new.values - phi_bar
+    shift *= s
+    mu += shift
+    return phi_new, ScalarField._trusted(mu, g)
 
 
 def capillary_force(phi: ScalarField, mu: ScalarField) -> VectorField:
@@ -228,13 +252,15 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
     excess = nu - half_a
 
     # few live temporaries, as the force is where a step's memory peaks: each
-    # centre flux's temporaries end with its call, and vbar_y is dropped once used
+    # centre flux's temporaries end with its call, and every array is dropped
+    # once its last use is done
     def centre_flux(lo, hi, h):
         mean = 0.5 * (lo + hi)
         return excess * ((hi - lo) / h) - mean * mean
 
     cx = centre_flux(ux, _east(ux), dx)
     cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
+    del excess
 
     # corner fluxes, rows 0..ny; D_x v_y and vbar_x vbar_y vanish on the walls
     dyux = _dy_ux(ux, walls, dy)
@@ -249,13 +275,23 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
     dyux += shear                               # the x corner flux
     dxuy *= -half_a
     dxuy += shear                               # the y corner flux
+    del shear
 
     fx = (cx - _west(cx)) / dx + (dyux[:, 1:] - dyux[:, :-1]) / dy \
         + interp_center_to_xface(mu.values) * ((phi.values - _west(phi.values)) / dx)
+    del cx, dyux
     fy = np.zeros((g.nx, g.ny + 1))
     fy[:, 1:-1] = (_east(dxuy[:, 1:-1]) - dxuy[:, 1:-1]) / dx + (cy[:, 1:] - cy[:, :-1]) / dy \
         + interp_center_to_yface(mu.values) * ((phi.values[:, 1:] - phi.values[:, :-1]) / dy)
     return VectorField._trusted(fx, fy, g)
+
+
+def _euler_rhs(expl: VectorField, dt: float, u: VectorField) -> VectorField:
+    """u + dt * expl, formed in the arrays of expl, which the caller owns."""
+    for f, base in ((expl.ux, u.ux), (expl.uy, u.uy)):
+        f *= dt
+        f += base
+    return expl
 
 
 def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
@@ -266,10 +302,12 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
     walls0, walls1 = data.eval_wall(t_old), data.eval_wall(t_old + dt)
 
     expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, walls0)
-    u_new, q = helmholtz_project_velocity(u + dt * expl, dt * 0.5 * a, walls1)
+    u_new, q = helmholtz_project_velocity(_euler_rhs(expl, dt, u), dt * 0.5 * a, walls1)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
-    return u_new, (1.0 / dt) * q
+    pressure = q.values
+    pressure *= 1.0 / dt
+    return u_new, q
 
 
 def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
@@ -287,12 +325,15 @@ def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
     walls0 = data.eval_wall(t_old)
     w = ubar + u_lift_old
 
-    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, walls0) \
-        - lift_coeff * dlift_dt
-    ubar_new, q = helmholtz_project_velocity(ubar + dt * expl, dt * 0.5 * a)
+    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, walls0)
+    for f, d in ((expl.ux, dlift_dt.ux), (expl.uy, dlift_dt.uy)):
+        f -= d * lift_coeff
+    ubar_new, q = helmholtz_project_velocity(_euler_rhs(expl, dt, ubar), dt * 0.5 * a)
     if not ubar_new.is_finite():
         raise SolverDiverged("lifted momentum update produced non-finite values")
-    return ubar_new, (1.0 / dt) * q
+    pressure = q.values
+    pressure *= 1.0 / dt
+    return ubar_new, q
 
 
 def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
@@ -326,8 +367,10 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
     At low Reynolds number both advective limits are conservative: a 64^2
     run on an 8 x 8 channel with nu1 = 0.2, nu2 = 5, a tanh interface and a
     unit-speed moving wall stayed stable for 50 steps, with the check off,
-    at 40 times this bound.
+    at 40 times this bound.  A nan umax raises InvariantViolation.
     """
+    if math.isnan(umax):
+        raise InvariantViolation("cfl_bound: umax is nan")
     if umax <= 0:
         return math.inf
     h = min(grid.dx, grid.dy)
@@ -341,9 +384,10 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
 class Simulation:
     """Owns the persistent lift machinery and advances a SimState.
 
-    The state one step back is kept as the history of the two-step
-    concentration scheme.  The first step, and the first step after a state
-    is assigned from outside, has no history and takes the one-step start.
+    The (phi, u) of the state one step back are kept as the history of the
+    two-step concentration scheme.  The first step, and the first step after
+    a state is assigned from outside, has no history and takes the one-step
+    start.  Initial data must be finite.
     """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
@@ -351,6 +395,9 @@ class Simulation:
         for name, given in (("data", data), ("phi0", phi0), ("u0", u0)):
             if given.grid.key != grid.key:
                 raise InvariantViolation(f"{name} is on grid {given.grid.key}, not {grid.key}")
+        for name, given in (("phi0", phi0), ("u0", u0)):
+            if not given.is_finite():
+                raise InvariantViolation(f"{name} has non-finite values")
         self.grid = grid
         self.cfg = cfg
         self.data = data
@@ -381,7 +428,7 @@ class Simulation:
     @state.setter
     def state(self, state: SimState) -> None:
         self._state = state
-        self._previous: SimState | None = None
+        self._history: tuple[ScalarField, VectorField] | None = None
 
     def _check_cfl(self):
         umax = self.state.u.max_abs()
@@ -397,9 +444,7 @@ class Simulation:
         self._check_cfl()
         t_new = st.t + dt
 
-        prev = self._previous
-        history = None if prev is None else (prev.phi, prev.u)
-        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, history)
+        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
 
         if cfg.mode == "direct":
             u_new, p = ns_substep_direct(st.u, phi_new, mu_new, self.data, st.t, dt, cfg)
@@ -418,7 +463,7 @@ class Simulation:
 
         if not (new.u.is_finite() and new.phi.is_finite()):
             raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")
-        self._previous, self._state = st, new
+        self._history, self._state = (st.phi, st.u), new
         return new
 
     def run(self, observers=(), diagnostics_context=None) -> list:

@@ -86,7 +86,12 @@ class TestEvalWallDt:
     (lambda g: WallData(g, np.zeros(g.nx), np.full(g.nx, np.nan), Amplitude("custom_static")),
      "finite"),
     (lambda g: certify_decay(couette_ramp(g), gamma=0.0), "gamma must be positive"),
-], ids=["wall_short", "wall_nan", "gamma_zero"])
+    (lambda g: certify_decay(couette_ramp(g), gamma=math.nan), "gamma must be positive"),
+    (lambda g: certify_decay(couette_ramp(g), gamma=math.inf), "gamma must be positive"),
+    (lambda g: couette_ramp(g).eval_wall(math.nan), "time must be nonnegative"),
+    (lambda g: couette_ramp(g).eval_wall_dt(math.nan), "time must be nonnegative"),
+], ids=["wall_short", "wall_nan", "gamma_zero", "gamma_nan", "gamma_inf",
+        "eval_wall_nan", "eval_wall_dt_nan"])
 def test_bad_wall_input_rejected(grid, build, match):
     with pytest.raises(InvariantViolation, match=match):
         build(grid)

@@ -11,9 +11,9 @@ from chns.diagnostics import (G_TERMS, DiagnosticsContext, EnergyRecord,
                               higher_order, steady_state_residual_phi, zlem_tail_check)
 from chns.errors import MisalignedSeries, ModeMismatch
 from chns.grid import Grid, ScalarField, VectorField
-from chns.ops import (grad_norm_sq, gradient, h1, h2_norm_sq, helmholtz_solve_neumann,
-                      inner, l2, laplacian_neumann, leray_project, v1_norm, v2_norm,
-                      vector_laplacian)
+from chns.ops import (divergence, grad_norm_sq, gradient, h1, h2_norm_sq,
+                      helmholtz_solve_neumann, inner, inner_vec, l2, laplacian_neumann,
+                      leray_project, v1_norm, v2_norm, vector_laplacian)
 from chns.potential import PotentialSpec, ViscositySpec, eval_dF, eval_F
 from chns.solver import SimState, Simulation, SolverConfig
 
@@ -400,6 +400,52 @@ class TestRecordAgainstPublicNorms:
         self.check(rec, want)
         a, b, g = higher_order(st, ctx)
         assert (a, b, g) == pytest.approx((want["A"], want["B"], want["G"]), rel=1e-12)
+
+    def test_lifted_parabolic_record_equals_one_transform_per_field(self):
+        """The stacked-transform record against each transform taken on its own."""
+        sim, ctx = self.simulate(
+            "lifted_parabolic", ViscositySpec(nu1=0.8, nu2=1.2, kind="constant", value=1.0))
+        st = sim.state
+        phi, mu, ub, u_p = st.phi, st.mu, st.ubar, st.u_lift
+        g = phi.grid
+
+        def parseval(power):
+            wx = np.full(g.nx // 2 + 1, 2.0 / g.nx)
+            wx[0] = wx[-1] = 1.0 / g.nx
+            wy = np.full(g.ny, 1.0 / (2 * g.ny))
+            wy[0] = 1.0 / (4 * g.ny)
+            return g.cell_area * (wx @ power @ wy)
+
+        def power(values):
+            c = g.to_spectral(values)
+            return c.real**2 + c.imag**2
+
+        r = -laplacian_neumann(phi).values + eval_dF(phi.values)
+        res_phi = float(np.sqrt(parseval(power(r) / (1.0 - g.lam_neumann))))
+        p_phi, p_mu = power(phi.values), power(mu.values)
+        lam2 = g.lam_neumann**2
+        phi_sq, lap_phi_sq, lap2_phi_sq, mu_sq, lap_mu_sq = parseval(
+            np.stack((p_phi, lam2 * p_phi, lam2**2 * p_phi, p_mu, lam2 * p_mu)))
+        v = vector_laplacian(ub)
+        grad_q_sq = parseval(-power(divergence(v).values) * g.inv_lam_neumann)
+        stokes_sq = max(inner_vec(v, v) - float(grad_q_sq), 0.0)
+        walls = ctx.data.eval_wall(st.t)
+        up_l2, up_grad_sq = l2(u_p), grad_norm_sq(u_p, walls)
+        up_lap_l2 = l2(vector_laplacian(u_p, walls))
+        grad_phi, grad_mu = math.sqrt(grad_norm_sq(phi)), math.sqrt(grad_norm_sq(mu))
+        norms = {"up_v1": math.sqrt(up_l2**2 + up_grad_sq),
+                 "up_v2": math.sqrt(up_l2**2 + up_grad_sq + up_lap_l2**2),
+                 "up_l2": up_l2, "grad_up": math.sqrt(up_grad_sq), "ubar_l2": l2(ub),
+                 "phi_l2": math.sqrt(phi_sq), "phi_h1": math.sqrt(phi_sq + grad_phi**2),
+                 "phi_h2": math.sqrt(phi_sq + grad_phi**2 + lap_phi_sq),
+                 "grad_mu": grad_mu, "grad_phi": grad_phi}
+
+        rec = energy(st, ctx)
+        assert rec.res_phi == res_phi == steady_state_residual_phi(phi)
+        assert rec.A == grad_norm_sq(ub) + lap_phi_sq + mu_sq
+        assert rec.B == ctx.viscosity.value * stokes_sq + lap2_phi_sq + lap_mu_sq
+        assert rec.G == evaluate_g(norms, ctx.potential.q)
+        assert higher_order(st, ctx) == (rec.A, rec.B, rec.G)
 
     def test_direct_record(self):
         sim, ctx = self.simulate("direct", ViscositySpec(nu1=0.5, nu2=1.5))

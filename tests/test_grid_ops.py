@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from chns.errors import InvariantViolation, NonpositiveViscosity
-from chns.grid import Grid, ScalarField, VectorField
+from chns.grid import Grid, ScalarField, VectorField, complex_r2r
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
                       grad_norm_sq, h1, helmholtz_project_velocity, helmholtz_solve_neumann,
                       helmholtz_solve_velocity, hminus1, inner,
@@ -409,9 +410,111 @@ class TestParseval:
         assert np.array_equal(c[0], g.to_spectral(a.values))
         assert np.array_equal(c[1], g.to_spectral(b.values))
 
+    @pytest.mark.parametrize("name, kind", [("dct", 2), ("idct", 2), ("dst", 2),
+                                            ("idst", 2), ("dst", 1), ("idst", 1)])
+    def test_complex_transform_in_one_call(self, rng, name, kind):
+        transform = getattr(scipy.fft, name)
+        c = rng.standard_normal((3, 17, 24)) + 1j * rng.standard_normal((3, 17, 24))
+        want = transform(c, type=kind, axis=-1)
+        assert np.array_equal(complex_r2r(transform, c, kind), want)
+        assert np.array_equal(complex_r2r(transform, c[1], kind), want[1])
+        assert np.array_equal(complex_r2r(transform, c.copy(), kind, overwrite_x=True), want)
+
     def test_scalar_grad_norm_matches_stencil(self, grid_rect, rng):
         s = random_scalar(grid_rect, rng)
         assert grad_norm_sq(s) == pytest.approx(l2(gradient(s))**2, rel=1e-12)
+
+
+def _east(a):
+    return np.roll(a, -1, axis=0)
+
+
+def _west(a):
+    return np.roll(a, 1, axis=0)
+
+
+def _dy_ux_long_form(ux, walls, dy):
+    gb, gt = (0.0, 0.0) if walls is None else walls
+    out = np.empty((ux.shape[0], ux.shape[1] + 1))
+    out[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / dy
+    out[:, 0] = 2.0 * (ux[:, 0] - gb) / dy
+    out[:, -1] = 2.0 * (gt - ux[:, -1]) / dy
+    return out
+
+
+def laplacian_neumann_long_form(s):
+    g, a = s.grid, s.values
+    out = (_east(a) - 2.0 * a + _west(a)) / g.dx**2
+    ydiff = np.zeros_like(a)
+    ydiff[:, :-1] += (a[:, 1:] - a[:, :-1])
+    ydiff[:, 1:] += (a[:, :-1] - a[:, 1:])
+    return out + ydiff / g.dy**2
+
+
+def advect_scalar_long_form(v, s):
+    g, a = s.grid, s.values
+    flux_x = v.ux * (0.5 * (a + _west(a)))
+    flux_y = np.zeros((g.nx, g.ny + 1))
+    flux_y[:, 1:-1] = v.uy[:, 1:-1] * (0.5 * (a[:, 1:] + a[:, :-1]))
+    return (_east(flux_x) - flux_x) / g.dx + (flux_y[:, 1:] - flux_y[:, :-1]) / g.dy
+
+
+def vector_laplacian_long_form(v, walls):
+    g = v.grid
+    dx2, dy2 = g.dx**2, g.dy**2
+    a = v.ux
+    lap_x = (_east(a) - 2 * a + _west(a)) / dx2
+    dyux = _dy_ux_long_form(a, walls, g.dy)
+    lap_x += (dyux[:, 1:] - dyux[:, :-1]) / g.dy
+    b = v.uy
+    lap_y = np.zeros_like(b)
+    lap_y[:, 1:-1] = (_east(b[:, 1:-1]) - 2 * b[:, 1:-1] + _west(b[:, 1:-1])) / dx2 \
+        + (b[:, 2:] - 2 * b[:, 1:-1] + b[:, :-2]) / dy2
+    return lap_x, lap_y
+
+
+def grad_norm_sq_long_form(v, walls):
+    def xdiff_sq(a):
+        d, e = a[1:] - a[:-1], a[0] - a[-1]
+        return np.vdot(d, d) + np.vdot(e, e)
+
+    def ydiff_sq(a):
+        d = a[:, 1:] - a[:, :-1]
+        return np.vdot(d, d)
+
+    g = v.grid
+    d = _dy_ux_long_form(v.ux, walls, 1.0)
+    b, t, inner = d[:, 0].copy(), d[:, -1].copy(), d[:, 1:-1].copy()
+    total = (xdiff_sq(v.ux) + xdiff_sq(v.uy[:, 1:-1])) / g.dx**2 \
+        + (ydiff_sq(v.uy) + np.vdot(inner, inner)
+           + 0.5 * (np.vdot(b, b) + np.vdot(t, t))) / g.dy**2
+    return float(g.cell_area * total)
+
+
+class TestKernelsBitForBit:
+    """The stencils against their operation-by-operation forms with shifted copies.
+
+    Each kernel keeps the order of operations of the long form, so the
+    values are equal, not close.
+    """
+
+    # a sum over a few hundred terms may round alike in two orders, so
+    # every kernel is also taken on a larger grid
+    @pytest.mark.parametrize("case", WALL_CASES)
+    def test_vector_kernels(self, grid_rect, rng, case):
+        for g in (grid_rect, Grid(64, 48, lx=1.5)):
+            v = random_vector(g, rng)
+            walls = wall_case(g, rng, case)
+            lap = vector_laplacian(v, walls)
+            want_x, want_y = vector_laplacian_long_form(v, walls)
+            assert np.array_equal(lap.ux, want_x) and np.array_equal(lap.uy, want_y)
+            assert grad_norm_sq(v, walls) == grad_norm_sq_long_form(v, walls)
+
+    def test_scalar_kernels(self, grid_rect, rng):
+        for g in (grid_rect, Grid(64, 48, lx=1.5)):
+            s, v = random_scalar(g, rng), random_vector(g, rng)
+            assert np.array_equal(laplacian_neumann(s).values, laplacian_neumann_long_form(s))
+            assert np.array_equal(advect_scalar(v, s).values, advect_scalar_long_form(v, s))
 
 
 class TestProjectedNorm:

@@ -344,6 +344,14 @@ class TestParabolicLift:
             par.step(0.1)
         assert l2(par.u_p) == 0.0
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_step_rejected(self, dt):
+        grid = Grid(16, 16)
+        par = ParabolicLift(EllipticLift(grid, NU1, make_data(grid)))
+        with pytest.raises(InvariantViolation, match="dt must be positive and finite"):
+            par.step(dt)
+        assert par.t == 0.0 and par.du_p_dt is None
+
     def test_ramp_difference_decays(self):
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
@@ -371,6 +379,16 @@ class TestLiftDifferenceReport:
         grid = Grid(16, 16)
         with pytest.raises(InvariantViolation, match="whole number of steps"):
             run_lift_pair(make_data(grid), grid, NU1, dt=0.03, t_end=0.5)
+
+    @pytest.mark.parametrize("dt, t_end, match", [
+        (-0.1, 0.5, "dt must be positive"), (0.0, 0.5, "dt must be positive"),
+        (math.nan, 0.5, "dt must be positive"), (math.inf, 0.5, "dt must be positive"),
+        (0.05, -0.5, "t_end must be nonnegative"), (0.05, math.nan, "t_end must be"),
+    ], ids=["dt_negative", "dt_zero", "dt_nan", "dt_inf", "t_end_negative", "t_end_nan"])
+    def test_bad_time_span_rejected(self, dt, t_end, match):
+        grid = Grid(16, 16)
+        with pytest.raises(InvariantViolation, match=match):
+            run_lift_pair(make_data(grid), grid, NU1, dt=dt, t_end=t_end)
 
     def test_ramp_ratio_stable_under_dt_halving(self):
         grid = Grid(32, 32)

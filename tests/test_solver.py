@@ -11,7 +11,7 @@ from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial
                          build_solver_config, build_wall_data)
 from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
                          SolverDiverged)
-from chns.grid import Grid, ScalarField, VectorField
+from chns.grid import Grid, ScalarField, VectorField, solve_table
 from chns.lifting import StationaryStokes
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
@@ -440,6 +440,66 @@ class TestSimulationInputs:
         given[other] = inputs(Grid(16, 16, lx=4.0))[other]
         with pytest.raises(InvariantViolation, match=other):
             Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode), **given)
+
+
+    @pytest.mark.parametrize("where", ["phi0_nan", "phi0_inf", "ux_nan", "uy_inf", "cfl_umax_nan"])
+    def test_non_finite_inputs_rejected(self, where):
+        grid = Grid(16, 16)
+        cfg = cfg_for(grid, 1e-3, 0.01)
+        if where == "cfl_umax_nan":
+            with pytest.raises(InvariantViolation, match="umax is nan"):
+                cfl_bound(cfg, grid, math.nan)
+            return
+        phi0, u0 = noise_phi(grid), couette_field(grid)
+        name, value = where.split("_")
+        array = {"phi0": phi0.values, "ux": u0.ux, "uy": u0.uy}[name]
+        array[3, 5] = {"nan": math.nan, "inf": math.inf}[value]
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            Simulation(grid, cfg, WallData.zero(grid), phi0, u0)
+
+
+class TestNothingReturnedIsWritten:
+    """A step builds its right-hand sides in arrays of its own.
+
+    Every array of a returned state, of the initial data and of the
+    parabolic lift's ``u_p`` and ``du_p_dt`` keeps its bytes through later
+    steps, and the cached solve tables cannot be written at all.
+    """
+
+    # the direct mode's check sees the lift's trace off the data at O(h^2)
+    @pytest.mark.filterwarnings("ignore:initial velocity trace")
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_kept_arrays_survive_later_steps(self, mode):
+        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(16, mode)
+        cfg = dataclasses.replace(cfg, dt=2e-3, t_end=2e-2)
+        sim = Simulation(grid, cfg, data, phi0, u0)
+        for _ in range(2):
+            sim.step()
+        st = sim.state
+        kept = [phi0.values, u0.ux, u0.uy, st.phi.values, st.mu.values, st.p.values,
+                st.u.ux, st.u.uy]
+        if mode != "direct":
+            kept += [st.ubar.ux, st.ubar.uy, st.u_lift.ux, st.u_lift.uy]
+        if mode == "lifted_parabolic":
+            kept += [sim.par.u_p.ux, sim.par.u_p.uy, sim.par.du_p_dt.ux, sim.par.du_p_dt.uy]
+        before = [a.tobytes() for a in kept]
+        for _ in range(2):
+            sim.step()
+        assert [a.tobytes() for a in kept] == before
+
+        def not_cached():
+            raise AssertionError("solve table not cached")
+
+        a = solver.implicit_viscosity(cfg.viscosity)
+        tables = [*solve_table("helmholtz", grid, cfg.dt * 0.5 * a, not_cached),
+                  solve_table("ch_denominator", grid, (1.5 / cfg.dt, cfg.stabilization),
+                              not_cached)]
+        if mode == "lifted_parabolic":
+            tables += solve_table("helmholtz", grid, cfg.dt * cfg.viscosity.nu1, not_cached)
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
 
 class TestRunAndInvariants:
