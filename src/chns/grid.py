@@ -31,6 +31,9 @@ class Grid:
     """
 
     def __init__(self, nx: int, ny: int, lx: float = 1.0, ly: float = 1.0):
+        # int() would truncate 16.5 to 16; nan and inf are not whole either
+        if not (float(nx).is_integer() and float(ny).is_integer()):
+            raise InvariantViolation(f"nx and ny must be whole numbers, got {nx!r} x {ny!r}")
         if nx < 4 or ny < 4:
             raise InvariantViolation(f"need nx, ny >= 4, got {nx} x {ny}")
         if nx % 2 != 0:

@@ -24,6 +24,17 @@ c S + (1 - c) I with S = (I - dt nu1 Lap)^-1 and H = (I - dt (a/2) Lap)^-1:
 c = 1 - a/(2 nu1) is the lift-force coefficient of ``ns_substep_lifted``, P
 the projection and q the projection potential of S d, so the change vanishes
 for nu2 = 3 nu1 (c = 0) and is O(dt) otherwise.
+
+The Stokes operator commutes with x-translations, so w, forced by -a'(t) U
+from zero, lives on the x-wavenumbers of U, which are those of g.  The lift
+keeps w as its rfft rows on K, the wavenumbers whose largest coefficient of
+U is above the round-off floor nx eps times the largest row, and steps only
+those rows, through the x-Fourier core of ``helmholtz_project_velocity``.
+The profiles of a config (zero, uniform, single_mode:m) give at most two
+rows; data with every wavenumber gives them all, on the same path.  Dropping
+the other rows moves u_p only by round-off: each step maps w to P S (w - dt
+a' U), where the projection P and the solve S do not grow a field, so the
+dropped part stays below the floor times the sum of dt |a'| over the steps.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import scipy.fft as sfft
 from .boundary import WallData
 from .errors import InvariantViolation, MisalignedSeries, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, whole_steps
-from .ops import Walls, gradient, helmholtz_project_velocity, l2, v1_norm, vector_laplacian
+from .ops import Walls, _helmholtz_project_modes, gradient, l2, v1_norm, vector_laplacian
 
 __all__ = [
     "StationaryStokes", "EllipticLift", "ParabolicLift",
@@ -139,6 +150,23 @@ class EllipticLift:
                 arr.flags.writeable = False
             data.lift_cache[key] = (u, p)
         self.unit_u, self.unit_p = data.lift_cache[key]
+        self._x_modes: tuple | None = None
+
+    def x_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows K and the unit lift's rfft rows on them (``ParabolicLift``).
+
+        K holds the x-wavenumbers whose largest coefficient, over ux and the
+        interior rows of uy, is above the round-off floor nx eps times the
+        largest of all rows.  Built at the first call, kept read-only.
+        """
+        if self._x_modes is None:
+            ux, uy = _x_rows(self.unit_u)
+            size = _row_sizes(ux, uy)
+            rows = np.flatnonzero(size > self.grid.nx * np.finfo(float).eps * size.max())
+            self._x_modes = (rows, ux[rows], uy[rows])
+            for arr in self._x_modes:
+                arr.flags.writeable = False
+        return self._x_modes
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -164,7 +192,15 @@ class ParabolicLift:
     its difference quotient as ``du_p_dt`` (None before the first step).
     ``w`` is u_p - u_e, the difference from the stationary lift.  Each step
     builds new arrays for all three, so a field handed out earlier is never
-    written.
+    written, and a step that raises changes nothing.
+
+    w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
+    is kept as its rfft rows on K, the rows of ``EllipticLift.x_modes`` above
+    the round-off floor nx eps times U's largest row, and each step solves
+    those rows only; one inverse rfft per component gives the physical w,
+    and the pressure of the solve is never transformed.  U's rows and K are
+    built at the first step, not in set-up.  Assigning ``w`` restarts it at
+    the given field, whose nonzero x-modes join K.
     """
 
     def __init__(self, elliptic: EllipticLift):
@@ -173,36 +209,77 @@ class ParabolicLift:
         self.nu1 = elliptic.nu1
         self.data = elliptic.data
         self.t = 0.0
-        self.w = VectorField.zeros(self.grid)
+        self._w = VectorField.zeros(self.grid)
+        # (rows, U on them, w on them) as rfft rows of ux and of uy's interior
+        # rows; built at the first step or assignment of w, not in set-up
+        self._modes: tuple | None = None
         self.du_p_dt: VectorField | None = None
         self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
+
+    @property
+    def w(self) -> VectorField:
+        return self._w
+
+    @w.setter
+    def w(self, field: VectorField) -> None:
+        wx, wy = _x_rows(field)
+        rows = np.union1d(self.ell.x_modes()[0], np.flatnonzero(_row_sizes(wx, wy)))
+        unit_x, unit_y = _x_rows(self.ell.unit_u)
+        self._modes = (rows, unit_x[rows], unit_y[rows], wx[rows], wy[rows])
+        self._w = field
 
     def step(self, dt: float) -> None:
         if not 0 < dt < math.inf:           # nan fails too
             raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
                                      f"got {dt!r}")
         g, unit = self.grid, self.ell.unit_u
+        if self._modes is None:
+            rows, unit_x, unit_y = self.ell.x_modes()
+            self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
+        rows, unit_x, unit_y, wx, wy = self._modes
         t_new = self.t + dt
-        up_old = self.u_p
-        # w - (dt a'(t)) U, a(t) U + w and (u_p - up_old) / dt, each in new
-        # arrays: U is read-only, and u_p and du_p_dt have been handed out
+        # w - (dt a'(t)) U on the rows, in new arrays: the core overwrites them
         scale = dt * self.data.amplitude.dt(t_new)
-        rx, ry = unit.ux * scale, unit.uy * scale
-        np.subtract(self.w.ux, rx, out=rx)
-        np.subtract(self.w.uy, ry, out=ry)
-        self.w, _ = helmholtz_project_velocity(VectorField._trusted(rx, ry, g), dt * self.nu1)
-        self.t = t_new
+        rx, ry = unit_x * scale, unit_y * scale
+        np.subtract(wx, rx, out=rx)
+        np.subtract(wy, ry, out=ry)
+        wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
+        if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
+            raise SolverDiverged("parabolic lift produced non-finite values")
+        w = VectorField._trusted(_from_x_rows(g, rows, wx), _from_x_rows(g, rows, wy), g)
+
+        # a(t) U + w and (u_p - up_old) / dt, each in new arrays: U is
+        # read-only, and u_p and du_p_dt have been handed out
+        up_old = self.u_p
         a = self.data.amplitude(t_new)
-        ux, uy = unit.ux * a, unit.uy * a
-        ux += self.w.ux
-        uy += self.w.uy
-        self.u_p = VectorField._trusted(ux, uy, g)
-        dux, duy = ux - up_old.ux, uy - up_old.uy
+        px, py = unit.ux * a, unit.uy * a
+        px += w.ux
+        py += w.uy
+        dux, duy = px - up_old.ux, py - up_old.uy
         dux *= 1.0 / dt
         duy *= 1.0 / dt
+        self.t = t_new
+        self._w = w
+        self._modes = (rows, unit_x, unit_y, wx, wy[:, 1:-1])
+        self.u_p = VectorField._trusted(px, py, g)
         self.du_p_dt = VectorField._trusted(dux, duy, g)
-        if not self.w.is_finite():
-            raise SolverDiverged("parabolic lift produced non-finite values")
+
+
+def _x_rows(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft in x of ux and of the interior rows of uy."""
+    return sfft.rfft(u.ux, axis=0), sfft.rfft(u.uy[:, 1:-1], axis=0)
+
+
+def _row_sizes(hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """The largest coefficient of each x-wavenumber row over both components."""
+    return np.maximum(np.abs(hx).max(axis=1), np.abs(hy).max(axis=1))
+
+
+def _from_x_rows(g: Grid, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The real field whose rfft rows are c on ``rows`` and zero elsewhere."""
+    full = np.zeros((g.nx // 2 + 1, c.shape[1]), dtype=complex)
+    full[rows] = c
+    return sfft.irfft(full, axis=0, n=g.nx)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ Sign and staggering conventions:
 
 The time step uses ``helmholtz_project_velocity``, the velocity solve and the
 projection in one pass, and ``solver.momentum_force``, which folds the
-advection, stress and Laplacian stencils into one flux form.  No step calls
+advection, stress and Laplacian stencils into one flux form.  The momentum
+solve and the evolutionary lift share one x-Fourier core,
+``_helmholtz_project_modes``: ``lifting.ParabolicLift`` runs it on the
+x-wavenumbers of the wall data only.  No step calls
 ``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or
 ``Grid.solve_helmholtz_ux/uy`` any more: they are the references those two
 are tested against.  ``helmholtz_solve_neumann`` (a > 0) is likewise only the
@@ -202,44 +205,59 @@ def helmholtz_project_velocity(rhs: VectorField, coeff: float,
                                walls: Walls = None) -> tuple[VectorField, ScalarField]:
     """``leray_project(helmholtz_solve_velocity(rhs, coeff, ...))`` in one pass.
 
-    The whole solve stays in x-Fourier space: the DST-II and DST-I Helmholtz
-    solves of ``helmholtz_solve_velocity`` transform back in y only; the MAC
-    divergence is the x-symbol ``Grid.ddx_east`` plus a y-difference; the
-    Neumann Poisson solve of ``leray_project`` is a DCT-II pair in y; the
-    pressure gradient is ``Grid.ddx_west`` plus a y-difference.  Three
-    inverse rffts at the end give (Pu, q), 11 transforms in all.  The
-    discrete operators are those of the composition; only the summation
-    order differs.
+    The rffts in x of the right-hand side, the x-Fourier core
+    ``_helmholtz_project_modes`` on every row, and three inverse rffts that
+    give (Pu, q): 11 transforms in all.  The discrete operators are those of
+    the composition; only the summation order differs.
     """
     g = rhs.grid
     rx = _fold_wall_data(rhs.ux, coeff, g, walls)
-    # complex arrays are scaled by real reciprocals: a product, not a division
-    inv_x, inv_y = solve_table("helmholtz", g, coeff, lambda: _helmholtz_symbols(g, coeff))
-    ux_hat = complex_r2r(sfft.dst, sfft.rfft(rx, axis=0), 2, overwrite_x=True)
-    ux_hat *= inv_x
-    ux_hat = complex_r2r(sfft.idst, ux_hat, 2, overwrite_x=True)
-    uy_hat = np.zeros((g.nx // 2 + 1, g.ny + 1), dtype=complex)
-    c = complex_r2r(sfft.dst, sfft.rfft(rhs.uy[:, 1:-1], axis=0), 1, overwrite_x=True)
-    c *= inv_y
-    uy_hat[:, 1:-1] = complex_r2r(sfft.idst, c, 1, overwrite_x=True)
-
-    inv_dy = 1.0 / g.dy
-    div = g.ddx_east[:, None] * ux_hat
-    ddy = uy_hat[:, 1:] - uy_hat[:, :-1]
-    ddy *= inv_dy
-    div += ddy
-    c = complex_r2r(sfft.dct, div, 2, overwrite_x=True)
-    c *= g.inv_lam_neumann      # zero on the mean mode, where mean(div) = 0 anyway
-    q_hat = complex_r2r(sfft.idct, c, 2, overwrite_x=True)
-
-    ux_hat -= g.ddx_west[:, None] * q_hat
-    ddy = q_hat[:, 1:] - q_hat[:, :-1]
-    ddy *= inv_dy
-    uy_hat[:, 1:-1] -= ddy
+    ux_hat, uy_hat, q_hat = _helmholtz_project_modes(
+        g, coeff, sfft.rfft(rx, axis=0), sfft.rfft(rhs.uy[:, 1:-1], axis=0))
     ux = sfft.irfft(ux_hat, axis=0, n=g.nx)
     uy = sfft.irfft(uy_hat, axis=0, n=g.nx)
     q = sfft.irfft(q_hat, axis=0, n=g.nx)
     return VectorField._trusted(ux, uy, g), ScalarField._trusted(q, g)
+
+
+def _helmholtz_project_modes(g: Grid, coeff: float, rx_hat: np.ndarray, ry_hat: np.ndarray,
+                             rows=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solve and projection of ``helmholtz_project_velocity`` on x-Fourier rows.
+
+    rx_hat and ry_hat are the rfft in x, on the x-wavenumbers ``rows`` (all by
+    default), of the x-velocity right-hand side and of the interior rows of
+    the y-velocity one; both are overwritten.  The DST-II and DST-I Helmholtz
+    solves transform back in y only; the MAC divergence is the x-symbol
+    ``Grid.ddx_east`` plus a y-difference; the Neumann Poisson solve of
+    ``leray_project`` is a DCT-II pair in y; the pressure gradient is
+    ``Grid.ddx_west`` plus a y-difference.  Returns the x-Fourier rows of Pu
+    (uy with its zero wall columns) and of q.  The operator commutes with
+    x-translations, so each row is solved on its own.
+    """
+    # complex arrays are scaled by real reciprocals: a product, not a division
+    inv_x, inv_y = solve_table("helmholtz", g, coeff, lambda: _helmholtz_symbols(g, coeff))
+    ux_hat = complex_r2r(sfft.dst, rx_hat, 2, overwrite_x=True)
+    ux_hat *= inv_x[rows]
+    ux_hat = complex_r2r(sfft.idst, ux_hat, 2, overwrite_x=True)
+    uy_hat = np.zeros((ux_hat.shape[0], g.ny + 1), dtype=complex)
+    c = complex_r2r(sfft.dst, ry_hat, 1, overwrite_x=True)
+    c *= inv_y[rows]
+    uy_hat[:, 1:-1] = complex_r2r(sfft.idst, c, 1, overwrite_x=True)
+
+    inv_dy = 1.0 / g.dy
+    div = g.ddx_east[rows, None] * ux_hat
+    ddy = uy_hat[:, 1:] - uy_hat[:, :-1]
+    ddy *= inv_dy
+    div += ddy
+    c = complex_r2r(sfft.dct, div, 2, overwrite_x=True)
+    c *= g.inv_lam_neumann[rows]    # zero on the mean mode, where mean(div) = 0 anyway
+    q_hat = complex_r2r(sfft.idct, c, 2, overwrite_x=True)
+
+    ux_hat -= g.ddx_west[rows, None] * q_hat
+    ddy = q_hat[:, 1:] - q_hat[:, :-1]
+    ddy *= inv_dy
+    uy_hat[:, 1:-1] -= ddy
+    return ux_hat, uy_hat, q_hat
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ class TestGrid:
         assert g.dx == pytest.approx(0.25)
         assert np.allclose(g.xc[:2], [0.125, 0.375])
 
+    @pytest.mark.parametrize("nx, ny", [(16, 16.5), (16.5, 16), (16, float("nan")),
+                                        (float("inf"), 16)])
+    def test_non_whole_sizes_rejected(self, nx, ny):
+        with pytest.raises(InvariantViolation, match="whole numbers"):
+            Grid(nx, ny)
+
+    def test_whole_valued_float_sizes_accepted(self):
+        g = Grid(16.0, 8.0)
+        assert (g.nx, g.ny, g.dy) == (16, 8, 0.125)
+        assert isinstance(g.nx, int) and isinstance(g.ny, int)
+
     def test_wall_rows_enforced(self, grid32):
         uy = np.zeros((32, 33))
         uy[5, 0] = 1.0

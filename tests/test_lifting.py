@@ -8,12 +8,12 @@ from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_pro
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
 from chns.diagnostics import DiagnosticsContext
-from chns.errors import InvariantViolation
+from chns.errors import InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
                           lift_difference_report, momentum_residual, run_lift_pair)
-from chns.ops import (divergence, gradient, l2, leray_project, v1_norm, v2_norm,
-                      vector_laplacian)
+from chns.ops import (divergence, gradient, helmholtz_project_velocity, l2, leray_project,
+                      v1_norm, v2_norm, vector_laplacian)
 from chns.solver import Simulation
 
 NU1 = 0.8
@@ -163,7 +163,10 @@ class TestLiftCache:
         ell = EllipticLift(grid, NU1, data)
         top[:] = 2.0                                  # the caller's array is copied
         assert np.all(data.g_top == 1.0)
-        for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.unit_p.values):
+        rows, ux_hat, uy_hat = ell.x_modes()          # the unit lift's x-Fourier rows
+        assert rows.tolist() == [0]
+        for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.unit_p.values,
+                    rows, ux_hat, uy_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -344,13 +347,58 @@ class TestParabolicLift:
             par.step(0.1)
         assert l2(par.u_p) == 0.0
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
-    def test_bad_step_rejected(self, dt):
+    @pytest.mark.parametrize("dt, amp, error, match", [
+        (0.0, None, InvariantViolation, "dt must be positive and finite"),
+        (-0.1, None, InvariantViolation, "dt must be positive and finite"),
+        (math.nan, None, InvariantViolation, "dt must be positive and finite"),
+        (math.inf, None, InvariantViolation, "dt must be positive and finite"),
+        # a'(0.01) = inf * 0 = nan: the step itself produces non-finite values
+        (0.01, Amplitude("couette_ramp", a0=1e300, a_inf=0.0, rate=1e10),
+         SolverDiverged, "non-finite"),
+    ], ids=["0.0", "-0.1", "nan", "inf", "overflowing_amplitude"])
+    def test_bad_step_rejected(self, dt, amp, error, match):
         grid = Grid(16, 16)
-        par = ParabolicLift(EllipticLift(grid, NU1, make_data(grid)))
-        with pytest.raises(InvariantViolation, match="dt must be positive and finite"):
+        par = ParabolicLift(EllipticLift(grid, NU1, make_data(grid, amp=amp)))
+        w, u_p = par.w, par.u_p
+        with pytest.raises(error, match=match):
             par.step(dt)
         assert par.t == 0.0 and par.du_p_dt is None
+        assert par.w is w and par.u_p is u_p
+        assert par.w.is_finite() and par.u_p.is_finite()
+
+    @pytest.mark.parametrize("case", ["mode_1", "uniform_and_mode_2", "nyquist", "random"])
+    def test_row_steps_match_full_grid_steps(self, case):
+        """20 steps on the rows K against the full-grid step, written out here."""
+        grid = Grid(16, 12, lx=2.0)
+        alt = (-1.0) ** np.arange(grid.nx)
+        rng = np.random.default_rng(11)
+        gb, gt, rows = {
+            "mode_1": (wall_profile(grid, "single_mode:1"),
+                       wall_profile(grid, "single_mode:1"), [1]),
+            "uniform_and_mode_2": (wall_profile(grid, "uniform"),
+                                   wall_profile(grid, "single_mode:2"), [0, 2]),
+            "nyquist": (alt, -2.0 * alt, [grid.nx // 2]),
+            "random": (rng.standard_normal(grid.nx), rng.standard_normal(grid.nx),
+                       list(range(grid.nx // 2 + 1))),
+        }[case]
+        amp = Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)
+        ell = EllipticLift(grid, NU1, WallData(grid, gb, gt, amp))
+        par = ParabolicLift(ell)
+        unit, dt, t = ell.unit_u, 0.02, 0.0
+        w = VectorField.zeros(grid)
+        for _ in range(20):
+            t += dt
+            w, _ = helmholtz_project_velocity(w - unit * (dt * amp.dt(t)), dt * NU1)
+            up_old = par.u_p
+            par.step(dt)
+            u_p = unit * amp(t) + w
+            for new, ref in ((par.w, w), (par.u_p, u_p),
+                             (par.du_p_dt, (u_p - up_old) * (1.0 / dt))):
+                scale = ref.max_abs()
+                assert scale > 0.0
+                assert (new - ref).max_abs() <= 1e-13 * scale
+        assert ell.x_modes()[0].tolist() == rows
+        assert par.t == t
 
     def test_ramp_difference_decays(self):
         grid = Grid(32, 32)

@@ -12,7 +12,7 @@ from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial
 from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
                          SolverDiverged)
 from chns.grid import Grid, ScalarField, VectorField, solve_table
-from chns.lifting import StationaryStokes
+from chns.lifting import EllipticLift, StationaryStokes
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
 from chns.potential import ViscositySpec, eval_F
@@ -656,6 +656,50 @@ class TestRunAndInvariants:
         for u_order, _, p_order in orders:
             assert 0.8 <= u_order <= 1.3
             assert 0.8 <= p_order <= 1.3
+
+    @staticmethod
+    def orders_in_h(mode):
+        """log2 ratios of successive grid differences of (phi, ux) on 32^2, 64^2, 128^2.
+
+        A tanh interface between single-mode walls moving in opposite
+        directions under a ramp, so w = u_p - u_e is not zero, from the
+        stationary lift; the time error at dt = 2^-10 stays below the spatial
+        one.  At nu2 = 3 nu1 the lift force coefficient 1 - a/(2 nu1) is zero,
+        so w does not enter u and the two lifted modes agree to round-off.
+        phi is restricted by 2 x 2 cell means, ux by the mean of the two fine
+        faces on each coarse face.
+        """
+        visc = ViscositySpec(nu1=0.5, nu2=1.5)
+        finals = []
+        for n in (32, 64, 128):
+            grid = Grid(n, n, 8.0, 8.0)
+            data = WallData(grid, wall_profile(grid, "single_mode:1"),
+                            wall_profile(grid, "single_mode:1", scale=-1.0),
+                            Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0))
+            phi0 = ScalarField.from_function(
+                grid, lambda x, y: np.tanh((y - 4.0 - 0.5 * np.cos(np.pi * x / 4)) / np.sqrt(2)))
+            u0 = EllipticLift(grid, visc.nu1, data).state_at(0.0)
+            cfg = cfg_for(grid, 2.0 ** -10, 0.25, mode=mode, visc=visc, record_every=0.25)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # the direct mode flags u0 = lift
+                sim = Simulation(grid, cfg, data, phi0, u0)
+            sim.run()
+            finals.append(sim.state)
+
+        def diffs(coarse, fine):
+            nc = coarse.phi.grid.nx
+            phi = fine.phi.values.reshape(nc, 2, nc, 2).mean(axis=(1, 3))
+            ux = fine.u.ux[::2].reshape(nc, nc, 2).mean(axis=2)
+            return (np.sqrt(np.mean((phi - coarse.phi.values) ** 2)),
+                    np.sqrt(np.mean((ux - coarse.u.ux) ** 2)))
+
+        (e_phi, e_ux), (f_phi, f_ux) = diffs(*finals[:2]), diffs(*finals[1:])
+        return math.log2(e_phi / f_phi), math.log2(e_ux / f_ux)
+
+    @pytest.mark.parametrize("mode", ["direct", "lifted_elliptic", "lifted_parabolic"])
+    def test_orders_in_h(self, mode):
+        orders = self.orders_in_h(mode)
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
 
     def test_forced_nan_raises_solver_diverged_with_partial_records(self):
         grid = Grid(16, 16)
