@@ -23,8 +23,9 @@ Sign and staggering conventions:
 
 The time step uses ``helmholtz_project_velocity``, the velocity solve and the
 projection in one pass, and ``solver.momentum_force``, which folds the
-advection, stress and Laplacian stencils into one flux form.  The momentum
-solve and the evolutionary lift share one x-Fourier core,
+advection, stress and Laplacian stencils into one flux form on the tables
+nu - a/2 and ``_nu_at_corners(nu)`` of ``solver.viscosity_tables``.  The
+momentum solve and the evolutionary lift share one x-Fourier core,
 ``_helmholtz_project_modes``: ``lifting.ParabolicLift`` runs it on the
 x-wavenumbers of the wall data only.  No step calls
 ``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or

@@ -47,8 +47,9 @@ Modes:
                     times an O(dt) splitting error (see ``lifting``).
 
 Both lifted modes take the same step, ``ns_substep_lifted``, given the active
-lift's field, its time derivative and its coefficient; the state carries the
-lift field as ``SimState.u_lift``.
+lift's field (``SimState.u_lift``), its time derivative and its coefficient.
+``Simulation`` builds what the run fixes once, as its step plan: a, that
+coefficient and, with a constant viscosity, ``momentum_force``'s stress tables.
 
 Every mode marches the full discrete system: the paper's Faedo-Galerkin
 approximations serve its existence proof and have no truncated step here.
@@ -64,7 +65,7 @@ import numpy as np
 
 from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
-from .grid import Grid, ScalarField, VectorField, solve_table, whole_steps
+from .grid import Grid, ScalarField, VectorField, require_same_grid, solve_table, whole_steps
 from .lifting import EllipticLift, ParabolicLift
 from .ops import (Walls, _dy_ux, _east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
@@ -146,11 +147,13 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
 
     Either way it is a single transform-diagonalized solve: everything but
     the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
-    two forward transforms, divided by c0 + lam^2 - S lam (for BDF2 a table
-    built once per grid, c0 and S).  The cell mean of phi is conserved exactly
+    two forward transforms, divided by c0 + lam^2 - S lam (a table built once
+    per grid, c0 and S).  The cell mean of phi is conserved exactly
     (conservative advection, no-flux walls).  Every intermediate lives in an
     array of this call's own; the inputs are only read.
     """
+    if not 0 < dt < math.inf:           # nan fails too
+        raise InvariantViolation(f"concentration step: dt must be positive and finite, got {dt!r}")
     g = phi.grid
     s = stabilization
     if previous is None:
@@ -181,10 +184,7 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
     source_hat *= lam
     phi_hat += source_hat
     del source_hat
-    if previous is None:        # the one-step start runs once a run: no table kept
-        phi_hat /= c0 + lam * lam - s * lam
-    else:
-        phi_hat /= solve_table("ch_denominator", g, (c0, s), lambda: c0 + lam * lam - s * lam)
+    phi_hat /= solve_table("ch_denominator", g, (c0, s), lambda: c0 + lam * lam - s * lam)
     phi_new = ScalarField._trusted(g.from_spectral(phi_hat), g)
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
@@ -222,13 +222,22 @@ def implicit_viscosity(viscosity: ViscositySpec) -> float:
     return 0.5 * (viscosity.nu1 + viscosity.nu2)
 
 
-def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.ndarray,
-                   a: float, walls: Walls) -> VectorField:
+def viscosity_tables(nu: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``momentum_force``'s read-only stress tables: nu - a/2 at centres, nu at corners."""
+    if np.any(nu <= 0.0):
+        raise NonpositiveViscosity(f"viscosity min = {nu.min():.3e}")
+    excess, nu_c = nu - 0.5 * a, _nu_at_corners(nu)
+    excess.flags.writeable = nu_c.flags.writeable = False
+    return excess, nu_c
+
+
+def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField,
+                   tables: tuple[np.ndarray, np.ndarray], a: float, walls: Walls) -> VectorField:
     """The explicit momentum force, as one flux difference per component:
 
         mu grad(phi) - div(v v) + div(nu sym grad v) - (a/2) Lap v,
 
-    with the tangential wall data ``walls`` in the ghosts of ``ops._dy_ux``.
+    with nu as ``viscosity_tables(nu, a)`` and the wall data ``walls`` in ``_dy_ux``'s ghosts.
     The four difference quotients of v are formed once: D_x v_x and D_y v_y
     at cell centres, D_y v_x (with the ghost rows) and D_x v_y at corners.
     Since ``vector_laplacian`` is D_x D_x + D_y D_y on these same quotients,
@@ -243,13 +252,11 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
     viscous_term(nu, v, walls) - (a/2) vector_laplacian(v, walls)`` up to
     the order of summation.
     """
-    if np.any(nu <= 0.0):
-        raise NonpositiveViscosity(f"viscosity min = {nu.min():.3e}")
     g = v.grid
     dx, dy = g.dx, g.dy
     ux, uy = v.ux, v.uy
     half_a = 0.5 * a
-    excess = nu - half_a
+    excess, nu_c = tables
 
     # few live temporaries, as the force is where a step's memory peaks: each
     # centre flux's temporaries end with its call, and every array is dropped
@@ -260,13 +267,12 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
 
     cx = centre_flux(ux, _east(ux), dx)
     cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
-    del excess
 
     # corner fluxes, rows 0..ny; D_x v_y and vbar_x vbar_y vanish on the walls
     dyux = _dy_ux(ux, walls, dy)
     vbar_y = _west(uy)                          # v_y one cell west, then the corner mean
     dxuy = (uy - vbar_y) / dx
-    shear = _nu_at_corners(nu) * (0.5 * (dyux + dxuy))
+    shear = nu_c * (0.5 * (dyux + dxuy))
     vbar_y += uy
     vbar_y *= 0.5
     shear[:, 1:-1] -= vbar_y[:, 1:-1] * (0.5 * (ux[:, 1:] + ux[:, :-1]))
@@ -286,54 +292,40 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField, nu: np.nda
     return VectorField._trusted(fx, fy, g)
 
 
-def _euler_rhs(expl: VectorField, dt: float, u: VectorField) -> VectorField:
-    """u + dt * expl, formed in the arrays of expl, which the caller owns."""
+def _projection_step(expl: VectorField, u: VectorField, dt: float, a: float, walls: Walls,
+                     what: str) -> tuple[VectorField, ScalarField]:
+    """u + dt * expl (in expl's arrays, which the caller owns), solved and projected; p = q/dt."""
     for f, base in ((expl.ux, u.ux), (expl.uy, u.uy)):
         f *= dt
         f += base
-    return expl
-
-
-def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
-                      data: WallData, t_old: float, dt: float,
-                      cfg: SolverConfig) -> tuple[VectorField, ScalarField]:
-    """One projection step of the momentum equation with physical wall data."""
-    a = implicit_viscosity(cfg.viscosity)
-    walls0, walls1 = data.eval_wall(t_old), data.eval_wall(t_old + dt)
-
-    expl = momentum_force(phi_new, mu_new, u, cfg.viscosity(phi_new.values), a, walls0)
-    u_new, q = helmholtz_project_velocity(_euler_rhs(expl, dt, u), dt * 0.5 * a, walls1)
+    u_new, q = helmholtz_project_velocity(expl, dt * 0.5 * a, walls)
     if not u_new.is_finite():
-        raise SolverDiverged("momentum update produced non-finite values")
+        raise SolverDiverged(f"{what} update produced non-finite values")
     pressure = q.values
     pressure *= 1.0 / dt
     return u_new, q
 
 
+def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
+                      tables: tuple[np.ndarray, np.ndarray], a: float,
+                      walls0: Walls, walls1: Walls, dt: float) -> tuple[VectorField, ScalarField]:
+    """One projection step with physical wall data: old ``walls0``, new ``walls1``."""
+    expl = momentum_force(phi_new, mu_new, u, tables, a, walls0)
+    return _projection_step(expl, u, dt, a, walls1, "momentum")
+
+
 def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
                       dlift_dt: VectorField, lift_coeff: float,
                       phi_new: ScalarField, mu_new: ScalarField,
-                      data: WallData, t_old: float, dt: float,
-                      cfg: SolverConfig) -> tuple[VectorField, ScalarField]:
-    """Projection step for the homogeneous-wall field ubar.
-
-    The advective and variable-viscosity terms act on the reconstructed
-    total field (all lift interactions explicit); the lift time derivative
-    enters the force with the given coefficient.
-    """
-    a = implicit_viscosity(cfg.viscosity)
-    walls0 = data.eval_wall(t_old)
-    w = ubar + u_lift_old
-
-    expl = momentum_force(phi_new, mu_new, w, cfg.viscosity(phi_new.values), a, walls0)
+                      tables: tuple[np.ndarray, np.ndarray], a: float,
+                      walls0: Walls, dt: float) -> tuple[VectorField, ScalarField]:
+    """Projection step for the homogeneous-wall field ubar: the force acts on
+    the total field ubar + u_lift_old with the old wall data ``walls0``, and
+    the lift time derivative enters it with the given coefficient."""
+    expl = momentum_force(phi_new, mu_new, ubar + u_lift_old, tables, a, walls0)
     for f, d in ((expl.ux, dlift_dt.ux), (expl.uy, dlift_dt.uy)):
         f -= d * lift_coeff
-    ubar_new, q = helmholtz_project_velocity(_euler_rhs(expl, dt, ubar), dt * 0.5 * a)
-    if not ubar_new.is_finite():
-        raise SolverDiverged("lifted momentum update produced non-finite values")
-    pressure = q.values
-    pressure *= 1.0 / dt
-    return ubar_new, q
+    return _projection_step(expl, ubar, dt, a, None, "lifted momentum")
 
 
 def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
@@ -382,12 +374,15 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
 # ---------------------------------------------------------------------------
 
 class Simulation:
-    """Owns the persistent lift machinery and advances a SimState.
+    """Owns the persistent lift machinery and the step plan, and advances a SimState.
 
-    The (phi, u) of the state one step back are kept as the history of the
-    two-step concentration scheme.  The first step, and the first step after
-    a state is assigned from outside, has no history and takes the one-step
-    start.  Initial data must be finite.
+    The plan is what the run fixes: ``a``, ``lift_coeff`` and, for a constant
+    viscosity, ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
+    the state one step back are the history of the two-step concentration
+    scheme.  The first step, and the first step after a state is assigned
+    from outside, has no history and takes the one-step start.  Initial data
+    must be finite; an assigned state must be on the simulation's grid and,
+    in the lifted modes, carry ubar and u_lift.
     """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
@@ -403,6 +398,11 @@ class Simulation:
         self.data = data
         self.ell: EllipticLift | None = None
         self.par: ParabolicLift | None = None
+        self.a = a = implicit_viscosity(cfg.viscosity)
+        self.lift_coeff = 1.0 - a / (2.0 * cfg.viscosity.nu1) if cfg.mode == "lifted_parabolic" \
+            else 1.0
+        self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
+            if cfg.viscosity.is_constant else None
         mu0 = initial_mu(phi0)
 
         if cfg.mode == "direct":
@@ -427,6 +427,10 @@ class Simulation:
 
     @state.setter
     def state(self, state: SimState) -> None:
+        if self.cfg.mode != "direct" and (state.ubar is None or state.u_lift is None):
+            raise InvariantViolation(f"a {self.cfg.mode} state needs ubar and u_lift")
+        require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p,
+                                                   state.ubar, state.u_lift) if f is not None))
         self._state = state
         self._history: tuple[ScalarField, VectorField] | None = None
 
@@ -445,19 +449,21 @@ class Simulation:
         t_new = st.t + dt
 
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
+        tables = self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a)
+        walls0 = self.data.eval_wall(st.t)
 
         if cfg.mode == "direct":
-            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, self.data, st.t, dt, cfg)
+            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, walls0,
+                                         self.data.eval_wall(t_new), dt)
             new = SimState(t_new, u_new, phi_new, mu_new, p)
         else:
             if self.par is None:
-                lift, dlift_dt, coeff = self.ell.state_at(t_new), self.ell.dt_at(t_new), 1.0
+                lift, dlift_dt = self.ell.state_at(t_new), self.ell.dt_at(t_new)
             else:
                 self.par.step(dt)
                 lift, dlift_dt = self.par.u_p, self.par.du_p_dt
-                coeff = 1.0 - implicit_viscosity(cfg.viscosity) / (2.0 * cfg.viscosity.nu1)
-            ubar_new, p = ns_substep_lifted(st.ubar, st.u_lift, dlift_dt, coeff, phi_new,
-                                            mu_new, self.data, st.t, dt, cfg)
+            ubar_new, p = ns_substep_lifted(st.ubar, st.u_lift, dlift_dt, self.lift_coeff,
+                                            phi_new, mu_new, tables, self.a, walls0, dt)
             new = SimState(t_new, ubar_new + lift, phi_new, mu_new, p,
                            ubar=ubar_new, u_lift=lift)
 

@@ -74,6 +74,15 @@ class TestChSubstep:
             phi, _ = ch_substep(phi, v, 1e-3, 2.0)
         assert abs(phi.mean() - m0) < 1e-11
 
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("form", ["one_step", "bdf2"])
+    def test_dt_not_positive_and_finite_rejected(self, dt, form):
+        grid = Grid(16, 16)
+        phi, zero = noise_phi(grid), VectorField.zeros(grid)
+        previous = (phi, zero) if form == "bdf2" else None
+        with pytest.raises(InvariantViolation, match="dt must be positive and finite"):
+            ch_substep(phi, zero, dt, 2.0, previous)
+
 
 class TestChSubstepBdf2:
     def test_constant_is_fixed_point(self, rng):
@@ -206,7 +215,7 @@ class TestMomentumForce:
         ref = solver.capillary_force(phi, mu) - advect_velocity(v, v) \
             + viscous_term(ScalarField(nu, g), v, (gb, gt)) \
             - (0.5 * a) * vector_laplacian(v, (gb, gt))
-        out = solver.momentum_force(phi, mu, v, nu, a, (gb, gt))
+        out = solver.momentum_force(phi, mu, v, solver.viscosity_tables(nu, a), a, (gb, gt))
         assert l2(out - ref) <= 1e-13 * l2(ref)
         assert not out.uy[:, 0].any() and not out.uy[:, -1].any()
 
@@ -216,7 +225,8 @@ class TestMomentumForce:
         v, a = random_divfree(g, rng), 1.3
         gb, gt = rng.standard_normal(g.nx), rng.standard_normal(g.nx)
         zero = ScalarField.zeros(g)
-        out = solver.momentum_force(zero, zero, v, np.full((g.nx, g.ny), a), a, (gb, gt))
+        tables = solver.viscosity_tables(np.full((g.nx, g.ny), a), a)
+        out = solver.momentum_force(zero, zero, v, tables, a, (gb, gt))
         adv = advect_velocity(v, v)
         assert l2(out + adv) <= 1e-13 * (l2(adv) + a * l2(vector_laplacian(v, (gb, gt))))
 
@@ -226,7 +236,48 @@ class TestMomentumForce:
         nu = np.ones((g.nx, g.ny))
         nu[3, 4] = 0.0
         with pytest.raises(NonpositiveViscosity):
-            solver.momentum_force(phi, phi, v, nu, 1.0, (np.zeros(g.nx), np.zeros(g.nx)))
+            solver.momentum_force(phi, phi, v, solver.viscosity_tables(nu, 1.0), 1.0,
+                                  (np.zeros(g.nx), np.zeros(g.nx)))
+
+
+class TestStepPlan:
+    """What the run fixes is computed once per Simulation, not once per step."""
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    @pytest.mark.parametrize("viscosity", ["constant", "tanh"])
+    def test_viscosity_tables_built_once_per_run_when_constant(self, monkeypatch, mode,
+                                                                viscosity):
+        calls = {"viscosity": 0, "corners": 0}
+        call, corners = ViscositySpec.__call__, solver._nu_at_corners
+
+        def counted_call(spec, s):
+            calls["viscosity"] += 1
+            return call(spec, s)
+
+        def counted_corners(nu):
+            calls["corners"] += 1
+            return corners(nu)
+
+        monkeypatch.setattr(ViscositySpec, "__call__", counted_call)
+        monkeypatch.setattr(solver, "_nu_at_corners", counted_corners)
+        grid, n_steps = Grid(16, 16), 5
+        visc = constant_visc() if viscosity == "constant" else None
+        sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode, visc=visc),
+                         WallData.zero(grid), noise_phi(grid), VectorField.zeros(grid))
+        for _ in range(n_steps):
+            sim.step()
+        once = 1 if viscosity == "constant" else n_steps
+        assert calls == {"viscosity": once, "corners": once}
+
+    def test_plan_tables_are_read_only(self):
+        grid = Grid(16, 16)
+        sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01, visc=constant_visc()),
+                         WallData.zero(grid), noise_phi(grid), VectorField.zeros(grid))
+        assert len(sim.viscosity_tables) == 2
+        for table in sim.viscosity_tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
 
 class TestNsDirect:
@@ -441,6 +492,25 @@ class TestSimulationInputs:
         with pytest.raises(InvariantViolation, match=other):
             Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode), **given)
 
+    @pytest.mark.parametrize("mode, field, given", [
+        *[(mode, field, "other_grid") for mode in solver.MODES
+          for field in ("u", "phi", "mu", "p")],
+        *[(mode, field, given) for mode in ("lifted_elliptic", "lifted_parabolic")
+          for field in ("ubar", "u_lift") for given in ("other_grid", "none")]])
+    def test_assigned_state_it_cannot_step_rejected(self, mode, field, given):
+        grid, other = Grid(16, 16, lx=2.0), Grid(16, 16, lx=4.0)
+        sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode), WallData.zero(grid),
+                         noise_phi(grid), VectorField.zeros(grid))
+        before = sim.state
+        if given == "none":
+            value, match = None, "needs ubar and u_lift"
+        else:
+            value = {"phi": noise_phi(other), "mu": ScalarField.zeros(other),
+                     "p": ScalarField.zeros(other)}.get(field, VectorField.zeros(other))
+            match = "different grids"
+        with pytest.raises(InvariantViolation, match=match):
+            sim.state = dataclasses.replace(before, **{field: value})
+        assert sim.state is before
 
     @pytest.mark.parametrize("where", ["phi0_nan", "phi0_inf", "ux_nan", "uy_inf", "cfl_umax_nan"])
     def test_non_finite_inputs_rejected(self, where):
@@ -493,6 +563,8 @@ class TestNothingReturnedIsWritten:
         a = solver.implicit_viscosity(cfg.viscosity)
         tables = [*solve_table("helmholtz", grid, cfg.dt * 0.5 * a, not_cached),
                   solve_table("ch_denominator", grid, (1.5 / cfg.dt, cfg.stabilization),
+                              not_cached),
+                  solve_table("ch_denominator", grid, (1.0 / cfg.dt, cfg.stabilization),
                               not_cached)]
         if mode == "lifted_parabolic":
             tables += solve_table("helmholtz", grid, cfg.dt * cfg.viscosity.nu1, not_cached)
