@@ -12,7 +12,6 @@ iterative tolerance for them.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,10 @@ class Grid:
 
     A Grid may be shared freely across threads: construction precomputes
     every wavenumber/eigenvalue table and nothing is mutated afterwards.
-    Tables that also depend on a solve coefficient are built at first use
-    and kept read-only outside the grid (``solve_table``).
+    Grids compare and hash by ``key``.  The tables that also depend on a
+    solve coefficient are built once per grid and coefficient, read-only,
+    by the ``functools.lru_cache`` builders ``ops._helmholtz_symbols`` and
+    ``solver._ch_denominator``, so equal grids share them.
     """
 
     def __init__(self, nx: int, ny: int, lx: float = 1.0, ly: float = 1.0):
@@ -87,6 +88,12 @@ class Grid:
     @property
     def key(self) -> tuple:
         return (self.nx, self.ny, self.lx, self.ly)
+
+    def __eq__(self, other):
+        return isinstance(other, Grid) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     @property
     def cell_area(self) -> float:
@@ -264,34 +271,6 @@ def require_same_grid(*objs):
     keys = {o.grid.key for o in objs}
     if len(keys) > 1:
         raise InvariantViolation(f"fields live on different grids: {sorted(keys)}")
-
-
-# Tables that depend on a grid and a solve coefficient, such as the inverse
-# Helmholtz symbols of one dt: built at first use, read-only, and bounded in
-# number, so a ladder of step sizes cannot grow them without end.
-_SOLVE_TABLES: dict = {}
-_SOLVE_TABLES_MAX = 16
-_SOLVE_TABLES_LOCK = threading.Lock()
-
-
-def solve_table(name: str, grid: Grid, coeff, build):
-    """The table ``build()`` of ``name`` for this grid and coefficient, built once.
-
-    The table (an array or a tuple of arrays) is read-only and shared by every
-    grid with the same ``key``; the oldest table is dropped when the cache is full.
-    """
-    key = (name, grid.key, coeff)
-    with _SOLVE_TABLES_LOCK:
-        table = _SOLVE_TABLES.get(key)
-    if table is None:
-        table = build()
-        for arr in (table if isinstance(table, tuple) else (table,)):
-            arr.flags.writeable = False
-        with _SOLVE_TABLES_LOCK:
-            if len(_SOLVE_TABLES) >= _SOLVE_TABLES_MAX:
-                del _SOLVE_TABLES[next(iter(_SOLVE_TABLES))]
-            _SOLVE_TABLES[key] = table
-    return table
 
 
 def whole_steps(span: float, dt: float, what: str) -> int:

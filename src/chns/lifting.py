@@ -39,6 +39,7 @@ dropped part stays below the floor times the sum of dt |a'| over the steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,10 +137,12 @@ class EllipticLift:
 
     The unit solve is done once per wall data, grid and nu1 and kept
     read-only in ``data.lift_cache``; every later lift of the same data
-    shares it.
+    shares it.  Wall data sampled on another grid is refused.
     """
 
     def __init__(self, grid: Grid, nu1: float, data: WallData):
+        if data.grid != grid:
+            raise InvariantViolation(f"wall data is on grid {data.grid.key}, not {grid.key}")
         self.grid = grid
         self.nu1 = float(nu1)
         self.data = data
@@ -150,23 +153,22 @@ class EllipticLift:
                 arr.flags.writeable = False
             data.lift_cache[key] = (u, p)
         self.unit_u, self.unit_p = data.lift_cache[key]
-        self._x_modes: tuple | None = None
 
+    @functools.cached_property
     def x_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows K and the unit lift's rfft rows on them (``ParabolicLift``).
 
         K holds the x-wavenumbers whose largest coefficient, over ux and the
         interior rows of uy, is above the round-off floor nx eps times the
-        largest of all rows.  Built at the first call, kept read-only.
+        largest of all rows.  Built at the first use, kept read-only.
         """
-        if self._x_modes is None:
-            ux, uy = _x_rows(self.unit_u)
-            size = _row_sizes(ux, uy)
-            rows = np.flatnonzero(size > self.grid.nx * np.finfo(float).eps * size.max())
-            self._x_modes = (rows, ux[rows], uy[rows])
-            for arr in self._x_modes:
-                arr.flags.writeable = False
-        return self._x_modes
+        ux, uy = _x_rows(self.unit_u)
+        size = _row_sizes(ux, uy)
+        rows = np.flatnonzero(size > self.grid.nx * np.finfo(float).eps * size.max())
+        modes = (rows, ux[rows], uy[rows])
+        for arr in modes:
+            arr.flags.writeable = False
+        return modes
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -223,7 +225,7 @@ class ParabolicLift:
     @w.setter
     def w(self, field: VectorField) -> None:
         wx, wy = _x_rows(field)
-        rows = np.union1d(self.ell.x_modes()[0], np.flatnonzero(_row_sizes(wx, wy)))
+        rows = np.union1d(self.ell.x_modes[0], np.flatnonzero(_row_sizes(wx, wy)))
         unit_x, unit_y = _x_rows(self.ell.unit_u)
         self._modes = (rows, unit_x[rows], unit_y[rows], wx[rows], wy[rows])
         self._w = field
@@ -234,7 +236,7 @@ class ParabolicLift:
                                      f"got {dt!r}")
         g, unit = self.grid, self.ell.unit_u
         if self._modes is None:
-            rows, unit_x, unit_y = self.ell.x_modes()
+            rows, unit_x, unit_y = self.ell.x_modes
             self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
         rows, unit_x, unit_y, wx, wy = self._modes
         t_new = self.t + dt

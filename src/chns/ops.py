@@ -38,17 +38,18 @@ without projecting.  Every mean-free Neumann Poisson inverse, in
 ``leray_project``, ``helmholtz_project_velocity`` and ``projected_norm_sq``,
 is the one table ``Grid.inv_lam_neumann``.  The inverse Helmholtz symbols of
 ``helmholtz_project_velocity`` depend on the coefficient too: they are built
-once per grid and coefficient (``grid.solve_table``).
+once per grid and coefficient (``_helmholtz_symbols``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.fft as sfft
 
 from .errors import InvariantViolation, NonpositiveViscosity
-from .grid import (Grid, ScalarField, VectorField, complex_r2r, require_same_grid,
-                   solve_table)
+from .grid import Grid, ScalarField, VectorField, complex_r2r, require_same_grid
 
 __all__ = [
     "divergence", "gradient", "laplacian_neumann", "helmholtz_solve_neumann",
@@ -195,11 +196,18 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     return v - gradient(q), q
 
 
+@functools.lru_cache(maxsize=4)
 def _helmholtz_symbols(g: Grid, coeff: float) -> tuple[np.ndarray, np.ndarray]:
-    """1 / (1 - coeff (lam_x + lam_y)) on the DST-II (ux) and DST-I (interior uy) layouts."""
+    """1 / (1 - coeff (lam_x + lam_y)) on the DST-II (ux) and DST-I (interior uy) layouts.
+
+    Built once per grid and coefficient and read-only; a run uses at most two
+    coefficients (the momentum step's and the evolutionary lift's).
+    """
     lam_x = g.lam_x[:, None]
-    return (1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst2)),
-            1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst1)))
+    inv_x = 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst2))
+    inv_y = 1.0 / (1.0 - coeff * (lam_x + g.lam_y_dst1))
+    inv_x.flags.writeable = inv_y.flags.writeable = False
+    return inv_x, inv_y
 
 
 def helmholtz_project_velocity(rhs: VectorField, coeff: float,
@@ -236,7 +244,7 @@ def _helmholtz_project_modes(g: Grid, coeff: float, rx_hat: np.ndarray, ry_hat: 
     x-translations, so each row is solved on its own.
     """
     # complex arrays are scaled by real reciprocals: a product, not a division
-    inv_x, inv_y = solve_table("helmholtz", g, coeff, lambda: _helmholtz_symbols(g, coeff))
+    inv_x, inv_y = _helmholtz_symbols(g, coeff)
     ux_hat = complex_r2r(sfft.dst, rx_hat, 2, overwrite_x=True)
     ux_hat *= inv_x[rows]
     ux_hat = complex_r2r(sfft.idst, ux_hat, 2, overwrite_x=True)

@@ -1,4 +1,4 @@
-"""Deterministic run outputs: records CSV, binary field snapshots, summary JSON.
+"""Deterministic run outputs: records CSV and binary field snapshots.
 
 Snapshot layout (little-endian), 64-byte header then the payload:
 
@@ -15,7 +15,6 @@ Payload: rows*cols float64 values, row-major.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
@@ -116,16 +115,3 @@ def snapshot_state(directory, state, index: int) -> list[Path]:
         written.append(path)
     return written
 
-
-def write_summary(path, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

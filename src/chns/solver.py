@@ -57,6 +57,7 @@ approximations serve its existence proof and have no truncated step here.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ import numpy as np
 
 from .boundary import WallData, check_compatibility
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
-from .grid import Grid, ScalarField, VectorField, require_same_grid, solve_table, whole_steps
+from .grid import Grid, ScalarField, VectorField, require_same_grid, whole_steps
 from .lifting import EllipticLift, ParabolicLift
 from .ops import (Walls, _dy_ux, _east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
@@ -129,6 +130,15 @@ def initial_mu(phi: ScalarField) -> ScalarField:
     return ScalarField._trusted(-laplacian_neumann(phi).values + fp.values, phi.grid)
 
 
+@functools.lru_cache(maxsize=4)
+def _ch_denominator(g: Grid, c0: float, s: float) -> np.ndarray:
+    """c0 + lam^2 - S lam of ``ch_substep``, built once per grid, c0 and S; read-only."""
+    lam = g.lam_neumann
+    table = c0 + lam * lam - s * lam
+    table.flags.writeable = False
+    return table
+
+
 def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilization: float,
                previous: tuple[ScalarField, VectorField] | None = None
                ) -> tuple[ScalarField, ScalarField]:
@@ -147,10 +157,10 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
 
     Either way it is a single transform-diagonalized solve: everything but
     the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
-    two forward transforms, divided by c0 + lam^2 - S lam (a table built once
-    per grid, c0 and S).  The cell mean of phi is conserved exactly
-    (conservative advection, no-flux walls).  Every intermediate lives in an
-    array of this call's own; the inputs are only read.
+    two forward transforms, divided by c0 + lam^2 - S lam (``_ch_denominator``).
+    The cell mean of phi is conserved exactly (conservative advection,
+    no-flux walls).  Every intermediate lives in an array of this call's own;
+    the inputs are only read.
     """
     if not 0 < dt < math.inf:           # nan fails too
         raise InvariantViolation(f"concentration step: dt must be positive and finite, got {dt!r}")
@@ -184,7 +194,7 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
     source_hat *= lam
     phi_hat += source_hat
     del source_hat
-    phi_hat /= solve_table("ch_denominator", g, (c0, s), lambda: c0 + lam * lam - s * lam)
+    phi_hat /= _ch_denominator(g, c0, s)
     phi_new = ScalarField._trusted(g.from_spectral(phi_hat), g)
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
@@ -388,7 +398,7 @@ class Simulation:
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
                  phi0: ScalarField, u0: VectorField):
         for name, given in (("data", data), ("phi0", phi0), ("u0", u0)):
-            if given.grid.key != grid.key:
+            if given.grid != grid:
                 raise InvariantViolation(f"{name} is on grid {given.grid.key}, not {grid.key}")
         for name, given in (("phi0", phi0), ("u0", u0)):
             if not given.is_finite():

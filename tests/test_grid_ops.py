@@ -6,12 +6,12 @@ import scipy.fft
 
 from chns.errors import InvariantViolation, NonpositiveViscosity
 from chns.grid import Grid, ScalarField, VectorField, complex_r2r
-from chns.ops import (advect_scalar, advect_velocity, divergence, gradient,
+from chns.ops import (_helmholtz_symbols, advect_scalar, advect_velocity, divergence, gradient,
                       grad_norm_sq, h1, helmholtz_project_velocity, helmholtz_solve_neumann,
                       helmholtz_solve_velocity, hminus1, inner,
                       inner_vec, l2, laplacian_neumann, leray_project, parseval_sum,
                       projected_norm_sq, vector_laplacian, viscous_term)
-from chns.solver import capillary_force
+from chns.solver import _ch_denominator, capillary_force
 
 from conftest import random_divfree, random_scalar, random_vector
 
@@ -77,6 +77,22 @@ class TestGrid:
         uy[5, 0] = 1.0
         with pytest.raises(InvariantViolation):
             VectorField(np.zeros((32, 32)), uy, grid32)
+
+    def test_equal_grids_compare_and_hash_by_key(self):
+        assert Grid(16, 16) == Grid(16, 16)
+        assert hash(Grid(16, 16)) == hash(Grid(16, 16))
+        assert Grid(16, 16) != Grid(16, 16, lx=4.0)
+        assert Grid(16, 16) != Grid(16, 16).key
+
+    def test_equal_grids_share_read_only_solve_tables(self):
+        first, second = Grid(16, 16), Grid(16, 16)
+        symbols = _helmholtz_symbols(first, 0.01)
+        assert all(a is b for a, b in zip(symbols, _helmholtz_symbols(second, 0.01)))
+        denominator = _ch_denominator(first, 100.0, 2.0)
+        assert _ch_denominator(second, 100.0, 2.0) is denominator
+        for table in (*symbols, denominator):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
 
 class TestFieldChecksAtTheEdges:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chns import lifting
 from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
@@ -163,12 +164,42 @@ class TestLiftCache:
         ell = EllipticLift(grid, NU1, data)
         top[:] = 2.0                                  # the caller's array is copied
         assert np.all(data.g_top == 1.0)
-        rows, ux_hat, uy_hat = ell.x_modes()          # the unit lift's x-Fourier rows
+        rows, ux_hat, uy_hat = ell.x_modes            # the unit lift's x-Fourier rows
         assert rows.tolist() == [0]
         for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.unit_p.values,
                     rows, ux_hat, uy_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+    def test_x_modes_built_once_per_lift(self, monkeypatch):
+        grid = Grid(16, 16)
+        ell = EllipticLift(grid, NU1, make_data(grid, "single_mode:1",
+                                                Amplitude("couette_ramp", a0=0.0, a_inf=1.0,
+                                                          rate=1.0)))
+        builds = []
+        x_rows = lifting._x_rows
+        monkeypatch.setattr(lifting, "_x_rows", lambda f: builds.append(f) or x_rows(f))
+        par = ParabolicLift(ell)
+        for _ in range(3):
+            par.step(0.01)
+        assert ell.x_modes is ell.x_modes
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("entry", ["EllipticLift", "run_lift_pair", "for_run",
+                                       "build_initial_u"])
+    def test_wall_data_on_another_grid_refused(self, entry):
+        cfg = RunConfig(nx=16, ny=16, lx=4.0, u_profile="lift", mode="lifted_elliptic")
+        grid = build_grid(cfg)
+        data = make_data(Grid(16, 16))        # profiles sampled for lx = 1
+        calls = {
+            "EllipticLift": lambda: EllipticLift(grid, cfg.nu1, data),
+            "run_lift_pair": lambda: run_lift_pair(data, grid, cfg.nu1, 0.01, 0.02),
+            "for_run": lambda: DiagnosticsContext.for_run(grid, build_solver_config(cfg), data),
+            "build_initial_u": lambda: build_initial_u(cfg, grid, data),
+        }
+        with pytest.raises(InvariantViolation, match="wall data is on grid"):
+            calls[entry]()
 
 
 class TestStationaryStokes:
@@ -397,7 +428,7 @@ class TestParabolicLift:
                 scale = ref.max_abs()
                 assert scale > 0.0
                 assert (new - ref).max_abs() <= 1e-13 * scale
-        assert ell.x_modes()[0].tolist() == rows
+        assert ell.x_modes[0].tolist() == rows
         assert par.t == t
 
     def test_ramp_difference_decays(self):
