@@ -159,20 +159,21 @@ def wall_profile(grid: Grid, kind: str, scale: float = 1.0) -> np.ndarray:
     return scale * np.cos(2 * np.pi * m * grid.xf / grid.lx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallData:
     """Tangential boundary velocity a(t) * (g_bottom, g_top); normal part is zero.
 
     The shapes are kept as read-only copies, so fields derived from them stay
     valid for the lifetime of the instance: ``lift_cache`` holds the unit
     stationary lift per (grid.key, nu1), filled by ``lifting.EllipticLift``.
+    Instances compare and hash by identity.
     """
 
     grid: Grid
     g_bottom: np.ndarray
     g_top: np.ndarray
     amplitude: Amplitude
-    lift_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    lift_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         gb = np.array(self.g_bottom, dtype=float)

@@ -151,9 +151,12 @@ def _as_array(values, shape, what):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Cell-centered scalar (order parameter, chemical potential, pressure, ...)."""
+    """Cell-centered scalar (order parameter, chemical potential, pressure, ...).
+
+    Fields compare and hash by identity: their arrays have no single truth value.
+    """
 
     values: np.ndarray
     grid: Grid
@@ -204,9 +207,12 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
-    """Face-staggered velocity; wall rows of the y-component are identically zero."""
+    """Face-staggered velocity; wall rows of the y-component are identically zero.
+
+    Compares and hashes by identity, as ``ScalarField`` does.
+    """
 
     ux: np.ndarray
     uy: np.ndarray

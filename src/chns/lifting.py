@@ -5,8 +5,13 @@ prescribed tangential trace, exactly and without iteration, by the
 influence-matrix method of Kleiser & Schumann (1980) on the staggered grid:
 in streamfunction-vorticity form the vorticity of each x-wavenumber is a
 closed-form combination of two wall modes, one sine-transform (DST-I) solve
-over all wavenumbers turns it into the streamfunction, and a 2x2 system per
-wavenumber fits the two wall conditions.  Because the wall data is
+turns it into the streamfunction, and a 2x2 system fits the two wall
+conditions.  The Stokes operator commutes with x-translations, so the lift
+lives on the x-wavenumbers of the data: the solve is done only on K, the
+wavenumbers where the larger of the two walls' rfft coefficients is above the
+round-off floor nx eps times the largest of them.  The profiles of a config
+(zero, uniform, single_mode:m) give at most two rows; data with every
+wavenumber gives them all, on the same path.  Because the wall data is
 separable, h = a(t) g(x), the solve happens once for the unit shape g and
 every lift and lift time-derivative is an amplitude rescaling of that single
 field.
@@ -25,21 +30,17 @@ c = 1 - a/(2 nu1) is the lift-force coefficient of ``ns_substep_lifted``, P
 the projection and q the projection potential of S d, so the change vanishes
 for nu2 = 3 nu1 (c = 0) and is O(dt) otherwise.
 
-The Stokes operator commutes with x-translations, so w, forced by -a'(t) U
-from zero, lives on the x-wavenumbers of U, which are those of g.  The lift
-keeps w as its rfft rows on K, the wavenumbers whose largest coefficient of
-U is above the round-off floor nx eps times the largest row, and steps only
-those rows, through the x-Fourier core of ``helmholtz_project_velocity``.
-The profiles of a config (zero, uniform, single_mode:m) give at most two
-rows; data with every wavenumber gives them all, on the same path.  Dropping
-the other rows moves u_p only by round-off: each step maps w to P S (w - dt
-a' U), where the projection P and the solve S do not grow a field, so the
-dropped part stays below the floor times the sum of dt |a'| over the steps.
+For the same reason w, forced by -a'(t) U from zero, lives on the rows K
+of U.  The lift keeps w as its rfft rows on K and steps only those rows,
+through the x-Fourier core of ``helmholtz_project_velocity``, starting from
+U's rows as the stationary solve wrote them.  Outside K, U's rfft holds
+only the round-off of its inverse transform, so dropping those rows moves
+u_p only by round-off: each step maps w to P S (w - dt a' U), where the
+projection P and the solve S do not grow a field.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,7 +67,8 @@ class StationaryStokes:
     is the linear (Couette) profile between the two wall means with uy = 0
     and p = 0, which also makes p zero-mean.
 
-    Every mode k >= 1 is solved at once by the influence-matrix method.  The
+    The modes k >= 1 of K (module docstring) are solved together by the
+    influence-matrix method; the other rows of the result are zero.  The
     velocity is written through a corner streamfunction, ux = D_y psi and
     uy = -D_x psi with psi = 0 on both walls, so it is divergence-free by
     construction; the curl of the momentum rows removes p and leaves
@@ -80,6 +82,9 @@ class StationaryStokes:
     of L psi = omega for the bottom basis (the top one is its mirror image)
     leaves a 2x2 system per k, the two ghost rows, for the wall vorticities.
     The pressure comes from the x-momentum rows, p = nu D_y(omega) / G_x.
+
+    ``info["x_modes"]`` is (K, the rfft rows of ux on K, those of uy's
+    interior rows on K); K holds 0 when a wall mean is above the floor.
     """
 
     def __init__(self, grid: Grid, nu1: float):
@@ -88,13 +93,13 @@ class StationaryStokes:
 
     def solve(self, walls: Walls) -> tuple[VectorField, ScalarField, dict]:
         g = self.grid
-        if walls is None or not (np.any(walls[0]) or np.any(walls[1])):
-            return VectorField.zeros(g), ScalarField.zeros(g), {"iterations": 0}
-        gb, gt = walls
-
         dy, ny = g.dy, g.ny
+        gb, gt = walls if walls is not None else (np.zeros(g.nx), np.zeros(g.nx))
         bhat, that = sfft.rfft(gb), sfft.rfft(gt)
-        lam_x = g.lam_x[1:, None]
+        size = np.maximum(np.abs(bhat), np.abs(that))
+        rows = np.flatnonzero(size > g.nx * np.finfo(float).eps * size.max())     # K
+        k = rows[rows > 0]
+        lam_x = g.lam_x[k, None]
         j = np.arange(ny + 1)
         # bottom vorticity basis sinh(kappa (ny - j)) / sinh(kappa ny), overflow-free
         kappa = np.arccosh(1.0 - 0.5 * dy**2 * lam_x)
@@ -106,24 +111,24 @@ class StationaryStokes:
         # ghost rows: omega_0 = 2 psi_1 / dy^2 - 2 g_b / dy, and the mirror image at the top
         a = 1.0 - 2.0 * psi_b[:, 1] / dy**2
         b = -2.0 * psi_b[:, -2] / dy**2
-        rb, rt = -2.0 * bhat[1:] / dy, 2.0 * that[1:] / dy
+        rb, rt = -2.0 * bhat[k] / dy, 2.0 * that[k] / dy
         det = a * a - b * b
         w_b = ((a * rb - b * rt) / det)[:, None]
         w_t = ((a * rt - b * rb) / det)[:, None]
         psi = w_b * psi_b + w_t * psi_b[:, ::-1]
         omega = w_b * decay + w_t * decay[:, ::-1]
 
-        shift = np.exp(2j * np.pi * np.arange(1, g.nx // 2 + 1) / g.nx)[:, None]
-        hat = np.zeros((3, g.nx // 2 + 1, ny + 1), dtype=complex)     # ux, p, uy
-        hat[0, 0, :ny] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
-        hat[0, 1:, :ny] = np.diff(psi, axis=1) / dy
-        hat[1, 1:, :ny] = self.nu1 * np.diff(omega, axis=1) / dy \
-            / ((1.0 - shift.conj()) / g.dx)                           # x-gradient symbol
-        hat[2, 1:] = -(shift - 1.0) / g.dx * psi                      # x-divergence symbol
-        ux, p, uy = sfft.irfft(hat, axis=1, n=g.nx)
-        u = VectorField(np.ascontiguousarray(ux[:, :ny]), uy, g)
-        p = ScalarField(np.ascontiguousarray(p[:, :ny]), g)
-        return u, p, {"iterations": 1}
+        hat = np.zeros((2, g.nx // 2 + 1, ny), dtype=complex)         # ux, p
+        hat[0, 0] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
+        hat[0, k] = np.diff(psi, axis=1) / dy
+        hat[1, k] = self.nu1 * np.diff(omega, axis=1) / dy / g.ddx_west[k, None]
+        uy_hat = np.zeros((g.nx // 2 + 1, ny + 1), dtype=complex)
+        uy_hat[k] = -g.ddx_east[k, None] * psi
+        ux, p = sfft.irfft(hat, axis=1, n=g.nx)
+        u = VectorField(ux, sfft.irfft(uy_hat, axis=0, n=g.nx), g)
+        p = ScalarField(p, g)
+        modes = (rows, hat[0, rows], uy_hat[rows, 1:-1])
+        return u, p, {"iterations": int(rows.size > 0), "x_modes": modes}
 
 
 def momentum_residual(u: VectorField, p: ScalarField, nu1: float, walls: Walls) -> float:
@@ -137,7 +142,9 @@ class EllipticLift:
 
     The unit solve is done once per wall data, grid and nu1 and kept
     read-only in ``data.lift_cache``; every later lift of the same data
-    shares it.  Wall data sampled on another grid is refused.
+    shares it.  Wall data sampled on another grid is refused.  ``x_modes``
+    is the solve's ``info["x_modes"]``: the data's rows K and the unit
+    lift's rfft rows on them, which ``ParabolicLift`` steps.
     """
 
     def __init__(self, grid: Grid, nu1: float, data: WallData):
@@ -148,27 +155,11 @@ class EllipticLift:
         self.data = data
         key = (grid.key, self.nu1)
         if key not in data.lift_cache:
-            u, p, _ = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
-            for arr in (u.ux, u.uy, p.values):
+            u, p, info = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
+            for arr in (u.ux, u.uy, p.values, *info["x_modes"]):
                 arr.flags.writeable = False
-            data.lift_cache[key] = (u, p)
-        self.unit_u, self.unit_p = data.lift_cache[key]
-
-    @functools.cached_property
-    def x_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows K and the unit lift's rfft rows on them (``ParabolicLift``).
-
-        K holds the x-wavenumbers whose largest coefficient, over ux and the
-        interior rows of uy, is above the round-off floor nx eps times the
-        largest of all rows.  Built at the first use, kept read-only.
-        """
-        ux, uy = _x_rows(self.unit_u)
-        size = _row_sizes(ux, uy)
-        rows = np.flatnonzero(size > self.grid.nx * np.finfo(float).eps * size.max())
-        modes = (rows, ux[rows], uy[rows])
-        for arr in modes:
-            arr.flags.writeable = False
-        return modes
+            data.lift_cache[key] = (u, p, info["x_modes"])
+        self.unit_u, self.unit_p, self.x_modes = data.lift_cache[key]
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -197,12 +188,11 @@ class ParabolicLift:
     written, and a step that raises changes nothing.
 
     w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
-    is kept as its rfft rows on K, the rows of ``EllipticLift.x_modes`` above
-    the round-off floor nx eps times U's largest row, and each step solves
-    those rows only; one inverse rfft per component gives the physical w,
-    and the pressure of the solve is never transformed.  U's rows and K are
-    built at the first step, not in set-up.  Assigning ``w`` restarts it at
-    the given field, whose nonzero x-modes join K.
+    is kept as its rfft rows on K, and each step solves those rows only; K
+    and U's rows on it are ``EllipticLift.x_modes``, from the stationary
+    solve.  One inverse rfft per component gives the physical w, and the
+    pressure of the solve is never transformed.  Assigning ``w`` restarts it
+    at the given field, whose nonzero x-modes join K.
     """
 
     def __init__(self, elliptic: EllipticLift):
@@ -212,9 +202,9 @@ class ParabolicLift:
         self.data = elliptic.data
         self.t = 0.0
         self._w = VectorField.zeros(self.grid)
-        # (rows, U on them, w on them) as rfft rows of ux and of uy's interior
-        # rows; built at the first step or assignment of w, not in set-up
-        self._modes: tuple | None = None
+        # (rows, U on them, w on them) as rfft rows of ux and of uy's interior rows
+        rows, unit_x, unit_y = elliptic.x_modes
+        self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
         self.du_p_dt: VectorField | None = None
         self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
 
@@ -235,9 +225,6 @@ class ParabolicLift:
             raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
                                      f"got {dt!r}")
         g, unit = self.grid, self.ell.unit_u
-        if self._modes is None:
-            rows, unit_x, unit_y = self.ell.x_modes
-            self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
         rows, unit_x, unit_y, wx, wy = self._modes
         t_new = self.t + dt
         # w - (dt a'(t)) U on the rows, in new arrays: the core overwrites them

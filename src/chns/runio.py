@@ -81,7 +81,7 @@ def write_snapshot(path, array: np.ndarray, field: str, t: float) -> None:
     header = header.ljust(HEADER_BYTES, b"\0")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(array.tobytes(order="C"))
+        fh.write(array)                  # the C-contiguous buffer, not a copy
 
 
 def read_snapshot(path) -> tuple[dict, np.ndarray]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from chns.boundary import WallData
 from chns.errors import InvariantViolation, NonpositiveViscosity
 from chns.grid import Grid, ScalarField, VectorField, complex_r2r
 from chns.ops import (_helmholtz_symbols, advect_scalar, advect_velocity, divergence, gradient,
@@ -83,6 +84,13 @@ class TestGrid:
         assert hash(Grid(16, 16)) == hash(Grid(16, 16))
         assert Grid(16, 16) != Grid(16, 16, lx=4.0)
         assert Grid(16, 16) != Grid(16, 16).key
+
+    @pytest.mark.parametrize("make", [ScalarField.zeros, VectorField.zeros, WallData.zero],
+                             ids=["ScalarField", "VectorField", "WallData"])
+    def test_fields_and_wall_data_compare_and_hash_by_identity(self, make):
+        a, b = make(Grid(16, 16)), make(Grid(16, 16))
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_equal_grids_share_read_only_solve_tables(self):
         first, second = Grid(16, 16), Grid(16, 16)

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from chns import lifting
 from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
@@ -173,18 +175,22 @@ class TestLiftCache:
 
 
     def test_x_modes_built_once_per_lift(self, monkeypatch):
+        """K and U's rows come from the stationary solve: the lift build
+        transforms the two wall shapes and never the unit lift."""
         grid = Grid(16, 16)
-        ell = EllipticLift(grid, NU1, make_data(grid, "single_mode:1",
-                                                Amplitude("couette_ramp", a0=0.0, a_inf=1.0,
-                                                          rate=1.0)))
-        builds = []
-        x_rows = lifting._x_rows
-        monkeypatch.setattr(lifting, "_x_rows", lambda f: builds.append(f) or x_rows(f))
-        par = ParabolicLift(ell)
+        data = make_data(grid, "single_mode:1",
+                         Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
+        rffts = []
+        monkeypatch.setattr(lifting, "sfft", types.SimpleNamespace(
+            **{name: getattr(sfft, name) for name in ("dst", "idst", "irfft")},
+            rfft=lambda a, *args, **kw: rffts.append(a) or sfft.rfft(a, *args, **kw)))
+        ell = EllipticLift(grid, NU1, data)
+        par = ParabolicLift(EllipticLift(grid, NU1, data))
         for _ in range(3):
             par.step(0.01)
-        assert ell.x_modes is ell.x_modes
-        assert len(builds) == 1
+        assert ell.x_modes is ell.x_modes is par.ell.x_modes
+        assert ell.x_modes[0].tolist() == [1]
+        assert [id(a) for a in rffts] == [id(data.g_bottom), id(data.g_top)]
 
     @pytest.mark.parametrize("entry", ["EllipticLift", "run_lift_pair", "for_run",
                                        "build_initial_u"])
@@ -265,6 +271,59 @@ def dense_stokes(grid, nu, gb, gt):
     return unpack(z)
 
 
+def dense_error(u, p, gb, gt):
+    """Largest difference from ``dense_stokes`` over ux, uy and p, relative to
+    each field's size, or to the data's for a field that vanishes."""
+    u_ref, p_ref = dense_stokes(u.grid, NU1, gb, gt)
+    scale = max(np.abs(gb).max(), np.abs(gt).max())
+    return max(np.abs(new - ref).max() / max(np.abs(ref).max(), scale)
+               for new, ref in ((u.ux, u_ref.ux), (u.uy, u_ref.uy), (p.values, p_ref.values)))
+
+
+ROW_CASES = ["mean", "mode_1", "nyquist", "mix", "uniform_and_mode_2", "random",
+             "below_floor", "above_floor"]
+
+
+def row_case(grid, case):
+    """Wall data (bottom, top) of a test case, and the rows K that it lives on."""
+    alt = (-1.0) ** np.arange(grid.nx)
+    rng = np.random.default_rng(11)
+    mean = (np.full(grid.nx, 0.5), np.full(grid.nx, -0.25))
+    mode_1 = (np.sin(2 * np.pi * grid.xf / grid.lx), wall_profile(grid, "single_mode:1"))
+    nyquist = (-alt, 2.0 * alt)
+    mode_2, mode_3 = (wall_profile(grid, f"single_mode:{m}") for m in (2, 3))
+    # mode_2's row is nx/2, the largest; mode_3 at c has the row c nx/2, so
+    # c = nx eps puts it on the round-off floor nx eps times the largest row
+    floor = grid.nx * np.finfo(float).eps
+    return {
+        "mean": (mean, [0]),
+        "mode_1": (mode_1, [1]),
+        "nyquist": (nyquist, [grid.nx // 2]),
+        "mix": (tuple(a + b + c for a, b, c in zip(mean, mode_1, nyquist)),
+                [0, 1, grid.nx // 2]),
+        "uniform_and_mode_2": ((wall_profile(grid, "uniform"), mode_2), [0, 2]),
+        "random": ((rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)),
+                   list(range(grid.nx // 2 + 1))),
+        "below_floor": ((mode_2, 0.5 * floor * mode_3), [2]),
+        "above_floor": ((mode_2, 2.0 * floor * mode_3), [2, 3]),
+    }[case]
+
+
+class _DropRow:
+    """``scipy.fft`` with an irfft that zeroes one x-wavenumber row of its input."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __getattr__(self, name):
+        return getattr(sfft, name)
+
+    def irfft(self, hat, n, axis):
+        hat = hat.copy()
+        hat[(slice(None),) * (axis % hat.ndim) + (self.row,)] = 0.0
+        return sfft.irfft(hat, n=n, axis=axis)
+
+
 def channel_stokes_mode(grid, nu):
     """Continuous Stokes flow under the top-wall data cos(kx), k = 2 pi / lx.
 
@@ -292,22 +351,16 @@ def channel_stokes_mode(grid, nu):
 
 
 class TestStationaryStokesOracles:
-    @pytest.mark.parametrize("case", ["mean", "mode_1", "nyquist", "mix"])
+    @pytest.mark.parametrize("case", ROW_CASES)
     def test_matches_dense_solve(self, case):
-        grid = Grid(12, 8, lx=2.0, ly=1.0)
-        alt = (-1.0) ** np.arange(grid.nx)
-        mean = (np.full(grid.nx, 0.5), np.full(grid.nx, -0.25))
-        mode_1 = (np.sin(2 * np.pi * grid.xf / grid.lx), wall_profile(grid, "single_mode:1"))
-        nyquist = (-alt, 2.0 * alt)
-        gb, gt = {"mean": mean, "mode_1": mode_1, "nyquist": nyquist,
-                  "mix": tuple(a + b + c for a, b, c in zip(mean, mode_1, nyquist))}[case]
+        """dense_stokes solves every row, the solve only those of K: a row that
+        it drops below the round-off floor moves the lift by round-off."""
+        grid = Grid(12, 8, lx=2.0)
+        (gb, gt), rows = row_case(grid, case)
         u, p, info = StationaryStokes(grid, NU1).solve((gb, gt))
-        u_ref, p_ref = dense_stokes(grid, NU1, gb, gt)
         assert info["iterations"] == 1
-        scale = max(np.abs(gb).max(), np.abs(gt).max())
-        for new, ref in ((u.ux, u_ref.ux), (u.uy, u_ref.uy), (p.values, p_ref.values)):
-            # fields that vanish for this data are compared on the data's scale
-            assert np.abs(new - ref).max() <= 1e-12 * max(np.abs(ref).max(), scale)
+        assert info["x_modes"][0].tolist() == rows
+        assert dense_error(u, p, gb, gt) <= 1e-12
 
     def test_second_order_in_h(self):
         errs = []
@@ -319,6 +372,40 @@ class TestStationaryStokesOracles:
             errs.append((l2(u - u_ex), l2(p - p_ex)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
+
+
+class TestStationaryRows:
+    """The solve works on the data's rows K only; the k = 0 row is Couette."""
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_unit_lift_lives_on_k(self, case):
+        grid = Grid(16, 12, lx=2.0)
+        (gb, gt), rows = row_case(grid, case)
+        _, _, info = StationaryStokes(grid, NU1).solve((gb, gt))
+        ell = EllipticLift(grid, NU1, WallData(grid, gb, gt, Amplitude("custom_static")))
+        k, ux_rows, uy_rows = ell.x_modes
+        assert k.tolist() == info["x_modes"][0].tolist() == rows
+        hx, hy = (sfft.rfft(a, axis=0) for a in (ell.unit_u.ux, ell.unit_u.uy[:, 1:-1]))
+        largest = max(np.abs(hx).max(), np.abs(hy).max())
+        # the solve's own rows are those of U, and U has no others but k = 0
+        assert max(np.abs(ux_rows - hx[k]).max(), np.abs(uy_rows - hy[k]).max()) \
+            <= 1e-13 * largest
+        outside = np.setdiff1d(np.arange(1, grid.nx // 2 + 1), k)
+        assert max(np.abs(hx[outside]).max(initial=0.0), np.abs(hy[outside]).max(initial=0.0)) \
+            <= grid.nx * np.finfo(float).eps * largest
+
+    @pytest.mark.parametrize("case, row", [
+        ("mode_1", 1), ("uniform_and_mode_2", 0), ("uniform_and_mode_2", 2),
+        ("nyquist", 6), ("random", 3), ("above_floor", 2),
+    ], ids=["mode_1", "couette_row", "mode_2", "nyquist", "random_row_3", "above_floor"])
+    def test_dropping_a_live_row_is_caught(self, monkeypatch, case, row):
+        """The comparison of ``test_matches_dense_solve`` fails for a solve
+        that leaves out a live data row or the Couette row."""
+        grid = Grid(12, 8, lx=2.0)
+        (gb, gt), _ = row_case(grid, case)
+        monkeypatch.setattr(lifting, "sfft", _DropRow(row))
+        u, p, _ = StationaryStokes(grid, NU1).solve((gb, gt))
+        assert dense_error(u, p, gb, gt) > 1e-3
 
 
 def trace_lift(u: VectorField) -> VectorField:

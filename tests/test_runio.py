@@ -18,6 +18,20 @@ def test_snapshot_round_trip_is_exact(tmp_path, rng):
     assert back.tobytes() == arr.tobytes()
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((6, 5)),
+    lambda rng: rng.standard_normal((5, 6)).T,                 # not C-contiguous
+    lambda rng: rng.standard_normal((6, 5)).astype(">f8"),     # big-endian
+    lambda rng: np.arange(30).reshape(6, 5),                   # integers
+], ids=["c_order", "transposed", "big_endian", "int"])
+def test_snapshot_bytes_are_header_then_array(tmp_path, rng, make):
+    arr = make(rng)
+    path = tmp_path / "mu.bin"
+    write_snapshot(path, arr, "mu", 0.25)
+    header = struct.pack("<8sIIII d", b"CHNS0001", 6, 5, 2, 0, 0.25).ljust(HEADER_BYTES, b"\0")
+    assert path.read_bytes() == header + np.asarray(arr, dtype="<f8").tobytes(order="C")
+
+
 def _truncated_payload(raw):
     return raw[:-8]
 
