@@ -1,5 +1,9 @@
 """Energy bookkeeping, inequality certificates, and long-time monitors.
 
+A record (``energy``) is one pass over a state, with one stacked transform
+when it has a ``DiagnosticsContext``; for the evolutionary lift with a
+constant viscosity it adds the higher-order functionals (``higher_order``).
+
 Every unknown constant from the analysis is replaced by its strongest
 falsifiable surrogate: finite empirical ratios that must be stable under
 time-step halving, or monotone tail behaviour of the tracked quantities.
@@ -54,7 +58,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(EnergyRecord))
 
 @dataclass
 class DiagnosticsContext:
-    """Optional extras for records: residual targets and higher-order inputs."""
+    """What a record reads besides the state: ``u_infinity`` for res_u (None
+    leaves it NaN) and, in the certified mode (lifted_parabolic, constant
+    ``viscosity``), ``data`` and ``potential`` for A, B and G."""
 
     data: WallData | None = None
     potential: PotentialSpec = field(default_factory=PotentialSpec)
@@ -75,31 +81,6 @@ class DiagnosticsContext:
                    u_infinity=u_inf, mode=cfg.mode)
 
 
-def _shared_norms(state) -> dict:
-    """The norms that both the energy split and the higher-order functionals use."""
-    ub = state.velocity_for_energy()
-    return {"ub_l2": l2(ub), "diss_u": grad_norm_sq(ub),
-            "grad_phi": math.sqrt(grad_norm_sq(state.phi)),
-            "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
-
-
-def _spectra(state, residual: np.ndarray | None = None) -> dict:
-    """The Grid.to_spectral coefficients a record needs, from one stacked call.
-
-    Those of phi, mu and div(Lap ubar), which ``higher_order`` reads, and of
-    the stationary residual when it is given; Lap ubar comes along.
-    """
-    lap_ub = vector_laplacian(state.ubar)
-    fields = [state.phi.values, state.mu.values, divergence(lap_ub).values]
-    if residual is not None:
-        fields.append(residual)
-    c = state.phi.grid.to_spectral(np.stack(fields))
-    out = {"lap_ubar": lap_ub, "phi_hat": c[0], "mu_hat": c[1], "div_lap_ubar_hat": c[2]}
-    if residual is not None:
-        out["residual_hat"] = c[3]
-    return out
-
-
 def _stationary_residual(phi: ScalarField) -> np.ndarray:
     """-Lap(phi) + F'(phi), whose dual norm is ``steady_state_residual_phi``."""
     return -laplacian_neumann(phi).values + eval_dF(phi.values)
@@ -108,37 +89,40 @@ def _stationary_residual(phi: ScalarField) -> np.ndarray:
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors.
 
-    With a context, every transform of the record (the residual's, and in
-    the certified mode those of ``higher_order``) is one stacked call.
+    The split reads ubar in the lifted modes and u in the direct mode.  With
+    a context the record makes one stacked ``Grid.to_spectral`` call: it
+    takes the stationary residual (res_phi) and, in the certified mode
+    (evolutionary lift, constant viscosity), phi, mu and div(Lap ubar), whose
+    coefficients go to ``higher_order`` with the norms formed here.
     """
-    phi = state.phi
-    norms = _shared_norms(state)
-    kinetic = 0.5 * norms["ub_l2"] ** 2
+    phi, grid = state.phi, state.phi.grid
+    ubar = state.ubar if state.ubar is not None else state.u
+    norms = {"ubar_l2": l2(ubar), "diss_u": grad_norm_sq(ubar),
+             "grad_phi": math.sqrt(grad_norm_sq(phi)),
+             "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
+    kinetic = 0.5 * norms["ubar_l2"] ** 2
     interfacial = 0.5 * norms["grad_phi"] ** 2
-    bulk = float(np.sum(eval_F(phi.values)) * phi.grid.cell_area)
-    diss_u = norms["diss_u"]
-    diss_mu = norms["grad_mu"] ** 2
+    bulk = float(np.sum(eval_F(phi.values)) * grid.cell_area)
 
-    a = b = gq = math.nan
-    res_phi = res_u = math.nan
+    a = b = gq = res_phi = res_u = math.nan
     if context is not None:
         certified = (context.mode == "lifted_parabolic" and state.u_lift is not None
                      and context.viscosity is not None and context.viscosity.is_constant)
         residual = _stationary_residual(phi)
+        stack = residual[None]          # a view: np.stack would copy a lone field
         if certified:
-            norms.update(_spectra(state, residual))
-            residual_hat = norms["residual_hat"]
-        else:
-            residual_hat = phi.grid.to_spectral(residual)
-        res_phi = _hminus1_of(phi.grid, residual_hat)
+            lap_ubar = vector_laplacian(ubar)
+            stack = np.stack((residual, phi.values, state.mu.values, divergence(lap_ubar).values))
+        coeffs = grid.to_spectral(stack)
+        res_phi = _hminus1_of(grid, coeffs[0])
         if context.u_infinity is not None:
             res_u = v1_norm(state.u - context.u_infinity)
         if certified:
-            a, b, gq = higher_order(state, context, norms)
+            a, b, gq = higher_order(state, context, norms, lap_ubar, coeffs[1:])
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
-                        diss_u=diss_u, diss_mu=diss_mu, mass=phi.mean(),
-                        A=a, B=b, G=gq, res_phi=res_phi, res_u=res_u)
+                        diss_u=norms["diss_u"], diss_mu=norms["grad_mu"] ** 2,
+                        mass=phi.mean(), A=a, B=b, G=gq, res_phi=res_phi, res_u=res_u)
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +196,6 @@ G_TERMS = (
 )
 
 
-def _g_norms(state, context: DiagnosticsContext, norms: dict,
-             phi_sq: float, lap_phi_sq: float) -> dict:
-    """The factors of G, each norm assembled from its squared parts.
-
-    The lift's V1 and V2 norms carry its wall data at the state's time.
-    """
-    u_p = state.u_lift
-    walls = context.data.eval_wall(state.t)
-    up_l2 = l2(u_p)
-    up_grad_sq = grad_norm_sq(u_p, walls)
-    up_lap_l2 = l2(vector_laplacian(u_p, walls))
-    grad_phi = norms["grad_phi"]
-    return {
-        "up_v1": math.sqrt(up_l2**2 + up_grad_sq),
-        "up_v2": math.sqrt(up_l2**2 + up_grad_sq + up_lap_l2**2),
-        "up_l2": up_l2,
-        "grad_up": math.sqrt(up_grad_sq),
-        "ubar_l2": norms["ub_l2"],
-        "phi_l2": math.sqrt(phi_sq),
-        "phi_h1": math.sqrt(phi_sq + grad_phi**2),
-        "phi_h2": math.sqrt(phi_sq + grad_phi**2 + lap_phi_sq),
-        "grad_mu": norms["grad_mu"],
-        "grad_phi": grad_phi,
-    }
-
-
 def evaluate_g(norms: dict, q: float) -> float:
     total = 0.0
     for _, factors in G_TERMS:
@@ -248,30 +206,28 @@ def evaluate_g(norms: dict, q: float) -> float:
     return total
 
 
-def higher_order(state, context: DiagnosticsContext,
-                 norms: dict | None = None) -> tuple[float, float, float]:
-    """Higher-order functionals of the evolutionary-lift splitting.
+def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: VectorField,
+                 coeffs: np.ndarray) -> tuple[float, float, float]:
+    """Higher-order functionals A, B and G of the evolutionary-lift splitting.
 
     Restricted to constant-viscosity runs in the evolutionary-lift mode;
-    anything else raises ModeMismatch.  ``energy`` passes in the norms and
-    transforms it has already computed for the same state; without them
-    they are computed here.
+    anything else raises ModeMismatch.  ``energy`` calls it with what its
+    record has formed: ``norms`` holds ubar_l2, diss_u = |grad ubar|^2,
+    grad_phi and grad_mu; ``lap_ubar`` is vector_laplacian(ubar); ``coeffs``
+    stacks the ``Grid.to_spectral`` coefficients of phi, mu and div(lap_ubar).
 
-    phi's and mu's norms are Parseval sums over one stacked transform, which
-    also takes div(v) for B's Stokes term |P v|^2 = |v|^2 - |grad q|^2,
-    v = -vector_laplacian(ubar), clamped at 0 against round-off
-    (``ops.projected_norm_sq``).
+    phi's and mu's norms are Parseval sums over those coefficients.  B's
+    Stokes term is |P v|^2 = |v|^2 - |grad q|^2, v = -lap_ubar, clamped at 0
+    against round-off (``ops.projected_norm_sq``).  G's factors are norms
+    assembled from their squared parts; the lift's V1 and V2 norms carry its
+    wall data at the state's time.
     """
     if context.mode != "lifted_parabolic" or state.u_lift is None:
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
     if context.viscosity is None or not context.viscosity.is_constant:
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")
-    if norms is None:
-        norms = _shared_norms(state)
-    if "phi_hat" not in norms:
-        norms = {**norms, **_spectra(state)}
     grid = state.phi.grid
-    c_phi, c_mu = norms["phi_hat"], norms["mu_hat"]
+    c_phi, c_mu, c_div = coeffs
     p_phi, p_mu = c_phi.real**2 + c_phi.imag**2, c_mu.real**2 + c_mu.imag**2
     lam2 = grid.lam_neumann**2
     phi_sq, lap_phi_sq, lap2_phi_sq, mu_sq, lap_mu_sq = parseval_sum(
@@ -279,9 +235,18 @@ def higher_order(state, context: DiagnosticsContext,
 
     a = norms["diss_u"] + lap_phi_sq + mu_sq
     # the sign of v drops out of every norm of it
-    stokes_sq = _projected_norm_sq_of(norms["lap_ubar"], norms["div_lap_ubar_hat"])
-    b = context.viscosity.value * stokes_sq + lap2_phi_sq + lap_mu_sq
-    g = evaluate_g(_g_norms(state, context, norms, phi_sq, lap_phi_sq), context.potential.q)
+    b = context.viscosity.value * _projected_norm_sq_of(lap_ubar, c_div) \
+        + lap2_phi_sq + lap_mu_sq
+
+    u_p, walls = state.u_lift, context.data.eval_wall(state.t)
+    up_l2, up_grad_sq = l2(u_p), grad_norm_sq(u_p, walls)
+    up_v1_sq = up_l2**2 + up_grad_sq
+    phi_h1_sq = phi_sq + norms["grad_phi"]**2
+    g = evaluate_g({**norms, "up_v1": math.sqrt(up_v1_sq),
+                    "up_v2": math.sqrt(up_v1_sq + l2(vector_laplacian(u_p, walls))**2),
+                    "up_l2": up_l2, "grad_up": math.sqrt(up_grad_sq),
+                    "phi_l2": math.sqrt(phi_sq), "phi_h1": math.sqrt(phi_h1_sq),
+                    "phi_h2": math.sqrt(phi_h1_sq + lap_phi_sq)}, context.potential.q)
     return float(a), float(b), float(g)
 
 

@@ -22,7 +22,7 @@ class AssumptionViolated(ChnsError):
 
 
 class SolverDiverged(ChnsError):
-    """A step produced non-finite values, or a lift step was given a nonpositive dt."""
+    """A step of the solver or of the evolutionary lift produced non-finite values."""
 
 
 class CFLViolation(ChnsError):

@@ -58,17 +58,20 @@ def read_records_csv(path) -> dict:
 
 
 def validate_records(columns: dict, tol: float = 1e-9) -> list[str]:
-    """Row-wise invariant checks on a records table; returns found problems."""
+    """Row-wise invariant checks on a records table; returns found problems.
+
+    Each check holds only for finite values: a NaN or infinite total or time fails it.
+    """
     problems = []
     n = len(columns["t"])
     for i in range(n):
         total = columns["total"][i]
         parts = columns["kinetic"][i] + columns["interfacial"][i] + columns["bulk"][i]
-        if abs(total - parts) > tol * max(abs(total), 1.0):
+        if not (np.isfinite(total) and abs(total - parts) <= tol * max(abs(total), 1.0)):
             problems.append(f"row {i}: total != kinetic+interfacial+bulk")
     ts = columns["t"]
-    if np.any(np.diff(ts) <= 0):
-        problems.append("timestamps not strictly increasing")
+    if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
+        problems.append("timestamps not finite and strictly increasing")
     return problems
 
 

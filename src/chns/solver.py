@@ -116,9 +116,6 @@ class SimState:
     ubar: VectorField | None = None
     u_lift: VectorField | None = None
 
-    def velocity_for_energy(self) -> VectorField:
-        return self.ubar if self.ubar is not None else self.u
-
 
 # ---------------------------------------------------------------------------
 # substeps
@@ -392,7 +389,8 @@ class Simulation:
     scheme.  The first step, and the first step after a state is assigned
     from outside, has no history and takes the one-step start.  Initial data
     must be finite; an assigned state must be on the simulation's grid and,
-    in the lifted modes, carry ubar and u_lift.
+    in the lifted modes, carry ubar and u_lift; in the parabolic mode it must
+    be at the time of the evolutionary lift, which keeps its own clock.
     """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
@@ -439,6 +437,9 @@ class Simulation:
     def state(self, state: SimState) -> None:
         if self.cfg.mode != "direct" and (state.ubar is None or state.u_lift is None):
             raise InvariantViolation(f"a {self.cfg.mode} state needs ubar and u_lift")
+        if self.par is not None and state.t != self.par.t:
+            raise InvariantViolation(f"the state is at t = {state.t!r}, but the evolutionary "
+                                     f"lift is at t = {self.par.t!r}")
         require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p,
                                                    state.ubar, state.u_lift) if f is not None))
         self._state = state

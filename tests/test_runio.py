@@ -5,8 +5,12 @@ import pytest
 
 from chns.errors import InvariantViolation
 from chns.diagnostics import CSV_COLUMNS, EnergyRecord
-from chns.runio import (HEADER_BYTES, read_records_csv, read_snapshot, write_records_csv,
-                        write_snapshot)
+from chns.grid import Grid
+from chns.runio import (HEADER_BYTES, read_records_csv, read_snapshot, snapshot_state,
+                        validate_records, write_records_csv, write_snapshot)
+from chns.solver import SimState
+
+from conftest import random_scalar, random_vector
 
 
 def test_snapshot_round_trip_is_exact(tmp_path, rng):
@@ -117,3 +121,43 @@ def test_records_of_full_rows_read_back(tmp_path):
     assert all(col.tolist() == [1.0, 1.0] for col in columns.values())
     _csv(path, [])
     assert all(col.shape == (0,) for col in read_records_csv(path).values())
+
+
+def test_snapshot_state_writes_each_field_under_its_tag(tmp_path, rng):
+    grid = Grid(6, 4)
+    st = SimState(0.375, random_vector(grid, rng), random_scalar(grid, rng),
+                  random_scalar(grid, rng), random_scalar(grid, rng))
+    paths = snapshot_state(tmp_path / "snaps", st, 7)
+    fields = {"phi": st.phi.values, "mu": st.mu.values, "p": st.p.values,
+              "ux": st.u.ux, "uy": st.u.uy}
+    assert paths == [tmp_path / "snaps" / f"{name}_000007.bin" for name in fields]
+    for path, (name, values) in zip(paths, fields.items()):
+        meta, back = read_snapshot(path)
+        assert (meta["field"], meta["t"]) == (name, 0.375)
+        assert back.shape == values.shape and back.tobytes() == values.tobytes()
+
+
+def _records(**changed):
+    columns = {"t": [0.0, 0.5, 1.0], "kinetic": [1.0, 0.5, 0.25],
+               "interfacial": [0.5, 0.5, 0.5], "bulk": [2.0, 1.0, 0.5]}
+    columns["total"] = [k + i + b for k, i, b in zip(
+        columns["kinetic"], columns["interfacial"], columns["bulk"])]
+    for name, (row, value) in changed.items():
+        columns[name][row] = value
+    return {name: np.array(col) for name, col in columns.items()}
+
+
+@pytest.mark.parametrize("changed, found", [
+    ({"total": (1, np.nan)}, ["row 1: total"]),
+    ({"total": (2, np.inf)}, ["row 2: total"]),
+    ({"bulk": (0, np.inf)}, ["row 0: total"]),
+    ({"t": (1, np.nan)}, ["timestamps"]),
+    ({"t": (2, np.inf)}, ["timestamps"]),
+    ({"t": (2, 0.5)}, ["timestamps"]),
+    ({"total": (0, np.nan), "t": (0, np.nan)}, ["row 0: total", "timestamps"]),
+], ids=["nan_total", "inf_total", "inf_part", "nan_t", "inf_t", "repeated_t", "nan_total_and_t"])
+def test_validate_records_fails_a_nonfinite_or_inconsistent_row(changed, found):
+    assert validate_records(_records()) == []
+    problems = validate_records(_records(**changed))
+    assert len(problems) == len(found)
+    assert all(p.startswith(f) for p, f in zip(problems, found)), problems

@@ -496,7 +496,8 @@ class TestSimulationInputs:
         *[(mode, field, "other_grid") for mode in solver.MODES
           for field in ("u", "phi", "mu", "p")],
         *[(mode, field, given) for mode in ("lifted_elliptic", "lifted_parabolic")
-          for field in ("ubar", "u_lift") for given in ("other_grid", "none")]])
+          for field in ("ubar", "u_lift") for given in ("other_grid", "none")],
+        ("lifted_parabolic", "t", "other_time")])
     def test_assigned_state_it_cannot_step_rejected(self, mode, field, given):
         grid, other = Grid(16, 16, lx=2.0), Grid(16, 16, lx=4.0)
         sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01, mode=mode), WallData.zero(grid),
@@ -504,6 +505,9 @@ class TestSimulationInputs:
         before = sim.state
         if given == "none":
             value, match = None, "needs ubar and u_lift"
+        elif given == "other_time":
+            # the lift would step from its own clock, t = 0
+            value, match = 4e-3, "evolutionary lift is at t = 0.0"
         else:
             value = {"phi": noise_phi(other), "mu": ScalarField.zeros(other),
                      "p": ScalarField.zeros(other)}.get(field, VectorField.zeros(other))
