@@ -139,23 +139,31 @@ class Amplitude:
         return self.dt_sq_tail(0.0) - self.dt_sq_tail(t)
 
 
+def profile_mode(kind: str, scale: float = 1.0) -> int:
+    """The x-wavenumber m that a profile name asks for, 0 for ``zero`` and
+    ``uniform``: the checks of ``wall_profile`` that need no grid."""
+    if not math.isfinite(scale):
+        raise InvariantViolation(f"scale must be finite, got {scale!r}")
+    single = re.fullmatch(r"single_mode(?::([0-9]+))?", kind)
+    if single is None and kind not in ("zero", "uniform"):
+        raise InvariantViolation(f"unknown wall profile {kind!r}")
+    return int(single.group(1) or 1) if single else 0
+
+
 def wall_profile(grid: Grid, kind: str, scale: float = 1.0) -> np.ndarray:
     """Named tangential profiles sampled at the x-velocity face positions.
 
-    kinds: ``zero``, ``uniform``, ``single_mode`` (mode 1) and
-    ``single_mode:<m>`` for a whole number m, the profile cos(2 pi m x / lx).
-    The scale must be finite, whatever the profile.
+    kinds: ``zero``, ``uniform`` and ``single_mode:<m>`` for a whole number
+    m, the profile cos(2 pi m x / lx); ``single_mode`` is mode 1.  The scale
+    must be finite, whatever the profile, and m at most nx/2: a higher mode
+    samples as the mode nx - m.
     """
-    if not math.isfinite(scale):
-        raise InvariantViolation(f"scale must be finite, got {scale!r}")
+    m = profile_mode(kind, scale)
+    if 2 * m > grid.nx:
+        raise InvariantViolation(f"{kind!r} aliases on nx = {grid.nx}: m must be at most "
+                                 f"nx/2 = {grid.nx // 2}")
     if kind == "zero":
         return np.zeros(grid.nx)
-    if kind == "uniform":
-        return scale * np.ones(grid.nx)
-    single = re.fullmatch(r"single_mode(?::([0-9]+))?", kind)
-    if single is None:
-        raise InvariantViolation(f"unknown wall profile {kind!r}")
-    m = int(single.group(1) or 1)
     return scale * np.cos(2 * np.pi * m * grid.xf / grid.lx)
 
 

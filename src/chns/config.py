@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .boundary import Amplitude, WallData, wall_profile
+from .boundary import Amplitude, WallData, profile_mode, wall_profile
 from .errors import InvariantViolation, ParseError, ValidationError
 from .grid import Grid, ScalarField, VectorField
 from .ops import leray_project
@@ -175,10 +175,10 @@ def validate_config(cfg: RunConfig) -> None:
     attempt("[viscosity]", build_viscosity, cfg)
     attempt("[time]/[solver]", SolverConfig, **_solver_fields(cfg))
     attempt("[boundary]", _build_amplitude, cfg)
-    # the profile names are checked even when the grid itself is refused
-    probe = grid if grid is not None else Grid(4, 4)
-    attempt("[boundary] g_bottom:", wall_profile, probe, cfg.g_bottom, cfg.g_bottom_scale)
-    attempt("[boundary] g_top:", wall_profile, probe, cfg.g_top, cfg.g_top_scale)
+    for wall in ("g_bottom", "g_top"):
+        # a refused grid still has the name and the scale checked, but not aliasing
+        check = (wall_profile, grid) if grid is not None else (profile_mode,)
+        attempt(f"[boundary] {wall}:", *check, getattr(cfg, wall), getattr(cfg, f"{wall}_scale"))
     if cfg.phi_profile not in ("noise", "constant", "mode"):
         bad.append(f"[initial] unknown phi profile {cfg.phi_profile!r}")
     if cfg.u_profile not in ("zero", "couette", "lift", "lift_vortex"):

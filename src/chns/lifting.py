@@ -23,20 +23,17 @@ homogeneous-data Stokes evolution forced by -a'(t) U, from w(0) = 0: u_p
 starts at the stationary lift, and a mismatch of u0 with the data stays in
 the solver's ubar(0).  Static data therefore keeps u_p identical to the
 stationary lift exactly, and u_p - u_e equals w at all times, which is what
-the difference estimates consume.  Moving a field d from ubar(0) into w(0)
-would move the solver's next u by c P H grad(q), as (I - dt (a/2) Lap) S =
-c S + (1 - c) I with S = (I - dt nu1 Lap)^-1 and H = (I - dt (a/2) Lap)^-1:
-c = 1 - a/(2 nu1) is the lift-force coefficient of ``ns_substep_lifted``, P
-the projection and q the projection potential of S d, so the change vanishes
-for nu2 = 3 nu1 (c = 0) and is O(dt) otherwise.
+the difference estimates consume.  The solver's u does not depend on the
+lift: the lift only splits it into ubar + u_p (``solver``).
 
-For the same reason w, forced by -a'(t) U from zero, lives on the rows K
-of U.  The lift keeps w as its rfft rows on K and steps only those rows,
-through the x-Fourier core of ``helmholtz_project_velocity``, starting from
-U's rows as the stationary solve wrote them.  Outside K, U's rfft holds
-only the round-off of its inverse transform, so dropping those rows moves
-u_p only by round-off: each step maps w to P S (w - dt a' U), where the
-projection P and the solve S do not grow a field.
+Since the Stokes operator commutes with x-translations, w, forced by
+-a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
+rows on K and steps only those rows, through the x-Fourier core of
+``helmholtz_project_velocity``, starting from U's rows as the stationary
+solve wrote them.  Outside K, U's rfft holds only the round-off of its
+inverse transform, so dropping those rows moves u_p only by round-off: each
+step maps w to P S (w - dt a' U), with P the projection and
+S = (I - dt nu1 Lap)^-1 the solve, which do not grow a field.
 """
 
 from __future__ import annotations
@@ -191,8 +188,7 @@ class ParabolicLift:
     is kept as its rfft rows on K, and each step solves those rows only; K
     and U's rows on it are ``EllipticLift.x_modes``, from the stationary
     solve.  One inverse rfft per component gives the physical w, and the
-    pressure of the solve is never transformed.  Assigning ``w`` restarts it
-    at the given field, whose nonzero x-modes join K.
+    pressure of the solve is never transformed.
     """
 
     def __init__(self, elliptic: EllipticLift):
@@ -201,24 +197,12 @@ class ParabolicLift:
         self.nu1 = elliptic.nu1
         self.data = elliptic.data
         self.t = 0.0
-        self._w = VectorField.zeros(self.grid)
+        self.w = VectorField.zeros(self.grid)
         # (rows, U on them, w on them) as rfft rows of ux and of uy's interior rows
         rows, unit_x, unit_y = elliptic.x_modes
         self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
         self.du_p_dt: VectorField | None = None
         self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
-
-    @property
-    def w(self) -> VectorField:
-        return self._w
-
-    @w.setter
-    def w(self, field: VectorField) -> None:
-        wx, wy = _x_rows(field)
-        rows = np.union1d(self.ell.x_modes[0], np.flatnonzero(_row_sizes(wx, wy)))
-        unit_x, unit_y = _x_rows(self.ell.unit_u)
-        self._modes = (rows, unit_x[rows], unit_y[rows], wx[rows], wy[rows])
-        self._w = field
 
     def step(self, dt: float) -> None:
         if not 0 < dt < math.inf:           # nan fails too
@@ -248,20 +232,10 @@ class ParabolicLift:
         dux *= 1.0 / dt
         duy *= 1.0 / dt
         self.t = t_new
-        self._w = w
+        self.w = w
         self._modes = (rows, unit_x, unit_y, wx, wy[:, 1:-1])
         self.u_p = VectorField._trusted(px, py, g)
         self.du_p_dt = VectorField._trusted(dux, duy, g)
-
-
-def _x_rows(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """The rfft in x of ux and of the interior rows of uy."""
-    return sfft.rfft(u.ux, axis=0), sfft.rfft(u.uy[:, 1:-1], axis=0)
-
-
-def _row_sizes(hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """The largest coefficient of each x-wavenumber row over both components."""
-    return np.maximum(np.abs(hx).max(axis=1), np.abs(hy).max(axis=1))
 
 
 def _from_x_rows(g: Grid, rows: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -30,26 +30,20 @@ the same discrete operators, summed in another order.
 Modes:
   direct            march the physical velocity; tangential wall data enters
                     the implicit solve through ghost rows.
-  lifted_elliptic   march ubar = u - u_e with homogeneous walls; the
-                    stationary lift u_e carries the data and contributes the
-                    explicit interaction terms and a -d/dt u_e force.
-  lifted_parabolic  march ubar = u - u_p against the evolutionary lift; the
-                    lift starts at the stationary lift, u_p(0) = u_e(0), and
-                    any mismatch of u0 with the data stays in ubar(0).  The
-                    lift force -d/dt u_p enters with coefficient
-                    1 - a/(2 nu1).  The implicit part (a/2) Lap acts on ubar
-                    only, so (a/2) Lap(u_p) is added explicitly; the lift
-                    equation d/dt u_p = nu1 Lap(u_p) - grad(p_p) turns it
-                    into a/(2 nu1) d/dt u_p plus a gradient, which the
-                    projection annihilates.  In the elliptic mode
-                    nu1 Lap(u_e) is itself a gradient, so the coefficient
-                    stays 1.  Where u_p starts moves u by the coefficient
-                    times an O(dt) splitting error (see ``lifting``).
+  lifted_elliptic   the direct step, and ubar = u - u_e read off it, with
+                    homogeneous walls; the stationary lift u_e carries the data.
+  lifted_parabolic  the same with the evolutionary lift u_p, which starts at
+                    u_e(0): a mismatch of u0 with the data stays in ubar(0).
 
-Both lifted modes take the same step, ``ns_substep_lifted``, given the active
-lift's field (``SimState.u_lift``), its time derivative and its coefficient.
-``Simulation`` builds what the run fixes once, as its step plan: a, that
-coefficient and, with a constant viscosity, ``momentum_force``'s stress tables.
+For a discretely divergence-free lift L whose trace through ``_dy_ux``'s
+ghosts is the wall data, the direct step u+ = P H_w1(u + dt f) is exactly
+the lifted step L_new + P H_0(ubar + dt (f - (L_new - L_old)/dt + (a/2)
+Lap_w1 L_new)), with P the projection and H_w the implicit solve with wall
+data w.  So the three modes march one discrete u, and a lifted mode sets
+ubar = u+ - L_new (``ns_substep_lifted``): the lift defines ubar, which the
+certificates read, not u.  ``Simulation`` builds what the run fixes once, as
+its step plan: a and, with a constant viscosity, ``momentum_force``'s stress
+tables.
 
 Every mode marches the full discrete system: the paper's Faedo-Galerkin
 approximations serve its existence proof and have no truncated step here.
@@ -103,9 +97,9 @@ class SolverConfig:
 class SimState:
     """Simulation snapshot.
 
-    In the lifted modes u = ubar + u_lift: ubar is the marched field with
-    homogeneous walls and u_lift the active lift at time t, the stationary
-    u_e or the evolutionary u_p.  Both are None in the direct mode.
+    In the lifted modes ubar = u - u_lift, with homogeneous walls: u_lift
+    is the active lift at time t, the stationary u_e or the evolutionary
+    u_p.  Both are None in the direct mode.
     """
 
     t: float
@@ -299,40 +293,30 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField,
     return VectorField._trusted(fx, fy, g)
 
 
-def _projection_step(expl: VectorField, u: VectorField, dt: float, a: float, walls: Walls,
-                     what: str) -> tuple[VectorField, ScalarField]:
-    """u + dt * expl (in expl's arrays, which the caller owns), solved and projected; p = q/dt."""
+def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
+                      tables: tuple[np.ndarray, np.ndarray], a: float,
+                      walls0: Walls, walls1: Walls, dt: float) -> tuple[VectorField, ScalarField]:
+    """One projection step with physical wall data, old ``walls0`` and new ``walls1``:
+    u + dt * force, formed in the force's arrays, solved and projected; p = q/dt."""
+    expl = momentum_force(phi_new, mu_new, u, tables, a, walls0)
     for f, base in ((expl.ux, u.ux), (expl.uy, u.uy)):
         f *= dt
         f += base
-    u_new, q = helmholtz_project_velocity(expl, dt * 0.5 * a, walls)
+    u_new, q = helmholtz_project_velocity(expl, dt * 0.5 * a, walls1)
     if not u_new.is_finite():
-        raise SolverDiverged(f"{what} update produced non-finite values")
+        raise SolverDiverged("momentum update produced non-finite values")
     pressure = q.values
     pressure *= 1.0 / dt
     return u_new, q
 
 
-def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
-                      tables: tuple[np.ndarray, np.ndarray], a: float,
-                      walls0: Walls, walls1: Walls, dt: float) -> tuple[VectorField, ScalarField]:
-    """One projection step with physical wall data: old ``walls0``, new ``walls1``."""
-    expl = momentum_force(phi_new, mu_new, u, tables, a, walls0)
-    return _projection_step(expl, u, dt, a, walls1, "momentum")
-
-
-def ns_substep_lifted(ubar: VectorField, u_lift_old: VectorField,
-                      dlift_dt: VectorField, lift_coeff: float,
-                      phi_new: ScalarField, mu_new: ScalarField,
-                      tables: tuple[np.ndarray, np.ndarray], a: float,
-                      walls0: Walls, dt: float) -> tuple[VectorField, ScalarField]:
-    """Projection step for the homogeneous-wall field ubar: the force acts on
-    the total field ubar + u_lift_old with the old wall data ``walls0``, and
-    the lift time derivative enters it with the given coefficient."""
-    expl = momentum_force(phi_new, mu_new, ubar + u_lift_old, tables, a, walls0)
-    for f, d in ((expl.ux, dlift_dt.ux), (expl.uy, dlift_dt.uy)):
-        f -= d * lift_coeff
-    return _projection_step(expl, ubar, dt, a, None, "lifted momentum")
+def ns_substep_lifted(u: VectorField, lift_new: VectorField, phi_new: ScalarField,
+                      mu_new: ScalarField, tables: tuple[np.ndarray, np.ndarray], a: float,
+                      walls0: Walls, walls1: Walls, dt: float
+                      ) -> tuple[VectorField, VectorField, ScalarField]:
+    """``ns_substep_direct``, and ubar = u+ - ``lift_new``: returns (u+, ubar, p)."""
+    u_new, p = ns_substep_direct(u, phi_new, mu_new, tables, a, walls0, walls1, dt)
+    return u_new, u_new - lift_new, p
 
 
 def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
@@ -383,8 +367,8 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
 class Simulation:
     """Owns the persistent lift machinery and the step plan, and advances a SimState.
 
-    The plan is what the run fixes: ``a``, ``lift_coeff`` and, for a constant
-    viscosity, ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
+    The plan is what the run fixes: ``a`` and, for a constant viscosity,
+    ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
     the state one step back are the history of the two-step concentration
     scheme.  The first step, and the first step after a state is assigned
     from outside, has no history and takes the one-step start.  Initial data
@@ -407,8 +391,6 @@ class Simulation:
         self.ell: EllipticLift | None = None
         self.par: ParabolicLift | None = None
         self.a = a = implicit_viscosity(cfg.viscosity)
-        self.lift_coeff = 1.0 - a / (2.0 * cfg.viscosity.nu1) if cfg.mode == "lifted_parabolic" \
-            else 1.0
         self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
             if cfg.viscosity.is_constant else None
         mu0 = initial_mu(phi0)
@@ -423,7 +405,7 @@ class Simulation:
             lift0 = self.ell.state_at(0.0)
             self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid),
                                   ubar=u0 - lift0, u_lift=lift0)
-            # the marched ubar has homogeneous walls
+            # ubar has homogeneous walls
             self.compatible = check_compatibility(self.state.ubar, WallData.zero(grid))
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
@@ -461,22 +443,20 @@ class Simulation:
 
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
         tables = self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a)
-        walls0 = self.data.eval_wall(st.t)
+        walls = (self.data.eval_wall(st.t), self.data.eval_wall(t_new))
 
         if cfg.mode == "direct":
-            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, walls0,
-                                         self.data.eval_wall(t_new), dt)
+            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, *walls, dt)
             new = SimState(t_new, u_new, phi_new, mu_new, p)
         else:
             if self.par is None:
-                lift, dlift_dt = self.ell.state_at(t_new), self.ell.dt_at(t_new)
+                lift = self.ell.state_at(t_new)
             else:
                 self.par.step(dt)
-                lift, dlift_dt = self.par.u_p, self.par.du_p_dt
-            ubar_new, p = ns_substep_lifted(st.ubar, st.u_lift, dlift_dt, self.lift_coeff,
-                                            phi_new, mu_new, tables, self.a, walls0, dt)
-            new = SimState(t_new, ubar_new + lift, phi_new, mu_new, p,
-                           ubar=ubar_new, u_lift=lift)
+                lift = self.par.u_p
+            u_new, ubar_new, p = ns_substep_lifted(st.u, lift, phi_new, mu_new, tables, self.a,
+                                                   *walls, dt)
+            new = SimState(t_new, u_new, phi_new, mu_new, p, ubar=ubar_new, u_lift=lift)
 
         if not (new.u.is_finite() and new.phi.is_finite()):
             raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")

@@ -54,6 +54,20 @@ class TestWallProfile:
         assert wall_profile(grid, "single_mode:3") == pytest.approx(
             np.cos(6 * np.pi * grid.xf / grid.lx))
 
+    @pytest.mark.parametrize("nx, m", [(16, 9), (16, 15), (16, 17), (12, 7)])
+    def test_mode_above_half_nx_rejected(self, nx, m):
+        # on nx points cos(2 pi m x / lx) samples as the mode nx - m
+        with pytest.raises(InvariantViolation, match="aliases"):
+            wall_profile(Grid(nx, 8), f"single_mode:{m}")
+
+    @pytest.mark.parametrize("nx, m", [(16, 8), (16, 7), (12, 6)])
+    def test_modes_up_to_half_nx_accepted(self, nx, m):
+        g = Grid(nx, 8)
+        profile = wall_profile(g, f"single_mode:{m}", 0.5)
+        assert profile == pytest.approx(0.5 * np.cos(2 * np.pi * m * g.xf / g.lx))
+        if 2 * m == nx:     # the Nyquist mode alternates in sign
+            assert profile == pytest.approx(0.5 * (-1.0) ** np.arange(nx))
+
     @pytest.mark.parametrize("kind", ["single_mode:abc", "single_modefoo", "single_mode:",
                                       "single_mode:1.5", "single_mode:-1", "Zero", ""])
     def test_unknown_name_rejected(self, grid, kind):

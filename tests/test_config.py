@@ -7,7 +7,8 @@ import pytest
 from chns.boundary import Amplitude
 from chns.config import (SCHEMA, RunConfig, build_grid, build_initial_phi,
                          build_initial_u, build_solver_config, build_viscosity,
-                         build_wall_data, parse_config_text, serialize_config)
+                         build_wall_data, parse_config, parse_config_text,
+                         serialize_config)
 from chns.diagnostics import DiagnosticsContext
 from chns.errors import CFLViolation, ParseError, ValidationError
 from chns.potential import ViscositySpec
@@ -24,6 +25,22 @@ def test_serialize_parse_round_trip(cfg):
     back = parse_config_text(text)
     assert back == cfg
     assert serialize_config(back) == text
+
+
+def test_file_parses_as_its_text(tmp_path):
+    cfg = RunConfig(nx=32, ny=16, mode="lifted_elliptic", g_top="single_mode:3")
+    text = serialize_config(cfg)
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    back = parse_config(path)
+    assert back == parse_config_text(text) == cfg
+    assert serialize_config(back) == text
+
+
+def test_missing_file_raises_parse_error(tmp_path):
+    path = tmp_path / "absent.ini"
+    with pytest.raises(ParseError, match="absent.ini"):
+        parse_config(path)
 
 
 def test_schema_names_every_field_once():
@@ -45,6 +62,7 @@ def test_defaults_are_the_objects_defaults():
     ("[boundary]\nfamily = custom\n", "[boundary] unknown amplitude family"),
     ("[boundary]\ng_top = single_mode:abc\n", "[boundary] g_top"),
     ("[boundary]\ng_top = single_modefoo\n", "[boundary] g_top"),
+    ("[grid]\nnx = 16\n[boundary]\ng_top = single_mode:15\n", "[boundary] g_top"),
     ("[solver]\ncfl_safety = -1\n", "[time]/[solver]"),
     ("[solver]\ncfl_safety = nan\n", "[time]/[solver]"),
     ("[solver]\nstabilization = nan\n", "[time]/[solver]"),
@@ -72,7 +90,8 @@ def test_defaults_are_the_objects_defaults():
     ("[initial]\nu = vortex\n", "[initial] unknown u profile"),
     ("[outputs]\nsnapshot_every = -1\n", "[outputs] snapshot_every"),
     ("[outputs]\nsnapshot_every = nan\n", "[outputs] snapshot_every"),
-], ids=["ramp_rate", "power_p", "custom_family", "mode_not_digits", "mode_no_colon", "cfl_safety",
+], ids=["ramp_rate", "power_p", "custom_family", "mode_not_digits", "mode_no_colon",
+        "mode_aliases", "cfl_safety",
         "cfl_safety_nan", "stabilization_nan", "dt_nan", "t_end_nan", "t_end_inf",
         "record_every_nan", "lx_nan", "ly_inf", "potential_section", "nu_gap",
         "clamped_linear", "omega_inf", "rate_inf", "a_inf_nan", "g_top_scale_nan",
@@ -116,6 +135,18 @@ def test_profile_names_checked_when_grid_refused():
     with pytest.raises(ValidationError) as exc:
         parse_config_text("[grid]\nnx = 5\n[initial]\nphi = ramp\n[boundary]\ng_top = x\n")
     assert len(exc.value.violations) == 3
+
+
+def test_mode_aliasing_not_measured_against_a_refused_grid():
+    # single_mode:20 is within nx/2 = 32, so only the grid (lx = nan) is refused
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text("[grid]\nnx = 64\nlx = nan\n[boundary]\ng_top = single_mode:20\n")
+    assert [v.split(" ")[0] for v in exc.value.violations] == ["[grid]"]
+
+
+def test_nyquist_mode_accepted():
+    cfg = parse_config_text("[grid]\nnx = 16\n[boundary]\ng_top = single_mode:8\n")
+    assert cfg.g_top == "single_mode:8"
 
 
 def test_experiment_section_rejected():

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from chns import ops, solver
-from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
+from chns.boundary import Amplitude, WallData, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
 from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
                          SolverDiverged)
 from chns.grid import Grid, ScalarField, VectorField
-from chns.lifting import EllipticLift, StationaryStokes
+from chns.lifting import EllipticLift
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
 from chns.potential import ViscositySpec, eval_F
@@ -328,14 +328,6 @@ class TestNsDirect:
 
 
 class TestLiftedModes:
-    def make(self, grid, mode, dt=2e-3, t_end=0.5, visc=None):
-        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
-                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
-        cfg = cfg_for(grid, dt, t_end, mode=mode,
-                      visc=visc or ViscositySpec(nu1=1.0, nu2=1.04))
-        return Simulation(grid, cfg, data, noise_phi(grid, amp=5e-3),
-                          VectorField.zeros(grid)), data
-
     def test_homogeneous_data_matches_direct_exactly(self):
         grid = Grid(32, 32)
         phi0 = noise_phi(grid)
@@ -353,102 +345,46 @@ class TestLiftedModes:
 
     def test_ubar_walls_zero_and_reconstruction(self):
         grid = Grid(32, 32)
-        sim, _ = self.make(grid, "lifted_elliptic")
+        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
+        sim = Simulation(grid, cfg_for(grid, 2e-3, 0.5, mode="lifted_elliptic"), data,
+                         noise_phi(grid, amp=5e-3), VectorField.zeros(grid))
         for _ in range(30):
             st = sim.step()
             assert np.all(st.ubar.uy[:, 0] == 0.0) and np.all(st.ubar.uy[:, -1] == 0.0)
             recon = st.ubar + st.u_lift
             assert l2(recon - st.u) < 1e-14
 
+    @pytest.mark.parametrize("visc", [ViscositySpec(nu1=0.5, nu2=1.0),
+                                      ViscositySpec(nu1=0.5, nu2=1.5),
+                                      ViscositySpec(nu1=0.5, nu2=1.0, kind="constant"),
+                                      ViscositySpec(nu1=0.5, nu2=1.5, kind="constant")],
+                             ids=["tanh_2to1", "tanh_3to1", "constant_2to1", "constant_3to1"])
     @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
-    def test_lifted_tracks_direct(self, mode):
+    def test_lifted_modes_give_the_direct_solution(self, mode, visc):
+        # the direct step is the exact lifted step, so the lift defines ubar
+        # and not u: x-dependent walls that move give the direct run's bytes
         grid = Grid(32, 32)
-        sims = {}
-        for m in ("direct", mode):
-            sim, _ = self.make(grid, m, dt=2e-3)
-            for _ in range(250):
-                sim.step()
-            sims[m] = sim.state
-        diff = l2(sims[mode].u - sims["direct"].u)
-        assert diff < 0.02 * max(l2(sims["direct"].u), 1e-10)
-
-    def test_parabolic_lift_coefficient_at_three_to_one_ratio(self):
-        # nu2 = 3 nu1 puts the implicit constant at 2 nu1, where the lift
-        # force coefficient 1 - a/(2 nu1) is 0; with 1/2 the modes differ by 14%
-        grid = Grid(32, 32)
+        data = WallData(grid, wall_profile(grid, "single_mode:2"),
+                        wall_profile(grid, "single_mode:1", scale=-0.5),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=2.0))
+        phi0 = noise_phi(grid)
         finals = {}
-        for mode in ("direct", "lifted_parabolic"):
-            sim, _ = self.make(grid, mode, visc=ViscositySpec(nu1=0.5, nu2=1.5))
-            for _ in range(250):
+        for m in ("direct", mode):
+            sim = Simulation(grid, cfg_for(grid, 4e-3, 0.5, mode=m, visc=visc), data, phi0,
+                             VectorField.zeros(grid))
+            for _ in range(125):
                 sim.step()
-            finals[mode] = sim.state.u
-        diff = l2(finals["lifted_parabolic"] - finals["direct"])
-        assert diff < 0.01 * l2(finals["direct"])
-
-    @staticmethod
-    def lift_start_change(visc, u0, dt, n_steps):
-        """Relative changes of phi and u when the evolutionary lift starts at
-        the Stokes lift of u0's trace instead of at the stationary lift.
-
-        The walls move at t = 0 and the given u0 does not match them.
-        """
-        grid = u0.grid
-        amp = Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)
-        data = WallData(grid, wall_profile(grid, "single_mode:1"),
-                        wall_profile(grid, "uniform"), amp)
-        cfg = cfg_for(grid, dt, 0.0, mode="lifted_parabolic", visc=visc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # deliberately incompatible start
-            sims = [Simulation(grid, cfg, data, noise_phi(grid), u0) for _ in range(2)]
-        moved = sims[1]
-        stokes, _, _ = StationaryStokes(grid, visc.nu1).solve(extrapolated_wall_trace(u0))
-        w0 = stokes - amp(0.0) * moved.ell.unit_u
-        assert l2(w0) > 0.1 * l2(moved.ell.unit_u)
-        moved.par.w = w0
-        moved.par.u_p = moved.par.u_p + w0
-        moved.state = dataclasses.replace(moved.state, ubar=moved.state.ubar - w0,
-                                          u_lift=moved.par.u_p)
-        for sim in sims:
-            for _ in range(n_steps):
-                sim.step()
-        ref, other = sims[0].state, moved.state
-        return (np.abs(other.phi.values - ref.phi.values).max() / np.abs(ref.phi.values).max(),
-                l2(other.u - ref.u) / l2(ref.u))
-
-    @pytest.mark.parametrize("start", ["zero", "random"])
-    def test_parabolic_lift_start_moves_nothing_when_lift_force_vanishes(self, start):
-        # nu2 = 3 nu1 makes the lift force coefficient 1 - a/(2 nu1) zero, and
-        # then the implicit solves of ubar and of the lift are the same
-        grid = Grid(32, 32)
-        u0 = VectorField.zeros(grid) if start == "zero" \
-            else random_divfree(grid, np.random.default_rng(3), amp=0.1)
-        changes = self.lift_start_change(ViscositySpec(nu1=0.5, nu2=1.5), u0, 2e-3, 20)
-        assert max(changes) <= 1e-12, changes
-
-    def test_parabolic_lift_start_moves_u_at_first_order_in_dt(self):
-        # with nu2 = 2 nu1 the coefficient is 1/4; the start then moves u by
-        # the coefficient times an O(dt) term, a splitting error
-        grid = Grid(32, 32)
-        visc = ViscositySpec(nu1=0.5, nu2=1.0)
-        du = [self.lift_start_change(visc, VectorField.zeros(grid), dt, round(0.04 / dt))[1]
-              for dt in (4e-3, 2e-3)]
-        assert du[0] > 1e-4
-        assert 0.4 < du[1] / du[0] < 0.6, du
-
-    def test_mode_difference_first_order_in_dt(self):
-        grid = Grid(32, 32)
-        errs = []
-        for dt in (4e-3, 2e-3):
-            finals = {}
-            for m in ("direct", "lifted_elliptic"):
-                sim, _ = self.make(grid, m, dt=dt, t_end=0.5)
-                n = int(round(0.5 / dt))
-                for _ in range(n):
-                    sim.step()
-                finals[m] = sim.state.u
-            errs.append(l2(finals["direct"] - finals["lifted_elliptic"]))
-        ratio = errs[1] / errs[0]
-        assert 0.25 < ratio < 0.75
+            finals[m] = sim.state
+        st, ref = finals[mode], finals["direct"]
+        for name in ("ux", "uy"):
+            assert getattr(st.u, name).tobytes() == getattr(ref.u, name).tobytes()
+        for name in ("phi", "mu", "p"):
+            assert getattr(st, name).values.tobytes() == getattr(ref, name).values.tobytes()
+        assert l2(st.ubar + st.u_lift - st.u) < 1e-14 * l2(st.u)
+        assert np.all(st.ubar.uy[:, 0] == 0.0) and np.all(st.ubar.uy[:, -1] == 0.0)
+        assert np.abs(divergence(st.ubar).values).max() < 1e-12
+        assert abs(st.phi.mean() - phi0.mean()) < 1e-14
 
 
 class TestSimulationInputs:
@@ -725,14 +661,12 @@ class TestRunAndInvariants:
 
     @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
     def test_lifted_orders_in_dt(self, mode):
-        # u and p are first order in the lifted modes too.  At nu2 = 3 nu1 the
-        # parabolic lift coefficient 1 - a/(2 nu1) is zero and both lifted
-        # modes would give the same errors, hence nu2 = 2 nu1.  phi is not
-        # pinned: its observed order falls from about 1.8 to 1.5-1.7 here.
-        orders = self.observed_orders(mode, ViscositySpec(nu1=0.5, nu2=1.0))
-        for u_order, _, p_order in orders:
-            assert 0.8 <= u_order <= 1.3
-            assert 0.8 <= p_order <= 1.3
+        # the lifted modes march the direct mode's u, so they keep its orders:
+        # u and p first, phi second; nu2 = 2 nu1 is a second viscosity ratio
+        windows = ((0.8, 1.3), (1.7, 2.3), (0.8, 1.3))      # u, phi, p
+        for orders in self.observed_orders(mode, ViscositySpec(nu1=0.5, nu2=1.0)):
+            for order, (lo, hi) in zip(orders, windows):
+                assert lo <= order <= hi
 
     @staticmethod
     def orders_in_h(mode, visc):
@@ -741,8 +675,8 @@ class TestRunAndInvariants:
         A tanh interface between single-mode walls moving in opposite
         directions under a ramp, so w = u_p - u_e is not zero, from the
         stationary lift; the time error at dt = 2^-10 stays below the spatial
-        one.  At nu2 = 3 nu1 the lift force coefficient 1 - a/(2 nu1) is zero,
-        so w does not enter u and the two lifted modes agree to round-off.
+        one.  Every mode marches the same u; the lifted modes differ only in
+        the ubar they read off it.
         phi is restricted by 2 x 2 cell means, ux by the mean of the two fine
         faces on each coarse face.
         """
@@ -772,7 +706,7 @@ class TestRunAndInvariants:
         (e_phi, e_ux), (f_phi, f_ux) = diffs(*finals[:2]), diffs(*finals[1:])
         return math.log2(e_phi / f_phi), math.log2(e_ux / f_ux)
 
-    # at nu2 = 2 nu1 the lift force coefficient 1 - a/(2 nu1) is 1/4, so w enters u
+    # nu2 = 2 nu1 is a second viscosity ratio
     @pytest.mark.parametrize("mode, nu2", [("direct", 1.5), ("lifted_elliptic", 1.5),
                                            ("lifted_parabolic", 1.5), ("lifted_parabolic", 1.0)],
                              ids=["direct", "lifted_elliptic", "lifted_parabolic",
