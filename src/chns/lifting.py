@@ -30,10 +30,12 @@ Since the Stokes operator commutes with x-translations, w, forced by
 -a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
 rows on K and steps only those rows, through the x-Fourier core of
 ``helmholtz_project_velocity``, starting from U's rows as the stationary
-solve wrote them.  Outside K, U's rfft holds only the round-off of its
-inverse transform, so dropping those rows moves u_p only by round-off: each
-step maps w to P S (w - dt a' U), with P the projection and
-S = (I - dt nu1 Lap)^-1 the solve, which do not grow a field.
+solve wrote them.  U and w are synthesized from their rows c on K alone, as
+B [Re c; Im c] with B the nx x 2|K| table of K's cosines and sines, built
+once per stationary solve: the inverse rfft of c zero-filled, to round-off.
+Outside K, U's rfft holds only that round-off, so dropping those rows moves
+u_p only by round-off: each step maps w to P S (w - dt a' U), with P the
+projection and S = (I - dt nu1 Lap)^-1 the solve, which do not grow a field.
 """
 
 from __future__ import annotations
@@ -65,13 +67,13 @@ class StationaryStokes:
     and p = 0, which also makes p zero-mean.
 
     The modes k >= 1 of K (module docstring) are solved together by the
-    influence-matrix method; the other rows of the result are zero.  The
-    velocity is written through a corner streamfunction, ux = D_y psi and
-    uy = -D_x psi with psi = 0 on both walls, so it is divergence-free by
-    construction; the curl of the momentum rows removes p and leaves
-    L(L psi) = 0 with L = lam_x + D_yy.  The wall ghosts ``2 g - interior``
-    of ``ops._dy_ux`` become psi_(-1) = psi_1 - 2 dy g_b and
-    psi_(ny+1) = psi_(ny-1) + 2 dy g_t.
+    influence-matrix method, and ux, uy and p synthesized from their rows on K
+    by the table ``info["synthesis"]``.  The velocity is written through a
+    corner streamfunction, ux = D_y psi and uy = -D_x psi with psi = 0 on
+    both walls, so it is divergence-free by construction; the curl of the
+    momentum rows removes p and leaves L(L psi) = 0 with L = lam_x + D_yy.
+    The wall ghosts ``2 g - interior`` of ``ops._dy_ux`` become
+    psi_(-1) = psi_1 - 2 dy g_b and psi_(ny+1) = psi_(ny-1) + 2 dy g_t.
 
     The vorticity omega = L psi is discrete-harmonic in y, so it is fixed by
     its two wall values: a mix of sinh(kappa (ny - j)) / sinh(kappa ny) and
@@ -95,7 +97,8 @@ class StationaryStokes:
         bhat, that = sfft.rfft(gb), sfft.rfft(gt)
         size = np.maximum(np.abs(bhat), np.abs(that))
         rows = np.flatnonzero(size > g.nx * np.finfo(float).eps * size.max())     # K
-        k = rows[rows > 0]
+        live = rows > 0
+        k = rows[live]
         lam_x = g.lam_x[k, None]
         j = np.arange(ny + 1)
         # bottom vorticity basis sinh(kappa (ny - j)) / sinh(kappa ny), overflow-free
@@ -115,17 +118,17 @@ class StationaryStokes:
         psi = w_b * psi_b + w_t * psi_b[:, ::-1]
         omega = w_b * decay + w_t * decay[:, ::-1]
 
-        hat = np.zeros((2, g.nx // 2 + 1, ny), dtype=complex)         # ux, p
-        hat[0, 0] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
-        hat[0, k] = np.diff(psi, axis=1) / dy
-        hat[1, k] = self.nu1 * np.diff(omega, axis=1) / dy / g.ddx_west[k, None]
-        uy_hat = np.zeros((g.nx // 2 + 1, ny + 1), dtype=complex)
-        uy_hat[k] = -g.ddx_east[k, None] * psi
-        ux, p = sfft.irfft(hat, axis=1, n=g.nx)
-        u = VectorField(ux, sfft.irfft(uy_hat, axis=0, n=g.nx), g)
-        p = ScalarField(p, g)
-        modes = (rows, hat[0, rows], uy_hat[rows, 1:-1])
-        return u, p, {"iterations": int(rows.size > 0), "x_modes": modes}
+        # the rfft rows on K of ux, p and uy
+        cx, cp, cy = (np.zeros((rows.size, n), dtype=complex) for n in (ny, ny, ny + 1))
+        cx[~live] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
+        cx[live] = np.diff(psi, axis=1) / dy
+        cp[live] = self.nu1 * np.diff(omega, axis=1) / dy / g.ddx_west[k, None]
+        cy[live] = -g.ddx_east[k, None] * psi
+        table = _x_synthesis(g.nx, rows)
+        u = VectorField(_from_x_rows(table, cx), _from_x_rows(table, cy), g)
+        p = ScalarField(_from_x_rows(table, cp), g)
+        return u, p, {"iterations": int(rows.size > 0), "x_modes": (rows, cx, cy[:, 1:-1]),
+                      "synthesis": table}
 
 
 def momentum_residual(u: VectorField, p: ScalarField, nu1: float, walls: Walls) -> float:
@@ -141,7 +144,8 @@ class EllipticLift:
     read-only in ``data.lift_cache``; every later lift of the same data
     shares it.  Wall data sampled on another grid is refused.  ``x_modes``
     is the solve's ``info["x_modes"]``: the data's rows K and the unit
-    lift's rfft rows on them, which ``ParabolicLift`` steps.
+    lift's rfft rows on them, which ``ParabolicLift`` steps; ``synthesis``
+    is the solve's table on K, which turns ``ParabolicLift``'s rows into w.
     """
 
     def __init__(self, grid: Grid, nu1: float, data: WallData):
@@ -153,10 +157,10 @@ class EllipticLift:
         key = (grid.key, self.nu1)
         if key not in data.lift_cache:
             u, p, info = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
-            for arr in (u.ux, u.uy, p.values, *info["x_modes"]):
+            for arr in (u.ux, u.uy, p.values, *info["x_modes"], info["synthesis"]):
                 arr.flags.writeable = False
-            data.lift_cache[key] = (u, p, info["x_modes"])
-        self.unit_u, self.unit_p, self.x_modes = data.lift_cache[key]
+            data.lift_cache[key] = (u, p, info["x_modes"], info["synthesis"])
+        self.unit_u, self.unit_p, self.x_modes, self.synthesis = data.lift_cache[key]
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -179,16 +183,17 @@ class ParabolicLift:
     Keeps the decomposition u_p = a(t) U + w from w(0) = 0, the stationary
     lift; each step advances w by an implicit solve with homogeneous walls
     followed by an exact projection, then stores the new sum as ``u_p`` and
-    its difference quotient as ``du_p_dt`` (None before the first step).
-    ``w`` is u_p - u_e, the difference from the stationary lift.  Each step
-    builds new arrays for all three, so a field handed out earlier is never
+    keeps the old one, from which ``du_p_dt``, the difference quotient, is
+    formed when read (None before the first step).  ``w`` is u_p - u_e, the
+    difference from the stationary lift.  Each step and each read of
+    ``du_p_dt`` builds new arrays, so a field handed out earlier is never
     written, and a step that raises changes nothing.
 
     w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
     is kept as its rfft rows on K, and each step solves those rows only; K
     and U's rows on it are ``EllipticLift.x_modes``, from the stationary
-    solve.  One inverse rfft per component gives the physical w, and the
-    pressure of the solve is never transformed.
+    solve.  The synthesis on K (``EllipticLift.synthesis``) gives the physical
+    w, and the pressure of the solve is never synthesized.
     """
 
     def __init__(self, elliptic: EllipticLift):
@@ -201,8 +206,16 @@ class ParabolicLift:
         # (rows, U on them, w on them) as rfft rows of ux and of uy's interior rows
         rows, unit_x, unit_y = elliptic.x_modes
         self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
-        self.du_p_dt: VectorField | None = None
+        self._last: tuple[VectorField, float] | None = None     # (u_p before the step, 1/dt)
         self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
+
+    @property
+    def du_p_dt(self) -> VectorField | None:
+        """(u_p - u_p before the last step) / dt, in new arrays; None before the first."""
+        if self._last is None:
+            return None
+        (old, inv_dt), u = self._last, self.u_p
+        return VectorField._trusted((u.ux - old.ux) * inv_dt, (u.uy - old.uy) * inv_dt, u.grid)
 
     def step(self, dt: float) -> None:
         if not 0 < dt < math.inf:           # nan fails too
@@ -219,30 +232,36 @@ class ParabolicLift:
         wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
         if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
             raise SolverDiverged("parabolic lift produced non-finite values")
-        w = VectorField._trusted(_from_x_rows(g, rows, wx), _from_x_rows(g, rows, wy), g)
+        w = VectorField._trusted(*(_from_x_rows(self.ell.synthesis, c) for c in (wx, wy)), g)
 
-        # a(t) U + w and (u_p - up_old) / dt, each in new arrays: U is
-        # read-only, and u_p and du_p_dt have been handed out
-        up_old = self.u_p
+        # a(t) U + w in new arrays: U is read-only, and u_p has been handed out
         a = self.data.amplitude(t_new)
         px, py = unit.ux * a, unit.uy * a
         px += w.ux
         py += w.uy
-        dux, duy = px - up_old.ux, py - up_old.uy
-        dux *= 1.0 / dt
-        duy *= 1.0 / dt
         self.t = t_new
         self.w = w
         self._modes = (rows, unit_x, unit_y, wx, wy[:, 1:-1])
+        self._last = (self.u_p, 1.0 / dt)
         self.u_p = VectorField._trusted(px, py, g)
-        self.du_p_dt = VectorField._trusted(dux, duy, g)
 
 
-def _from_x_rows(g: Grid, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The real field whose rfft rows are c on ``rows`` and zero elsewhere."""
-    full = np.zeros((g.nx // 2 + 1, c.shape[1]), dtype=complex)
-    full[rows] = c
-    return sfft.irfft(full, axis=0, n=g.nx)
+def _x_synthesis(nx: int, rows: np.ndarray) -> np.ndarray:
+    """The table B of ``_from_x_rows``: columns w_k cos(theta) and -w_k sin(theta),
+    theta = 2 pi ((k i) mod nx) / nx, k i reduced in integers (unreduced, the synthesis
+    is 5e-14 off at nx = 256); w_k = 2/nx, but 1/nx on the mean and Nyquist rows,
+    whose sine columns are zero: the inverse rfft drops their imaginary parts."""
+    edge = (rows == 0) | (2 * rows == nx)
+    weight = np.where(edge, 1.0, 2.0) / nx
+    theta = 2.0 * np.pi * (np.outer(np.arange(nx), rows) % nx) / nx
+    sine = -weight * np.sin(theta)
+    sine[:, edge] = 0.0
+    return np.hstack((weight * np.cos(theta), sine))
+
+
+def _from_x_rows(table: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Inverse rfft in x of c on the rows of ``table`` (einsum: BLAS allocates a workspace)."""
+    return np.einsum("ik,kj->ij", table, np.concatenate((c.real, c.imag)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ nu - a/2 and ``_nu_at_corners(nu)`` of ``solver.viscosity_tables``.  The
 momentum solve and the evolutionary lift share one x-Fourier core,
 ``_helmholtz_project_modes``: ``lifting.ParabolicLift`` runs it only on
 the x-wavenumbers K of the wall data, which the stationary lift's solve
-finds and hands over as ``EllipticLift.x_modes``.  No step calls
+finds and hands over as ``EllipticLift.x_modes``; w comes back from its rows
+on K by the synthesis ``EllipticLift.synthesis``, not a full inverse rfft.  No step calls
 ``advect_velocity``, ``viscous_term``, ``helmholtz_solve_velocity`` or
 ``Grid.solve_helmholtz_ux/uy`` any more: they are the references those two
 are tested against.  ``helmholtz_solve_neumann`` (a > 0) is likewise only the

@@ -176,13 +176,14 @@ class TestLiftCache:
 
     def test_x_modes_built_once_per_lift(self, monkeypatch):
         """K and U's rows come from the stationary solve: the lift build
-        transforms the two wall shapes and never the unit lift."""
+        transforms the two wall shapes and never the unit lift, and neither
+        the build nor a step has an inverse rfft to call."""
         grid = Grid(16, 16)
         data = make_data(grid, "single_mode:1",
                          Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
         rffts = []
         monkeypatch.setattr(lifting, "sfft", types.SimpleNamespace(
-            **{name: getattr(sfft, name) for name in ("dst", "idst", "irfft")},
+            **{name: getattr(sfft, name) for name in ("dst", "idst")},
             rfft=lambda a, *args, **kw: rffts.append(a) or sfft.rfft(a, *args, **kw)))
         ell = EllipticLift(grid, NU1, data)
         par = ParabolicLift(EllipticLift(grid, NU1, data))
@@ -310,18 +311,18 @@ def row_case(grid, case):
 
 
 class _DropRow:
-    """``scipy.fft`` with an irfft that zeroes one x-wavenumber row of its input."""
+    """``lifting._x_synthesis`` with the two columns of one x-wavenumber row
+    zeroed, so the synthesis reads that row of its input as zero."""
+
+    synthesis = staticmethod(lifting._x_synthesis)
 
     def __init__(self, row):
         self.row = row
 
-    def __getattr__(self, name):
-        return getattr(sfft, name)
-
-    def irfft(self, hat, n, axis):
-        hat = hat.copy()
-        hat[(slice(None),) * (axis % hat.ndim) + (self.row,)] = 0.0
-        return sfft.irfft(hat, n=n, axis=axis)
+    def __call__(self, nx, rows):
+        table = self.synthesis(nx, rows)
+        table[:, np.tile(rows == self.row, 2)] = 0.0
+        return table
 
 
 def channel_stokes_mode(grid, nu):
@@ -403,9 +404,25 @@ class TestStationaryRows:
         that leaves out a live data row or the Couette row."""
         grid = Grid(12, 8, lx=2.0)
         (gb, gt), _ = row_case(grid, case)
-        monkeypatch.setattr(lifting, "sfft", _DropRow(row))
+        monkeypatch.setattr(lifting, "_x_synthesis", _DropRow(row))
         u, p, _ = StationaryStokes(grid, NU1).solve((gb, gt))
         assert dense_error(u, p, gb, gt) > 1e-3
+
+    @pytest.mark.parametrize("rows", [[0], [1], [128], [0, 2], [1, 127, 128], "all"],
+                             ids=["mean", "mode_1", "nyquist", "mean_and_mode_2",
+                                  "top_three", "all"])
+    def test_synthesis_is_the_inverse_rfft(self, rows):
+        """B [Re c; Im c] equals irfft of c zero-filled to every row; the mean
+        and Nyquist rows carry imaginary parts that irfft drops."""
+        nx, ny = 256, 5
+        rows = np.arange(nx // 2 + 1) if rows == "all" else np.array(rows)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((rows.size, ny)) + 1j * rng.standard_normal((rows.size, ny))
+        full = np.zeros((nx // 2 + 1, ny), dtype=complex)
+        full[rows] = c
+        ref = sfft.irfft(full, axis=0, n=nx)
+        out = lifting._from_x_rows(lifting._x_synthesis(nx, rows), c)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def trace_lift(u: VectorField) -> VectorField:
