@@ -89,14 +89,15 @@ def _stationary_residual(phi: ScalarField) -> np.ndarray:
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors.
 
-    The split reads ubar in the lifted modes and u in the direct mode.  With
-    a context the record makes one stacked ``Grid.to_spectral`` call: it
-    takes the stationary residual (res_phi) and, in the certified mode
-    (evolutionary lift, constant viscosity), phi, mu and div(Lap ubar), whose
-    coefficients go to ``higher_order`` with the norms formed here.
+    The split reads ubar = u - u_lift in the lifted modes and u in the
+    direct mode.  With a context the record makes one stacked
+    ``Grid.to_spectral`` call: it takes the stationary residual (res_phi)
+    and, in the certified mode (evolutionary lift, constant viscosity), phi,
+    mu and div(Lap ubar), whose coefficients go to ``higher_order`` with the
+    norms formed here.
     """
     phi, grid = state.phi, state.phi.grid
-    ubar = state.ubar if state.ubar is not None else state.u
+    ubar = state.u if state.u_lift is None else state.ubar
     norms = {"ubar_l2": l2(ubar), "diss_u": grad_norm_sq(ubar),
              "grad_phi": math.sqrt(grad_norm_sq(phi)),
              "grad_mu": math.sqrt(grad_norm_sq(state.mu))}

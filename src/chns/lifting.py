@@ -24,7 +24,8 @@ starts at the stationary lift, and a mismatch of u0 with the data stays in
 the solver's ubar(0).  Static data therefore keeps u_p identical to the
 stationary lift exactly, and u_p - u_e equals w at all times, which is what
 the difference estimates consume.  The solver's u does not depend on the
-lift: the lift only splits it into ubar + u_p (``solver``).
+lift: a state stores u and u_p, and its ubar is u - u_p, formed when read
+(``solver.SimState``).
 
 Since the Stokes operator commutes with x-translations, w, forced by
 -a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
@@ -166,6 +167,7 @@ class EllipticLift:
         a = self.data.amplitude(t)
         return a * self.unit_u, a * self.unit_p
 
+    # no caller in the package: the benchmark's tracer wraps it by name
     def dt_at(self, t: float) -> VectorField:
         return self.data.amplitude.dt(t) * self.unit_u
 

@@ -30,8 +30,8 @@ the same discrete operators, summed in another order.
 Modes:
   direct            march the physical velocity; tangential wall data enters
                     the implicit solve through ghost rows.
-  lifted_elliptic   the direct step, and ubar = u - u_e read off it, with
-                    homogeneous walls; the stationary lift u_e carries the data.
+  lifted_elliptic   the same step, and the stationary lift u_e carried beside
+                    u; ubar = u - u_e, with homogeneous walls, is read off them.
   lifted_parabolic  the same with the evolutionary lift u_p, which starts at
                     u_e(0): a mismatch of u0 with the data stays in ubar(0).
 
@@ -39,11 +39,11 @@ For a discretely divergence-free lift L whose trace through ``_dy_ux``'s
 ghosts is the wall data, the direct step u+ = P H_w1(u + dt f) is exactly
 the lifted step L_new + P H_0(ubar + dt (f - (L_new - L_old)/dt + (a/2)
 Lap_w1 L_new)), with P the projection and H_w the implicit solve with wall
-data w.  So the three modes march one discrete u, and a lifted mode sets
-ubar = u+ - L_new (``ns_substep_lifted``): the lift defines ubar, which the
-certificates read, not u.  ``Simulation`` builds what the run fixes once, as
-its step plan: a and, with a constant viscosity, ``momentum_force``'s stress
-tables.
+data w.  So the three modes march one discrete u through one
+``ns_substep_direct`` call, and a state stores u and the lift: its ubar,
+which the certificates read, is u - u_lift, formed when read (``SimState``).
+``Simulation`` builds what the run fixes once, as its step plan: a and, with
+a constant viscosity, ``momentum_force``'s stress tables.
 
 Every mode marches the full discrete system: the paper's Faedo-Galerkin
 approximations serve its existence proof and have no truncated step here.
@@ -97,9 +97,9 @@ class SolverConfig:
 class SimState:
     """Simulation snapshot.
 
-    In the lifted modes ubar = u - u_lift, with homogeneous walls: u_lift
-    is the active lift at time t, the stationary u_e or the evolutionary
-    u_p.  Both are None in the direct mode.
+    In the lifted modes u_lift is the active lift at time t, the stationary
+    u_e or the evolutionary u_p, and ubar is derived from it and u; both
+    are None in the direct mode.
     """
 
     t: float
@@ -107,8 +107,12 @@ class SimState:
     phi: ScalarField
     mu: ScalarField
     p: ScalarField
-    ubar: VectorField | None = None
     u_lift: VectorField | None = None
+
+    @property
+    def ubar(self) -> VectorField | None:
+        """u - u_lift, with homogeneous walls, in new arrays; None in the direct mode."""
+        return None if self.u_lift is None else self.u - self.u_lift
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,7 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
     return u_new, q
 
 
+# no caller in the package: the benchmark's tracer wraps it by name
 def ns_substep_lifted(u: VectorField, lift_new: VectorField, phi_new: ScalarField,
                       mu_new: ScalarField, tables: tuple[np.ndarray, np.ndarray], a: float,
                       walls0: Walls, walls1: Walls, dt: float
@@ -371,10 +376,16 @@ class Simulation:
     ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
     the state one step back are the history of the two-step concentration
     scheme.  The first step, and the first step after a state is assigned
-    from outside, has no history and takes the one-step start.  Initial data
-    must be finite; an assigned state must be on the simulation's grid and,
-    in the lifted modes, carry ubar and u_lift; in the parabolic mode it must
-    be at the time of the evolutionary lift, which keeps its own clock.
+    from outside, has no history and takes the one-step start.  A step
+    advances the lift last, once its checks have passed, so a refused step
+    changes neither the state nor the lift.  Initial data must be finite; an
+    assigned state must be on the simulation's grid and, in the lifted
+    modes, carry u_lift; in the parabolic mode it must be at the time of the
+    evolutionary lift, which keeps its own clock.
+
+    ``compatible`` is one verdict in every mode: u0's trace matches the data,
+    or u0 - L(0)'s is zero, with L the stationary lift (built in the direct
+    mode only when the first check fails on nonzero data).
     """
 
     def __init__(self, grid: Grid, cfg: SolverConfig, data: WallData,
@@ -393,20 +404,20 @@ class Simulation:
         self.a = a = implicit_viscosity(cfg.viscosity)
         self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
             if cfg.viscosity.is_constant else None
-        mu0 = initial_mu(phi0)
-
-        if cfg.mode == "direct":
-            self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid))
-            self.compatible = check_compatibility(u0, data)
-        else:
+        lift0 = None
+        if cfg.mode != "direct":
             self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
                 self.par = ParabolicLift(self.ell)
             lift0 = self.ell.state_at(0.0)
-            self.state = SimState(0.0, u0, phi0, mu0, ScalarField.zeros(grid),
-                                  ubar=u0 - lift0, u_lift=lift0)
-            # ubar has homogeneous walls
-            self.compatible = check_compatibility(self.state.ubar, WallData.zero(grid))
+        self.state = SimState(0.0, u0, phi0, initial_mu(phi0), ScalarField.zeros(grid),
+                              u_lift=lift0)
+
+        self.compatible = check_compatibility(u0, data)
+        if not (self.compatible or data.is_zero()):
+            if lift0 is None:
+                lift0 = EllipticLift(grid, cfg.viscosity.nu1, data).state_at(0.0)
+            self.compatible = check_compatibility(u0 - lift0, WallData.zero(grid))
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
                           stacklevel=2)
@@ -417,13 +428,13 @@ class Simulation:
 
     @state.setter
     def state(self, state: SimState) -> None:
-        if self.cfg.mode != "direct" and (state.ubar is None or state.u_lift is None):
-            raise InvariantViolation(f"a {self.cfg.mode} state needs ubar and u_lift")
+        if self.cfg.mode != "direct" and state.u_lift is None:
+            raise InvariantViolation(f"a {self.cfg.mode} state needs u_lift")
         if self.par is not None and state.t != self.par.t:
             raise InvariantViolation(f"the state is at t = {state.t!r}, but the evolutionary "
                                      f"lift is at t = {self.par.t!r}")
         require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p,
-                                                   state.ubar, state.u_lift) if f is not None))
+                                                   state.u_lift) if f is not None))
         self._state = state
         self._history: tuple[ScalarField, VectorField] | None = None
 
@@ -444,22 +455,17 @@ class Simulation:
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
         tables = self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a)
         walls = (self.data.eval_wall(st.t), self.data.eval_wall(t_new))
-
-        if cfg.mode == "direct":
-            u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, *walls, dt)
-            new = SimState(t_new, u_new, phi_new, mu_new, p)
-        else:
-            if self.par is None:
-                lift = self.ell.state_at(t_new)
-            else:
-                self.par.step(dt)
-                lift = self.par.u_p
-            u_new, ubar_new, p = ns_substep_lifted(st.u, lift, phi_new, mu_new, tables, self.a,
-                                                   *walls, dt)
-            new = SimState(t_new, u_new, phi_new, mu_new, p, ubar=ubar_new, u_lift=lift)
-
-        if not (new.u.is_finite() and new.phi.is_finite()):
+        u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, *walls, dt)
+        if not (u_new.is_finite() and phi_new.is_finite()):
             raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")
+
+        lift = None
+        if self.par is not None:
+            self.par.step(dt)
+            lift = self.par.u_p
+        elif self.ell is not None:
+            lift = self.ell.state_at(t_new)
+        new = SimState(t_new, u_new, phi_new, mu_new, p, u_lift=lift)
         self._history, self._state = (st.phi, st.u), new
         return new
 

@@ -327,53 +327,75 @@ class TestNsDirect:
             assert np.abs(divergence(sim.state.u).values).max() < 1e-10
 
 
+def single_mode_inputs(grid, visc):
+    """x-dependent walls that move under a ramp, noise phi0, u0 = 0."""
+    data = WallData(grid, wall_profile(grid, "single_mode:2"),
+                    wall_profile(grid, "single_mode:1", scale=-0.5),
+                    Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=2.0))
+    return data, noise_phi(grid), VectorField.zeros(grid)
+
+
+def zero_wall_inputs(grid, visc):
+    return WallData.zero(grid), noise_phi(grid), VectorField.zeros(grid)
+
+
+def uniform_top_inputs(grid, visc):
+    data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                    Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
+    return data, noise_phi(grid, amp=5e-3), VectorField.zeros(grid)
+
+
+def orders_in_dt_inputs(grid, visc):
+    """The case of ``observed_orders``: a ramped uniform top wall over a smooth phi0."""
+    data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
+                    Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=4.0))
+    phi0 = ScalarField.from_function(
+        grid, lambda x, y: 0.5 * np.cos(np.pi * x / 4) * np.cos(np.pi * y / 8))
+    return data, phi0, VectorField.zeros(grid)
+
+
+def orders_in_h_inputs(grid, visc):
+    """The case of ``orders_in_h``: a tanh interface between single-mode walls
+    moving in opposite directions under a ramp, from u0 = the stationary lift."""
+    data = WallData(grid, wall_profile(grid, "single_mode:1"),
+                    wall_profile(grid, "single_mode:1", scale=-1.0),
+                    Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0))
+    phi0 = ScalarField.from_function(
+        grid, lambda x, y: np.tanh((y - 4.0 - 0.5 * np.cos(np.pi * x / 4)) / np.sqrt(2)))
+    return data, phi0, EllipticLift(grid, visc.nu1, data).state_at(0.0)
+
+
+# id: (grid arguments, inputs, viscosity, dt, steps)
+LIFTED_CASES = {
+    "tanh_2to1": ((32, 32), single_mode_inputs, ViscositySpec(nu1=0.5, nu2=1.0), 4e-3, 125),
+    "tanh_3to1": ((32, 32), single_mode_inputs, ViscositySpec(nu1=0.5, nu2=1.5), 4e-3, 125),
+    "constant_2to1": ((32, 32), single_mode_inputs,
+                      ViscositySpec(nu1=0.5, nu2=1.0, kind="constant"), 4e-3, 125),
+    "constant_3to1": ((32, 32), single_mode_inputs,
+                      ViscositySpec(nu1=0.5, nu2=1.5, kind="constant"), 4e-3, 125),
+    "orders_in_dt": ((32, 32, 8.0, 8.0), orders_in_dt_inputs,
+                     ViscositySpec(nu1=0.5, nu2=1.0), 2.0 ** -6, 16),
+    "orders_in_h": ((32, 32, 8.0, 8.0), orders_in_h_inputs,
+                    ViscositySpec(nu1=0.5, nu2=1.5), 2.0 ** -10, 32),
+    "zero_walls": ((32, 32), zero_wall_inputs, ViscositySpec(nu1=1.0, nu2=1.04), 1e-3, 20),
+    "uniform_top": ((32, 32), uniform_top_inputs, ViscositySpec(nu1=1.0, nu2=1.05), 2e-3, 30),
+}
+
+
 class TestLiftedModes:
-    def test_homogeneous_data_matches_direct_exactly(self):
-        grid = Grid(32, 32)
-        phi0 = noise_phi(grid)
-        visc = ViscositySpec(nu1=1.0, nu2=1.04)
-        states = {}
-        for mode in ("direct", "lifted_elliptic", "lifted_parabolic"):
-            cfg = cfg_for(grid, 1e-3, 0.0, mode=mode, visc=visc)
-            sim = Simulation(grid, cfg, WallData.zero(grid), phi0, VectorField.zeros(grid))
-            for _ in range(20):
-                sim.step()
-            states[mode] = sim.state
-        for mode in ("lifted_elliptic", "lifted_parabolic"):
-            assert np.array_equal(states[mode].u.ux, states["direct"].u.ux)
-            assert np.array_equal(states[mode].phi.values, states["direct"].phi.values)
-
-    def test_ubar_walls_zero_and_reconstruction(self):
-        grid = Grid(32, 32)
-        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
-                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
-        sim = Simulation(grid, cfg_for(grid, 2e-3, 0.5, mode="lifted_elliptic"), data,
-                         noise_phi(grid, amp=5e-3), VectorField.zeros(grid))
-        for _ in range(30):
-            st = sim.step()
-            assert np.all(st.ubar.uy[:, 0] == 0.0) and np.all(st.ubar.uy[:, -1] == 0.0)
-            recon = st.ubar + st.u_lift
-            assert l2(recon - st.u) < 1e-14
-
-    @pytest.mark.parametrize("visc", [ViscositySpec(nu1=0.5, nu2=1.0),
-                                      ViscositySpec(nu1=0.5, nu2=1.5),
-                                      ViscositySpec(nu1=0.5, nu2=1.0, kind="constant"),
-                                      ViscositySpec(nu1=0.5, nu2=1.5, kind="constant")],
-                             ids=["tanh_2to1", "tanh_3to1", "constant_2to1", "constant_3to1"])
+    @pytest.mark.parametrize("case", LIFTED_CASES)
     @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
-    def test_lifted_modes_give_the_direct_solution(self, mode, visc):
+    def test_lifted_modes_give_the_direct_solution(self, mode, case):
         # the direct step is the exact lifted step, so the lift defines ubar
-        # and not u: x-dependent walls that move give the direct run's bytes
-        grid = Grid(32, 32)
-        data = WallData(grid, wall_profile(grid, "single_mode:2"),
-                        wall_profile(grid, "single_mode:1", scale=-0.5),
-                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=2.0))
-        phi0 = noise_phi(grid)
+        # and not u: every case gives the direct run's bytes, moving walls or not
+        grid_args, inputs, visc, dt, steps = LIFTED_CASES[case]
+        grid = Grid(*grid_args)
+        data, phi0, u0 = inputs(grid, visc)
         finals = {}
         for m in ("direct", mode):
-            sim = Simulation(grid, cfg_for(grid, 4e-3, 0.5, mode=m, visc=visc), data, phi0,
-                             VectorField.zeros(grid))
-            for _ in range(125):
+            sim = Simulation(grid, cfg_for(grid, dt, dt * steps, mode=m, visc=visc), data, phi0,
+                             u0)
+            for _ in range(steps):
                 sim.step()
             finals[m] = sim.state
         st, ref = finals[mode], finals["direct"]
@@ -381,10 +403,50 @@ class TestLiftedModes:
             assert getattr(st.u, name).tobytes() == getattr(ref.u, name).tobytes()
         for name in ("phi", "mu", "p"):
             assert getattr(st, name).values.tobytes() == getattr(ref, name).values.tobytes()
-        assert l2(st.ubar + st.u_lift - st.u) < 1e-14 * l2(st.u)
-        assert np.all(st.ubar.uy[:, 0] == 0.0) and np.all(st.ubar.uy[:, -1] == 0.0)
-        assert np.abs(divergence(st.ubar).values).max() < 1e-12
+        ubar = st.ubar
+        assert l2(ubar + st.u_lift - st.u) <= 1e-14 * l2(st.u)
+        assert np.all(ubar.uy[:, 0] == 0.0) and np.all(ubar.uy[:, -1] == 0.0)
+        assert np.abs(divergence(ubar).values).max() < 1e-12
         assert abs(st.phi.mean() - phi0.mean()) < 1e-14
+
+    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
+    def test_assigned_u_is_what_the_next_record_reads(self, mode):
+        # ubar is derived from u and the lift, so a new u cannot leave it stale
+        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(16, mode)
+        sim = Simulation(grid, dataclasses.replace(cfg, dt=2e-3, t_end=0.0), data, phi0, u0)
+        sim.step()
+        st = sim.state
+        sim.state = dataclasses.replace(st, u=2.0 * st.u)
+        kinetic = 0.5 * l2(2.0 * st.u - st.u_lift) ** 2
+        assert kinetic > 0.1
+        assert sim.run()[0].kinetic == pytest.approx(kinetic, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_refused_momentum_step_changes_neither_state_nor_lift(self, monkeypatch, mode):
+        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(16, mode)
+        dt = 2e-3
+        sim = Simulation(grid, dataclasses.replace(cfg, dt=dt, t_end=2e-2), data, phi0, u0)
+        sim.step()
+        before = sim.state
+        solve = solver.helmholtz_project_velocity
+
+        def poisoned(*args):
+            u, q = solve(*args)
+            u.ux[3, 5] = math.nan
+            return u, q
+
+        monkeypatch.setattr(solver, "helmholtz_project_velocity", poisoned)
+        with pytest.raises(SolverDiverged):
+            sim.step()
+        assert sim.state is before
+        if sim.par is not None:
+            assert sim.par.t == before.t
+        monkeypatch.undo()
+        sim.state = before
+        after = sim.step()
+        assert after.t == before.t + dt
+        if sim.par is not None:
+            assert sim.par.t == after.t and after.u_lift is sim.par.u_p
 
 
 class TestSimulationInputs:
@@ -399,12 +461,26 @@ class TestSimulationInputs:
         return (grid, build_solver_config(cfg), data, build_initial_phi(cfg, grid),
                 build_initial_u(cfg, grid, data))
 
-    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
-    def test_lift_start_is_compatible_in_lifted_modes(self, mode):
+    @pytest.mark.parametrize("mode", solver.MODES)
+    def test_lift_start_is_compatible_in_every_mode(self, mode):
+        # u0's extrapolated trace is O(h^2) off the data, but u0 - L(0) has
+        # a zero trace; the direct mode takes L from the data's lift cache
+        inputs = self.lift_start(64, mode)
+        data = inputs[2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sim = Simulation(*self.lift_start(64, mode))
+            sim = Simulation(*inputs)
         assert sim.compatible
+        assert len(data.lift_cache) == 1
+
+    def test_direct_mode_builds_no_lift_for_a_matching_start(self):
+        grid = Grid(16, 16)
+        data = WallData(grid, wall_profile(grid, "single_mode:1"), wall_profile(grid, "uniform"),
+                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0))
+        sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01), data, noise_phi(grid),
+                         VectorField.zeros(grid))
+        assert sim.compatible and sim.ell is None
+        assert data.lift_cache == {}
 
     @pytest.mark.parametrize("mode", solver.MODES)
     def test_rest_start_against_moving_walls_warns(self, mode):
@@ -431,8 +507,8 @@ class TestSimulationInputs:
     @pytest.mark.parametrize("mode, field, given", [
         *[(mode, field, "other_grid") for mode in solver.MODES
           for field in ("u", "phi", "mu", "p")],
-        *[(mode, field, given) for mode in ("lifted_elliptic", "lifted_parabolic")
-          for field in ("ubar", "u_lift") for given in ("other_grid", "none")],
+        *[(mode, "u_lift", given) for mode in ("lifted_elliptic", "lifted_parabolic")
+          for given in ("other_grid", "none")],
         ("lifted_parabolic", "t", "other_time")])
     def test_assigned_state_it_cannot_step_rejected(self, mode, field, given):
         grid, other = Grid(16, 16, lx=2.0), Grid(16, 16, lx=4.0)
@@ -440,7 +516,7 @@ class TestSimulationInputs:
                          noise_phi(grid), VectorField.zeros(grid))
         before = sim.state
         if given == "none":
-            value, match = None, "needs ubar and u_lift"
+            value, match = None, "needs u_lift"
         elif given == "other_time":
             # the lift would step from its own clock, t = 0
             value, match = 4e-3, "evolutionary lift is at t = 0.0"
@@ -476,8 +552,6 @@ class TestNothingReturnedIsWritten:
     steps, and the cached solve tables cannot be written at all.
     """
 
-    # the direct mode's check sees the lift's trace off the data at O(h^2)
-    @pytest.mark.filterwarnings("ignore:initial velocity trace")
     @pytest.mark.parametrize("mode", solver.MODES)
     def test_kept_arrays_survive_later_steps(self, mode):
         grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(16, mode)
@@ -489,7 +563,7 @@ class TestNothingReturnedIsWritten:
         kept = [phi0.values, u0.ux, u0.uy, st.phi.values, st.mu.values, st.p.values,
                 st.u.ux, st.u.uy]
         if mode != "direct":
-            kept += [st.ubar.ux, st.ubar.uy, st.u_lift.ux, st.u_lift.uy]
+            kept += [st.u_lift.ux, st.u_lift.uy]
         if mode == "lifted_parabolic":
             kept += [sim.par.u_p.ux, sim.par.u_p.uy, sim.par.du_p_dt.ux, sim.par.du_p_dt.uy]
         before = [a.tobytes() for a in kept]
@@ -630,18 +704,19 @@ class TestRunAndInvariants:
                 sim.step()
 
     @staticmethod
-    def observed_orders(mode, visc):
-        """log2 error ratios of (u, phi, p) at dt = 2^-6, 2^-7, 2^-8 against dt/64."""
+    def observed_orders(visc):
+        """log2 error ratios of (u, phi, p) at dt = 2^-6, 2^-7, 2^-8 against dt/64.
+
+        Direct mode only: the lifted modes give its bytes
+        (``test_lifted_modes_give_the_direct_solution[...-orders_in_dt]``).
+        """
         grid = Grid(32, 32, 8.0, 8.0)
-        data = WallData(grid, wall_profile(grid, "zero"), wall_profile(grid, "uniform"),
-                        Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=4.0))
-        phi0 = ScalarField.from_function(
-            grid, lambda x, y: 0.5 * np.cos(np.pi * x / 4) * np.cos(np.pi * y / 8))
+        data, phi0, u0 = orders_in_dt_inputs(grid, visc)
         t_end, dt = 0.25, 2.0 ** -6
 
         def final(step):
-            cfg = cfg_for(grid, step, t_end, mode=mode, visc=visc, record_every=t_end)
-            sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+            cfg = cfg_for(grid, step, t_end, visc=visc, record_every=t_end)
+            sim = Simulation(grid, cfg, data, phi0, u0)
             sim.run()
             return sim.state
 
@@ -651,48 +726,32 @@ class TestRunAndInvariants:
         return [[math.log2(c / f) for c, f in zip(coarse, fine)]
                 for coarse, fine in zip(errs, errs[1:])]
 
-    def test_orders_in_dt(self):
+    # nu2 = 2 nu1 is a second viscosity ratio
+    @pytest.mark.parametrize("nu2", [1.5, 1.0], ids=["nu2_1.5", "nu2_1"])
+    def test_orders_in_dt(self, nu2):
         # the momentum projection step is first order in u and p; the BDF2
         # concentration step is second order in phi
         windows = ((0.8, 1.3), (1.7, 2.3), (0.8, 1.3))      # u, phi, p
-        for orders in self.observed_orders("direct", ViscositySpec(nu1=0.5, nu2=1.5)):
-            for order, (lo, hi) in zip(orders, windows):
-                assert lo <= order <= hi
-
-    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
-    def test_lifted_orders_in_dt(self, mode):
-        # the lifted modes march the direct mode's u, so they keep its orders:
-        # u and p first, phi second; nu2 = 2 nu1 is a second viscosity ratio
-        windows = ((0.8, 1.3), (1.7, 2.3), (0.8, 1.3))      # u, phi, p
-        for orders in self.observed_orders(mode, ViscositySpec(nu1=0.5, nu2=1.0)):
+        for orders in self.observed_orders(ViscositySpec(nu1=0.5, nu2=nu2)):
             for order, (lo, hi) in zip(orders, windows):
                 assert lo <= order <= hi
 
     @staticmethod
-    def orders_in_h(mode, visc):
+    def orders_in_h(visc):
         """log2 ratios of successive grid differences of (phi, ux) on 32^2, 64^2, 128^2.
 
-        A tanh interface between single-mode walls moving in opposite
-        directions under a ramp, so w = u_p - u_e is not zero, from the
-        stationary lift; the time error at dt = 2^-10 stays below the spatial
-        one.  Every mode marches the same u; the lifted modes differ only in
-        the ubar they read off it.
+        The case of ``orders_in_h_inputs``: w = u_p - u_e is not zero there,
+        from the stationary lift, and the time error at dt = 2^-10 stays below
+        the spatial one.  Direct mode only: the lifted modes give its bytes
+        (``test_lifted_modes_give_the_direct_solution[...-orders_in_h]``).
         phi is restricted by 2 x 2 cell means, ux by the mean of the two fine
         faces on each coarse face.
         """
         finals = []
         for n in (32, 64, 128):
             grid = Grid(n, n, 8.0, 8.0)
-            data = WallData(grid, wall_profile(grid, "single_mode:1"),
-                            wall_profile(grid, "single_mode:1", scale=-1.0),
-                            Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0))
-            phi0 = ScalarField.from_function(
-                grid, lambda x, y: np.tanh((y - 4.0 - 0.5 * np.cos(np.pi * x / 4)) / np.sqrt(2)))
-            u0 = EllipticLift(grid, visc.nu1, data).state_at(0.0)
-            cfg = cfg_for(grid, 2.0 ** -10, 0.25, mode=mode, visc=visc, record_every=0.25)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")     # the direct mode flags u0 = lift
-                sim = Simulation(grid, cfg, data, phi0, u0)
+            cfg = cfg_for(grid, 2.0 ** -10, 0.25, visc=visc, record_every=0.25)
+            sim = Simulation(grid, cfg, *orders_in_h_inputs(grid, visc))
             sim.run()
             finals.append(sim.state)
 
@@ -707,12 +766,9 @@ class TestRunAndInvariants:
         return math.log2(e_phi / f_phi), math.log2(e_ux / f_ux)
 
     # nu2 = 2 nu1 is a second viscosity ratio
-    @pytest.mark.parametrize("mode, nu2", [("direct", 1.5), ("lifted_elliptic", 1.5),
-                                           ("lifted_parabolic", 1.5), ("lifted_parabolic", 1.0)],
-                             ids=["direct", "lifted_elliptic", "lifted_parabolic",
-                                  "lifted_parabolic_nu2_1"])
-    def test_orders_in_h(self, mode, nu2):
-        orders = self.orders_in_h(mode, ViscositySpec(nu1=0.5, nu2=nu2))
+    @pytest.mark.parametrize("nu2", [1.5, 1.0], ids=["direct", "direct_nu2_1"])
+    def test_orders_in_h(self, nu2):
+        orders = self.orders_in_h(ViscositySpec(nu1=0.5, nu2=nu2))
         assert all(1.8 <= order <= 2.2 for order in orders), orders
 
     def test_forced_nan_raises_solver_diverged_with_partial_records(self):
