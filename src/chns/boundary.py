@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,16 +172,14 @@ class WallData:
     """Tangential boundary velocity a(t) * (g_bottom, g_top); normal part is zero.
 
     The shapes are kept as read-only copies, so fields derived from them stay
-    valid for the lifetime of the instance: ``lift_cache`` holds the unit
-    stationary lift per (grid.key, nu1), filled by ``lifting.EllipticLift``.
-    Instances compare and hash by identity.
+    valid for the lifetime of the instance.  Instances compare and hash by
+    identity.
     """
 
     grid: Grid
     g_bottom: np.ndarray
     g_top: np.ndarray
     amplitude: Amplitude
-    lift_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         gb = np.array(self.g_bottom, dtype=float)

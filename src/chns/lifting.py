@@ -14,7 +14,8 @@ round-off floor nx eps times the largest of them.  The profiles of a config
 wavenumber gives them all, on the same path.  Because the wall data is
 separable, h = a(t) g(x), the solve happens once for the unit shape g and
 every lift and lift time-derivative is an amplitude rescaling of that single
-field.
+field.  The unit solve of each wall data is kept here, per nu1, for as long
+as the wall data lives; ``boundary`` knows nothing of it.
 
 The evolutionary lift integrates  d/dt u_p - nu1 Lap(u_p) + grad(p) = 0 with
 u_p = h on the walls.  It is stepped through the decomposition
@@ -42,6 +43,7 @@ projection and S = (I - dt nu1 Lap)^-1 the solve, which do not grow a field.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,15 +140,20 @@ def momentum_residual(u: VectorField, p: ScalarField, nu1: float, walls: Walls) 
     return l2(gradient(p) - nu1 * lap)
 
 
+# the read-only unit stationary lift of each wall data, by nu1: an entry
+# lives exactly as long as its wall data
+_UNIT_LIFTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class EllipticLift:
     """Unit stationary lift of a wall-data shape, rescaled by the amplitude.
 
-    The unit solve is done once per wall data, grid and nu1 and kept
-    read-only in ``data.lift_cache``; every later lift of the same data
-    shares it.  Wall data sampled on another grid is refused.  ``x_modes``
-    is the solve's ``info["x_modes"]``: the data's rows K and the unit
-    lift's rfft rows on them, which ``ParabolicLift`` steps; ``synthesis``
-    is the solve's table on K, which turns ``ParabolicLift``'s rows into w.
+    The unit solve is done once per wall data and nu1 and kept read-only in
+    this module's ``_UNIT_LIFTS``; every later lift of the same data shares
+    it.  Wall data sampled on another grid is refused.  ``x_modes`` is the
+    solve's ``info["x_modes"]``: the data's rows K and the unit lift's rfft
+    rows on them, which ``ParabolicLift`` steps; ``synthesis`` is the solve's
+    table on K, which turns ``ParabolicLift``'s rows into w.
     """
 
     def __init__(self, grid: Grid, nu1: float, data: WallData):
@@ -155,13 +162,13 @@ class EllipticLift:
         self.grid = grid
         self.nu1 = float(nu1)
         self.data = data
-        key = (grid.key, self.nu1)
-        if key not in data.lift_cache:
+        lifts = _UNIT_LIFTS.setdefault(data, {})
+        if self.nu1 not in lifts:
             u, p, info = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
             for arr in (u.ux, u.uy, p.values, *info["x_modes"], info["synthesis"]):
                 arr.flags.writeable = False
-            data.lift_cache[key] = (u, p, info["x_modes"], info["synthesis"])
-        self.unit_u, self.unit_p, self.x_modes, self.synthesis = data.lift_cache[key]
+            lifts[self.nu1] = (u, p, info["x_modes"], info["synthesis"])
+        self.unit_u, self.unit_p, self.x_modes, self.synthesis = lifts[self.nu1]
 
     def at(self, t: float) -> tuple[VectorField, ScalarField]:
         a = self.data.amplitude(t)
@@ -184,67 +191,55 @@ class ParabolicLift:
 
     Keeps the decomposition u_p = a(t) U + w from w(0) = 0, the stationary
     lift; each step advances w by an implicit solve with homogeneous walls
-    followed by an exact projection, then stores the new sum as ``u_p`` and
-    keeps the old one, from which ``du_p_dt``, the difference quotient, is
-    formed when read (None before the first step).  ``w`` is u_p - u_e, the
-    difference from the stationary lift.  Each step and each read of
-    ``du_p_dt`` builds new arrays, so a field handed out earlier is never
-    written, and a step that raises changes nothing.
+    followed by an exact projection, and stores the new sum as ``u_p``.
+    ``w`` is u_p - u_e, the difference from the stationary lift.  Each step
+    builds new arrays, so a field handed out earlier is never written, and a
+    step that raises changes nothing.
 
     w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
     is kept as its rfft rows on K, and each step solves those rows only; K
     and U's rows on it are ``EllipticLift.x_modes``, from the stationary
     solve.  The synthesis on K (``EllipticLift.synthesis``) gives the physical
-    w, and the pressure of the solve is never synthesized.
+    w, and the pressure of the solve is never synthesized.  The grid, nu1 and
+    the wall data are read through ``ell``.
     """
 
     def __init__(self, elliptic: EllipticLift):
         self.ell = elliptic
-        self.grid = elliptic.grid
-        self.nu1 = elliptic.nu1
-        self.data = elliptic.data
         self.t = 0.0
-        self.w = VectorField.zeros(self.grid)
-        # (rows, U on them, w on them) as rfft rows of ux and of uy's interior rows
-        rows, unit_x, unit_y = elliptic.x_modes
-        self._modes = (rows, unit_x, unit_y, np.zeros_like(unit_x), np.zeros_like(unit_y))
-        self._last: tuple[VectorField, float] | None = None     # (u_p before the step, 1/dt)
-        self.u_p = self.data.amplitude(0.0) * self.ell.unit_u
-
-    @property
-    def du_p_dt(self) -> VectorField | None:
-        """(u_p - u_p before the last step) / dt, in new arrays; None before the first."""
-        if self._last is None:
-            return None
-        (old, inv_dt), u = self._last, self.u_p
-        return VectorField._trusted((u.ux - old.ux) * inv_dt, (u.uy - old.uy) * inv_dt, u.grid)
+        self.w = VectorField.zeros(elliptic.grid)
+        # w's rfft rows on K, of ux and of uy's interior rows
+        _, unit_x, unit_y = elliptic.x_modes
+        self._w_rows = (np.zeros_like(unit_x), np.zeros_like(unit_y))
+        self.u_p = elliptic.state_at(0.0)
 
     def step(self, dt: float) -> None:
         if not 0 < dt < math.inf:           # nan fails too
             raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
                                      f"got {dt!r}")
-        g, unit = self.grid, self.ell.unit_u
-        rows, unit_x, unit_y, wx, wy = self._modes
+        ell = self.ell
+        g, unit, amplitude = ell.grid, ell.unit_u, ell.data.amplitude
+        rows, unit_x, unit_y = ell.x_modes
+        wx, wy = self._w_rows
         t_new = self.t + dt
         # w - (dt a'(t)) U on the rows, in new arrays: the core overwrites them
-        scale = dt * self.data.amplitude.dt(t_new)
+        scale = dt * amplitude.dt(t_new)
         rx, ry = unit_x * scale, unit_y * scale
         np.subtract(wx, rx, out=rx)
         np.subtract(wy, ry, out=ry)
-        wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
+        wx, wy, _ = _helmholtz_project_modes(g, dt * ell.nu1, rx, ry, rows)
         if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
             raise SolverDiverged("parabolic lift produced non-finite values")
-        w = VectorField._trusted(*(_from_x_rows(self.ell.synthesis, c) for c in (wx, wy)), g)
+        w = VectorField._trusted(*(_from_x_rows(ell.synthesis, c) for c in (wx, wy)), g)
 
         # a(t) U + w in new arrays: U is read-only, and u_p has been handed out
-        a = self.data.amplitude(t_new)
+        a = amplitude(t_new)
         px, py = unit.ux * a, unit.uy * a
         px += w.ux
         py += w.uy
         self.t = t_new
         self.w = w
-        self._modes = (rows, unit_x, unit_y, wx, wy[:, 1:-1])
-        self._last = (self.u_p, 1.0 / dt)
+        self._w_rows = (wx, wy[:, 1:-1])
         self.u_p = VectorField._trusted(px, py, g)
 
 
@@ -290,18 +285,20 @@ def run_lift_pair(data: WallData, grid: Grid, nu1: float, dt: float,
     hist = LiftPairHistory()
     lap_cum = 0.0
 
-    def record():
+    def record(dtup):
         hist.times.append(par.t)
         hist.diff_v1_sq.append(v1_norm(par.w) ** 2)
         hist.lap_diff_cum.append(lap_cum)
-        hist.dtup_norm.append(l2(par.du_p_dt) if par.du_p_dt is not None else 0.0)
+        hist.dtup_norm.append(dtup)
         hist.rhs_cum.append(shape_w * data.amplitude.dt_sq_integral(par.t))
 
-    record()
+    record(0.0)
     for _ in range(whole_steps(t_end, dt, "t_end")):
+        old = par.u_p
         par.step(dt)
         lap_cum += dt * l2(vector_laplacian(par.w)) ** 2
-        record()
+        # |d/dt u_p| as the difference quotient of the step
+        record(l2((par.u_p - old) * (1.0 / dt)))
     return hist
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class SimState:
 
     In the lifted modes u_lift is the active lift at time t, the stationary
     u_e or the evolutionary u_p, and ubar is derived from it and u; both
-    are None in the direct mode.
+    are None in the direct mode.  ``Simulation`` supplies u_lift and
+    refuses any other (``Simulation._lift_at``).
     """
 
     t: float
@@ -379,9 +380,14 @@ class Simulation:
     from outside, has no history and takes the one-step start.  A step
     advances the lift last, once its checks have passed, so a refused step
     changes neither the state nor the lift.  Initial data must be finite; an
-    assigned state must be on the simulation's grid and, in the lifted
-    modes, carry u_lift; in the parabolic mode it must be at the time of the
-    evolutionary lift, which keeps its own clock.
+    assigned state must be on the simulation's grid.
+
+    The lift of every state, initial, stepped or assigned, comes from one
+    place, ``_lift_at``: u_e(t) in the lifted_elliptic mode, u_p in the
+    lifted_parabolic mode and None in the direct mode.  The evolutionary
+    lift keeps its own clock, so an assigned lifted_parabolic state must be
+    at its time.  An assigned state without u_lift gets the run's lift; one
+    with a u_lift other than that lift is refused.
 
     ``compatible`` is one verdict in every mode: u0's trace matches the data,
     or u0 - L(0)'s is zero, with L the stationary lift (built in the direct
@@ -404,23 +410,28 @@ class Simulation:
         self.a = a = implicit_viscosity(cfg.viscosity)
         self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
             if cfg.viscosity.is_constant else None
-        lift0 = None
         if cfg.mode != "direct":
             self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
             if cfg.mode == "lifted_parabolic":
                 self.par = ParabolicLift(self.ell)
-            lift0 = self.ell.state_at(0.0)
-        self.state = SimState(0.0, u0, phi0, initial_mu(phi0), ScalarField.zeros(grid),
-                              u_lift=lift0)
+        self.state = SimState(0.0, u0, phi0, initial_mu(phi0), ScalarField.zeros(grid))
 
         self.compatible = check_compatibility(u0, data)
         if not (self.compatible or data.is_zero()):
-            if lift0 is None:
-                lift0 = EllipticLift(grid, cfg.viscosity.nu1, data).state_at(0.0)
+            lift0 = self.state.u_lift or EllipticLift(grid, cfg.viscosity.nu1, data).state_at(0.0)
             self.compatible = check_compatibility(u0 - lift0, WallData.zero(grid))
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
                           stacklevel=2)
+
+    def _lift_at(self, t: float) -> VectorField | None:
+        """The run's lift at time t: u_p, which must be at t, u_e(t) or None."""
+        if self.par is not None:
+            if t != self.par.t:
+                raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary "
+                                         f"lift is at t = {self.par.t!r}")
+            return self.par.u_p
+        return None if self.ell is None else self.ell.state_at(t)
 
     @property
     def state(self) -> SimState:
@@ -428,13 +439,17 @@ class Simulation:
 
     @state.setter
     def state(self, state: SimState) -> None:
-        if self.cfg.mode != "direct" and state.u_lift is None:
-            raise InvariantViolation(f"a {self.cfg.mode} state needs u_lift")
-        if self.par is not None and state.t != self.par.t:
-            raise InvariantViolation(f"the state is at t = {state.t!r}, but the evolutionary "
-                                     f"lift is at t = {self.par.t!r}")
-        require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p,
-                                                   state.u_lift) if f is not None))
+        lift = self._lift_at(state.t)
+        given = state.u_lift
+        require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p, given)
+                                       if f is not None))
+        if given is None:
+            if lift is not None:
+                state = replace(state, u_lift=lift)
+        elif lift is None or not (np.array_equal(given.ux, lift.ux)
+                                  and np.array_equal(given.uy, lift.uy)):
+            raise InvariantViolation(f"u_lift is not the lift of this {self.cfg.mode} run "
+                                     f"at t = {state.t!r}")
         self._state = state
         self._history: tuple[ScalarField, VectorField] | None = None
 
@@ -456,16 +471,10 @@ class Simulation:
         tables = self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a)
         walls = (self.data.eval_wall(st.t), self.data.eval_wall(t_new))
         u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, *walls, dt)
-        if not (u_new.is_finite() and phi_new.is_finite()):
-            raise SolverDiverged(f"non-finite state at t = {t_new:.6g}")
 
-        lift = None
         if self.par is not None:
             self.par.step(dt)
-            lift = self.par.u_p
-        elif self.ell is not None:
-            lift = self.ell.state_at(t_new)
-        new = SimState(t_new, u_new, phi_new, mu_new, p, u_lift=lift)
+        new = SimState(t_new, u_new, phi_new, mu_new, p, u_lift=self._lift_at(t_new))
         self._history, self._state = (st.phi, st.u), new
         return new
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +159,16 @@ class TestLiftCache:
         other = EllipticLift(grid, 2 * cfg.nu1, data)
         assert solves == [cfg.nu1, 2 * cfg.nu1]
         assert l2(other.unit_p - first.unit_p) > 0.0
+
+    def test_unit_lift_lives_as_long_as_its_wall_data(self):
+        grid = Grid(16, 16)
+        data = make_data(grid, "single_mode:1")
+        ell = EllipticLift(grid, NU1, data)
+        assert list(lifting._UNIT_LIFTS[data]) == [NU1]
+        data_ref, unit_ref = weakref.ref(data), weakref.ref(ell.unit_u)
+        del data, ell
+        gc.collect()
+        assert data_ref() is None and unit_ref() is None
 
     def test_cached_fields_and_wall_shapes_are_read_only(self):
         grid = Grid(16, 16)
@@ -494,11 +506,11 @@ class TestParabolicLift:
     def test_bad_step_rejected(self, dt, amp, error, match):
         grid = Grid(16, 16)
         par = ParabolicLift(EllipticLift(grid, NU1, make_data(grid, amp=amp)))
-        w, u_p = par.w, par.u_p
+        w, u_p, rows = par.w, par.u_p, par._w_rows
         with pytest.raises(error, match=match):
             par.step(dt)
-        assert par.t == 0.0 and par.du_p_dt is None
-        assert par.w is w and par.u_p is u_p
+        assert par.t == 0.0
+        assert par.w is w and par.u_p is u_p and par._w_rows is rows
         assert par.w.is_finite() and par.u_p.is_finite()
 
     @pytest.mark.parametrize("case", ["mode_1", "uniform_and_mode_2", "nyquist", "random"])
@@ -524,11 +536,9 @@ class TestParabolicLift:
         for _ in range(20):
             t += dt
             w, _ = helmholtz_project_velocity(w - unit * (dt * amp.dt(t)), dt * NU1)
-            up_old = par.u_p
             par.step(dt)
             u_p = unit * amp(t) + w
-            for new, ref in ((par.w, w), (par.u_p, u_p),
-                             (par.du_p_dt, (u_p - up_old) * (1.0 / dt))):
+            for new, ref in ((par.w, w), (par.u_p, u_p)):
                 scale = ref.max_abs()
                 assert scale > 0.0
                 assert (new - ref).max_abs() <= 1e-13 * scale
@@ -584,6 +594,24 @@ class TestLiftDifferenceReport:
         r1, r2 = reps[0]["ratio_sup"], reps[1]["ratio_sup"]
         assert all(math.isfinite(r) and r > 0 for r in (r1, r2))
         assert 0.5 < r1 / r2 < 2.0
+
+    def test_dtup_norm_is_the_step_difference_quotient(self):
+        """|d/dt u_p| of the history, bit for bit: l2 of (u_p - u_p before) * (1/dt)
+        of a lift stepped here, and 0 before the first step."""
+        grid = Grid(16, 16)
+        amp = Amplitude("decaying_oscillation", a0=1.0, rate=0.5, omega=3.0)
+        data = make_data(grid, "single_mode:1", amp)
+        dt, steps = 0.05, 20
+        hist = run_lift_pair(data, grid, NU1, dt=dt, t_end=dt * steps)
+        par = ParabolicLift(EllipticLift(grid, NU1, data))
+        expected = [0.0]
+        for _ in range(steps):
+            ux, uy = par.u_p.ux, par.u_p.uy
+            par.step(dt)
+            expected.append(l2(VectorField((par.u_p.ux - ux) * (1.0 / dt),
+                                           (par.u_p.uy - uy) * (1.0 / dt), grid)))
+        assert min(expected[1:]) > 0.0
+        assert hist.dtup_norm == expected
 
     def test_dtup_tail_decays_for_decaying_data(self):
         grid = Grid(32, 32)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chns import ops, solver
+from chns import lifting, ops, solver
 from chns.boundary import Amplitude, WallData, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
@@ -471,7 +471,7 @@ class TestSimulationInputs:
             warnings.simplefilter("error")
             sim = Simulation(*inputs)
         assert sim.compatible
-        assert len(data.lift_cache) == 1
+        assert len(lifting._UNIT_LIFTS[data]) == 1
 
     def test_direct_mode_builds_no_lift_for_a_matching_start(self):
         grid = Grid(16, 16)
@@ -480,7 +480,7 @@ class TestSimulationInputs:
         sim = Simulation(grid, cfg_for(grid, 1e-3, 0.01), data, noise_phi(grid),
                          VectorField.zeros(grid))
         assert sim.compatible and sim.ell is None
-        assert data.lift_cache == {}
+        assert data not in lifting._UNIT_LIFTS
 
     @pytest.mark.parametrize("mode", solver.MODES)
     def test_rest_start_against_moving_walls_warns(self, mode):
@@ -509,6 +509,7 @@ class TestSimulationInputs:
           for field in ("u", "phi", "mu", "p")],
         *[(mode, "u_lift", given) for mode in ("lifted_elliptic", "lifted_parabolic")
           for given in ("other_grid", "none")],
+        *[(mode, "u_lift", "not_the_lift") for mode in solver.MODES],
         ("lifted_parabolic", "t", "other_time")])
     def test_assigned_state_it_cannot_step_rejected(self, mode, field, given):
         grid, other = Grid(16, 16, lx=2.0), Grid(16, 16, lx=4.0)
@@ -516,7 +517,14 @@ class TestSimulationInputs:
                          noise_phi(grid), VectorField.zeros(grid))
         before = sim.state
         if given == "none":
-            value, match = None, "needs u_lift"
+            # not refused: the run fills in its own lift, here the zero lift of zero data
+            sim.state = dataclasses.replace(before, u_lift=None)
+            lift = sim.state.u_lift
+            assert lift.ux.tobytes() == before.u_lift.ux.tobytes()
+            assert lift.uy.tobytes() == before.u_lift.uy.tobytes()
+            return
+        if given == "not_the_lift":
+            value, match = couette_field(grid), "is not the lift"
         elif given == "other_time":
             # the lift would step from its own clock, t = 0
             value, match = 4e-3, "evolutionary lift is at t = 0.0"
@@ -527,6 +535,39 @@ class TestSimulationInputs:
         with pytest.raises(InvariantViolation, match=match):
             sim.state = dataclasses.replace(before, **{field: value})
         assert sim.state is before
+
+    @pytest.mark.parametrize("mode", ["lifted_elliptic", "lifted_parabolic"])
+    def test_assigned_lift_must_be_the_runs(self, mode):
+        """u_lift comes from the run: another lift is refused, the run's own kept as given."""
+        grid, cfg, data, phi0, u0 = self.lift_start(16, mode)
+        cfg = dataclasses.replace(cfg, dt=2e-3, t_end=6e-3)
+        sim = Simulation(grid, cfg, data, phi0, u0)
+        st = sim.state
+        with pytest.raises(InvariantViolation, match="is not the lift"):
+            sim.state = dataclasses.replace(st, u_lift=2.0 * st.u_lift)
+        assert sim.state is st
+        # the run's own state, re-assigned as it is or without its lift, in a
+        # run of its own: every record is that of the run never re-assigned
+        expected = [repr(r) for r in Simulation(grid, cfg, data, phi0, u0).run()]
+        for given in (st, dataclasses.replace(st, u_lift=None)):
+            sim = Simulation(grid, cfg, data, phi0, u0)
+            sim.state = given
+            if given.u_lift is not None:
+                assert sim.state is given
+            assert [repr(r) for r in sim.run()] == expected
+
+    def test_elliptic_state_at_another_time_takes_that_times_lift(self):
+        grid, cfg, data, phi0, u0 = self.lift_start(16, "lifted_elliptic")
+        sim = Simulation(grid, cfg, data, phi0, u0)
+        st = sim.state
+        moved = dataclasses.replace(st, t=0.25)
+        with pytest.raises(InvariantViolation, match="is not the lift"):
+            sim.state = moved                   # still u_e(0)
+        assert sim.state is st
+        sim.state = dataclasses.replace(moved, u_lift=None)
+        lift, ref = sim.state.u_lift, sim.ell.state_at(0.25)
+        assert sim.state.t == 0.25 and l2(lift - st.u_lift) > 0.0
+        assert lift.ux.tobytes() == ref.ux.tobytes() and lift.uy.tobytes() == ref.uy.tobytes()
 
     @pytest.mark.parametrize("where", ["phi0_nan", "phi0_inf", "ux_nan", "uy_inf", "cfl_umax_nan"])
     def test_non_finite_inputs_rejected(self, where):
@@ -548,8 +589,8 @@ class TestNothingReturnedIsWritten:
     """A step builds its right-hand sides in arrays of its own.
 
     Every array of a returned state, of the initial data and of the
-    parabolic lift's ``u_p`` and ``du_p_dt`` keeps its bytes through later
-    steps, and the cached solve tables cannot be written at all.
+    parabolic lift's ``u_p`` keeps its bytes through later steps, and the
+    cached solve tables cannot be written at all.
     """
 
     @pytest.mark.parametrize("mode", solver.MODES)
@@ -565,7 +606,7 @@ class TestNothingReturnedIsWritten:
         if mode != "direct":
             kept += [st.u_lift.ux, st.u_lift.uy]
         if mode == "lifted_parabolic":
-            kept += [sim.par.u_p.ux, sim.par.u_p.uy, sim.par.du_p_dt.ux, sim.par.du_p_dt.uy]
+            kept += [sim.par.u_p.ux, sim.par.u_p.uy]
         before = [a.tobytes() for a in kept]
         for _ in range(2):
             sim.step()
