@@ -236,9 +236,12 @@ def build_initial_phi(cfg: RunConfig, grid: Grid) -> ScalarField:
             grid, lambda x, y: cfg.phi_mean
             + cfg.phi_amp * np.cos(2 * np.pi * mx * x / grid.lx)
             * np.cos(np.pi * my * y / grid.ly))
-    rng = np.random.default_rng(cfg.seed)
-    vals = cfg.phi_amp * rng.standard_normal((grid.nx, grid.ny))
-    return ScalarField(vals - vals.mean() + cfg.phi_mean, grid)
+    # amp * draw - mean + phi_mean, formed in the draw's array
+    vals = np.random.default_rng(cfg.seed).standard_normal((grid.nx, grid.ny))
+    vals *= cfg.phi_amp
+    vals -= vals.mean()
+    vals += cfg.phi_mean
+    return ScalarField(vals, grid)
 
 
 def _vortex(grid: Grid) -> VectorField:

@@ -256,7 +256,13 @@ class VectorField:
         return bool(np.isfinite(self.ux).all() and np.isfinite(self.uy).all())
 
     def max_abs(self) -> float:
-        return float(max(np.abs(self.ux).max(), np.abs(self.uy).max()))
+        """max |u| over both components; a NaN in either propagates.
+
+        Read off each component's max and min, so no |u| array is formed.
+        """
+        ux, uy = self.ux, self.uy
+        # np.max keeps a NaN that Python's max drops; abs turns a -0.0 into 0.0
+        return abs(float(np.max((ux.max(), -ux.min(), uy.max(), -uy.min()))))
 
     def copy(self) -> "VectorField":
         return VectorField._trusted(self.ux.copy(), self.uy.copy(), self.grid)

@@ -51,7 +51,11 @@ def eval_F(s):
 
 def eval_dF(s):
     s = np.asarray(s, dtype=float)
-    return 4.0 * s * (s * s - 1.0)
+    # (4 s)(s^2 - 1) with two temporaries; the product is the same either way round
+    out = s * s
+    out -= 1.0
+    out *= 4.0 * s
+    return out
 
 
 def eval_d2F(s):

@@ -79,6 +79,19 @@ class TestGrid:
         with pytest.raises(InvariantViolation):
             VectorField(np.zeros((32, 32)), uy, grid32)
 
+    @pytest.mark.parametrize("largest", ["ux_positive", "ux_negative", "uy_positive",
+                                         "uy_negative", "all_negative_zero"])
+    def test_max_abs_is_the_largest_magnitude(self, grid32, rng, largest):
+        u = VectorField(rng.uniform(-1.0, 1.0, (32, 32)), np.zeros((32, 33)), grid32)
+        u.uy[:, 1:-1] = rng.uniform(-1.0, 1.0, (32, 31))
+        if largest == "all_negative_zero":
+            u.ux[:] = u.uy[:] = -0.0
+        else:
+            name, sign = largest.split("_")
+            getattr(u, name)[7, 9] = 3.0 if sign == "positive" else -3.0
+        expected = float(max(np.abs(u.ux).max(), np.abs(u.uy).max()))
+        assert np.copysign(1.0, u.max_abs()) == 1.0 and u.max_abs() == expected
+
     def test_equal_grids_compare_and_hash_by_key(self):
         assert Grid(16, 16) == Grid(16, 16)
         assert hash(Grid(16, 16)) == hash(Grid(16, 16))

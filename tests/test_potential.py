@@ -22,6 +22,12 @@ class TestWell:
         assert eval_dF(2.0) == 24.0
         assert eval_d3F(2.0) == 48.0
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e50, 1e100])
+    def test_dF_is_the_written_out_product(self, scale):
+        # the operation order of 4 s (s^2 - 1), so F' keeps every bit
+        s = scale * np.random.default_rng(3).standard_normal(10_000)
+        assert eval_dF(s).tobytes() == (4.0 * s * (s * s - 1.0)).tobytes()
+
     @given(st.floats(-5, 5), st.sampled_from([1e-3, 1e-4]))
     @settings(max_examples=60, deadline=None)
     def test_finite_difference_consistency(self, s, eps):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chns import lifting, ops, solver
-from chns.boundary import Amplitude, WallData, wall_profile
+from chns.boundary import TRACE_TOL, Amplitude, WallData, check_compatibility, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
 from chns.errors import (CFLViolation, InvariantViolation, NonpositiveViscosity,
@@ -15,7 +15,7 @@ from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import EllipticLift
 from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inner,
                       inner_vec, l2, laplacian_neumann, vector_laplacian, viscous_term)
-from chns.potential import ViscositySpec, eval_F
+from chns.potential import ViscositySpec, eval_dF, eval_F
 from chns.solver import Simulation, SolverConfig, cfl_bound, ch_substep
 
 from conftest import random_divfree, random_scalar, random_vector
@@ -449,28 +449,70 @@ class TestLiftedModes:
             assert sim.par.t == after.t and after.u_lift is sim.par.u_p
 
 
+def _starts(compatible):
+    """(mode, u profile, trace shift) cases whose verdict is ``compatible``; the
+    plain lift and rest starts keep the bare mode as their id."""
+    if compatible:
+        starts = [("lift", None, None),
+                  ("lift", ("bottom", 0.5 * TRACE_TOL), "lift_bottom_half_tol")]
+    else:
+        starts = [("zero", None, None),
+                  ("lift", ("bottom", 2.0 * TRACE_TOL), "lift_bottom_two_tol"),
+                  ("lift", ("top", 2.0 * TRACE_TOL), "lift_top_two_tol"),
+                  ("lift_vortex", None, "lift_vortex"), ("couette", None, "couette")]
+    return [pytest.param(mode, profile, shift, id=mode if name is None else f"{mode}-{name}")
+            for mode in solver.MODES for profile, shift, name in starts]
+
+
 class TestSimulationInputs:
     @staticmethod
-    def lift_start(n, mode):
-        """Simulation inputs of a config with u = lift and walls moving at t = 0."""
+    def lift_start(n, mode, u_profile="lift", trace_shift=None):
+        """Simulation inputs of a config with walls moving at t = 0 and, unless
+        ``u_profile`` says otherwise, u = lift.  ``trace_shift = (wall, d)``
+        adds d/1.5 to the x-velocity row at that wall alone, which moves u0's
+        extrapolated trace there by d, and would move it by -d/3 if the trace
+        read the rows the other way round."""
         cfg = RunConfig(nx=n, ny=n, family="couette_ramp", a0=1.0, a_inf=0.5,
-                        g_bottom="single_mode:1", g_top="uniform", u_profile="lift",
-                        mode=mode)
+                        g_bottom="single_mode:1", g_top="uniform", u_profile=u_profile,
+                        u_vortex_amp=1.0, mode=mode)
         grid = build_grid(cfg)
         data = build_wall_data(cfg, grid)
-        return (grid, build_solver_config(cfg), data, build_initial_phi(cfg, grid),
-                build_initial_u(cfg, grid, data))
+        u0 = build_initial_u(cfg, grid, data)
+        if trace_shift is not None:
+            wall, d = trace_shift
+            u0.ux[:, 0 if wall == "bottom" else -1] += d / 1.5
+        return grid, build_solver_config(cfg), data, build_initial_phi(cfg, grid), u0
 
-    @pytest.mark.parametrize("mode", solver.MODES)
-    def test_lift_start_is_compatible_in_every_mode(self, mode):
-        # u0's extrapolated trace is O(h^2) off the data, but u0 - L(0) has
-        # a zero trace; the direct mode takes L from the data's lift cache
-        inputs = self.lift_start(64, mode)
-        data = inputs[2]
+    @staticmethod
+    def full_grid_verdict(grid, cfg, data, u0):
+        """The verdict as the full-grid difference u0 - L(0) and zero wall data give it."""
+        verdict = check_compatibility(u0, data)
+        if not (verdict or data.is_zero()):
+            lift0 = EllipticLift(grid, cfg.viscosity.nu1, data).state_at(0.0)
+            verdict = check_compatibility(u0 - lift0, WallData.zero(grid))
+        return verdict
+
+    def test_initial_phi_and_mu_are_their_written_out_forms(self):
+        cfg = RunConfig(nx=32, ny=24, phi_amp=0.3, phi_mean=0.1, seed=5)
+        grid = build_grid(cfg)
+        phi0 = build_initial_phi(cfg, grid)
+        draw = np.random.default_rng(cfg.seed).standard_normal((grid.nx, grid.ny))
+        vals = cfg.phi_amp * draw
+        assert phi0.values.tobytes() == (vals - vals.mean() + cfg.phi_mean).tobytes()
+        expected = -laplacian_neumann(phi0).values + eval_dF(phi0.values)
+        assert solver.initial_mu(phi0).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode, u_profile, trace_shift", _starts(compatible=True))
+    def test_lift_start_is_compatible_in_every_mode(self, mode, u_profile, trace_shift):
+        # u0's extrapolated trace is O(h^2) off the data, but u0 - L(0) has a
+        # trace within tol of zero; the direct mode takes L from the data's lift cache
+        inputs = self.lift_start(64, mode, u_profile, trace_shift)
+        grid, cfg, data, _, u0 = inputs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sim = Simulation(*inputs)
         assert sim.compatible
+        assert self.full_grid_verdict(grid, cfg, data, u0)
         assert len(lifting._UNIT_LIFTS[data]) == 1
 
     def test_direct_mode_builds_no_lift_for_a_matching_start(self):
@@ -482,12 +524,14 @@ class TestSimulationInputs:
         assert sim.compatible and sim.ell is None
         assert data not in lifting._UNIT_LIFTS
 
-    @pytest.mark.parametrize("mode", solver.MODES)
-    def test_rest_start_against_moving_walls_warns(self, mode):
-        grid, cfg, data, phi0, _ = self.lift_start(16, mode)
+    @pytest.mark.parametrize("mode, u_profile, trace_shift", _starts(compatible=False))
+    def test_rest_start_against_moving_walls_warns(self, mode, u_profile, trace_shift):
+        # a rest start, and starts whose trace is more than tol off the lift's
+        grid, cfg, data, phi0, u0 = self.lift_start(16, mode, u_profile, trace_shift)
         with pytest.warns(UserWarning, match="does not match the wall data"):
-            sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
+            sim = Simulation(grid, cfg, data, phi0, u0)
         assert not sim.compatible
+        assert not self.full_grid_verdict(grid, cfg, data, u0)
 
     @pytest.mark.parametrize("mode", solver.MODES)
     @pytest.mark.parametrize("other", ["data", "phi0", "u0"])
@@ -569,13 +613,19 @@ class TestSimulationInputs:
         assert sim.state.t == 0.25 and l2(lift - st.u_lift) > 0.0
         assert lift.ux.tobytes() == ref.ux.tobytes() and lift.uy.tobytes() == ref.uy.tobytes()
 
-    @pytest.mark.parametrize("where", ["phi0_nan", "phi0_inf", "ux_nan", "uy_inf", "cfl_umax_nan"])
+    @pytest.mark.parametrize("where", ["phi0_nan", "phi0_inf", "ux_nan", "uy_inf", "cfl_umax_nan",
+                                       "cfl_ux_nan", "cfl_uy_nan", "cfl_both_nan"])
     def test_non_finite_inputs_rejected(self, where):
         grid = Grid(16, 16)
         cfg = cfg_for(grid, 1e-3, 0.01)
-        if where == "cfl_umax_nan":
+        if where.startswith("cfl_"):
+            # umax as the step reads it: a NaN in either component makes max_abs NaN
+            u, component = couette_field(grid), where.split("_")[1]
+            for name in ("ux", "uy"):
+                if component in (name, "both"):
+                    getattr(u, name)[3, 5] = math.nan
             with pytest.raises(InvariantViolation, match="umax is nan"):
-                cfl_bound(cfg, grid, math.nan)
+                cfl_bound(cfg, grid, math.nan if component == "umax" else u.max_abs())
             return
         phi0, u0 = noise_phi(grid), couette_field(grid)
         name, value = where.split("_")
