@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .boundary import WallData, require_aligned, trace_norm
-from .errors import MisalignedSeries, ModeMismatch
-from .grid import ScalarField, VectorField
-from .lifting import EllipticLift
+from .errors import InvariantViolation, MisalignedSeries, ModeMismatch
+from .grid import ScalarField, VectorField, require_same_grid
+from .lifting import EllipticLift, ParabolicLift
 from .ops import (_hminus1_of, _projected_norm_sq_of, divergence, grad_norm_sq, h1,
                   h2_norm_sq, hminus1, l2, laplacian_neumann, parseval_sum, v1_norm,
                   vector_laplacian)
@@ -29,8 +29,9 @@ from .potential import PotentialSpec, ViscositySpec, eval_F, eval_dF
 class EnergyRecord:
     """Per-time diagnostics row.
 
-    ``kinetic`` belongs to the homogenized field (ubar in lifted modes, the
-    physical velocity otherwise).  total = kinetic + interfacial + bulk by
+    ``kinetic`` belongs to the homogenized field: ubar = u - L(t) with the
+    lift L of the record's context in the lifted modes (``energy``), the
+    physical velocity otherwise.  total = kinetic + interfacial + bulk by
     construction.
     """
 
@@ -59,45 +60,97 @@ CSV_COLUMNS = tuple(f.name for f in fields(EnergyRecord))
 @dataclass
 class DiagnosticsContext:
     """What a record reads besides the state: ``u_infinity`` for res_u (None
-    leaves it NaN) and, in the certified mode (lifted_parabolic, constant
-    ``viscosity``), ``data`` and ``potential`` for A, B and G."""
+    leaves it NaN), the run's ``lift``, and, in the certified mode
+    (lifted_parabolic, constant ``viscosity``), ``data`` and ``potential``
+    for A, B and G.
+
+    ``lift`` is where ubar = u - L(t) comes from (``ubar``): the stationary
+    ``EllipticLift`` in the lifted_elliptic mode, the evolutionary
+    ``ParabolicLift`` in the lifted_parabolic mode and None otherwise, when
+    a record reads u.  The evolutionary lift is stepped lazily, by the run's
+    step ``dt``, to each record's time (``u_p_at``): the same steps from the
+    same clock as the run's, so its u_p is the one an every-step lift has.
+    """
 
     data: WallData | None = None
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     viscosity: ViscositySpec | None = None
     u_infinity: VectorField | None = None
     mode: str = "direct"
+    lift: EllipticLift | ParabolicLift | None = None
+    dt: float = math.nan
 
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
-        """Build the record context, reusing the run's lift for the limit field."""
-        if lift is not None:
-            u_inf = lift.limit_field()
-        elif not data.is_zero():
-            u_inf = EllipticLift(grid, cfg.viscosity.nu1, data).limit_field()
-        else:
-            u_inf = VectorField.zeros(grid)
+        """Build the record context of a run: its lift and the limit field.
+
+        ``lift`` is the run's stationary lift (``Simulation.ell``), built here
+        when not given in a lifted mode, or in the direct mode for the limit
+        field of nonzero data.
+        """
+        if lift is None and (cfg.mode != "direct" or not data.is_zero()):
+            lift = EllipticLift(grid, cfg.viscosity.nu1, data)
+        u_inf = VectorField.zeros(grid) if lift is None else lift.limit_field()
+        run_lift = None if cfg.mode == "direct" else lift
+        if cfg.mode == "lifted_parabolic":
+            run_lift = ParabolicLift(lift)
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
-                   u_infinity=u_inf, mode=cfg.mode)
+                   u_infinity=u_inf, mode=cfg.mode, lift=run_lift, dt=cfg.dt)
+
+    def u_p_at(self, t: float) -> VectorField:
+        """The evolutionary lift's u_p at time t, stepped by ``dt`` from its clock.
+
+        A t behind the clock, or between two of its steps, raises
+        InvariantViolation; the lift is never stepped past t.
+        """
+        par = self.lift
+        while par.t + self.dt <= t:     # par.step's own sum: the run's clock
+            par.step(self.dt)
+        if par.t != t:
+            raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary lift "
+                                     f"is at t = {par.t!r} and steps by dt = {self.dt!r}")
+        return par.u_p
+
+    def ubar(self, state) -> VectorField:
+        """ubar = u - L(t), with homogeneous walls, of a state at time t; u without a lift.
+
+        With a lift, two new arrays: the elliptic lift's product a(t) U is
+        overwritten with ubar, and u_p, which the lift owns, is only read.  A
+        state on another grid than the lift's raises InvariantViolation.
+        """
+        if self.lift is None:
+            return state.u
+        parabolic = isinstance(self.lift, ParabolicLift)
+        require_same_grid(state.u, self.lift.ell if parabolic else self.lift)
+        if parabolic:
+            return state.u - self.u_p_at(state.t)
+        ubar = self.lift.state_at(state.t)
+        np.subtract(state.u.ux, ubar.ux, out=ubar.ux)
+        np.subtract(state.u.uy, ubar.uy, out=ubar.uy)
+        return ubar
 
 
 def _stationary_residual(phi: ScalarField) -> np.ndarray:
-    """-Lap(phi) + F'(phi), whose dual norm is ``steady_state_residual_phi``."""
-    return -laplacian_neumann(phi).values + eval_dF(phi.values)
+    """-Lap(phi) + F'(phi), formed in the Laplacian's array: the dual norm of it
+    is ``steady_state_residual_phi``, and ``solver.initial_mu`` is it."""
+    residual = laplacian_neumann(phi).values
+    np.negative(residual, out=residual)
+    residual += eval_dF(phi.values)
+    return residual
 
 
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors.
 
-    The split reads ubar = u - u_lift in the lifted modes and u in the
-    direct mode.  With a context the record makes one stacked
-    ``Grid.to_spectral`` call: it takes the stationary residual (res_phi)
-    and, in the certified mode (evolutionary lift, constant viscosity), phi,
-    mu and div(Lap ubar), whose coefficients go to ``higher_order`` with the
-    norms formed here.
+    The split reads ubar = u - L(t), with L the context's lift
+    (``DiagnosticsContext.ubar``), and u without a context or lift.  With a
+    context the record makes one stacked ``Grid.to_spectral`` call: it takes
+    the stationary residual (res_phi) and, in the certified mode
+    (evolutionary lift, constant viscosity), phi, mu and div(Lap ubar),
+    whose coefficients go to ``higher_order`` with the norms formed here.
     """
     phi, grid = state.phi, state.phi.grid
-    ubar = state.u if state.u_lift is None else state.ubar
+    ubar = state.u if context is None else context.ubar(state)
     norms = {"ubar_l2": l2(ubar), "diss_u": grad_norm_sq(ubar),
              "grad_phi": math.sqrt(grad_norm_sq(phi)),
              "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
@@ -107,7 +160,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
 
     a = b = gq = res_phi = res_u = math.nan
     if context is not None:
-        certified = (context.mode == "lifted_parabolic" and state.u_lift is not None
+        certified = (context.mode == "lifted_parabolic" and isinstance(context.lift, ParabolicLift)
                      and context.viscosity is not None and context.viscosity.is_constant)
         residual = _stationary_residual(phi)
         stack = residual[None]          # a view: np.stack would copy a lone field
@@ -220,10 +273,10 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
     phi's and mu's norms are Parseval sums over those coefficients.  B's
     Stokes term is |P v|^2 = |v|^2 - |grad q|^2, v = -lap_ubar, clamped at 0
     against round-off (``ops.projected_norm_sq``).  G's factors are norms
-    assembled from their squared parts; the lift's V1 and V2 norms carry its
-    wall data at the state's time.
+    assembled from their squared parts; the lift u_p is the context's, and its
+    V1 and V2 norms carry its wall data at the state's time.
     """
-    if context.mode != "lifted_parabolic" or state.u_lift is None:
+    if context.mode != "lifted_parabolic" or not isinstance(context.lift, ParabolicLift):
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
     if context.viscosity is None or not context.viscosity.is_constant:
         raise ModeMismatch("higher-order functionals are defined for constant viscosity")
@@ -239,7 +292,7 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
     b = context.viscosity.value * _projected_norm_sq_of(lap_ubar, c_div) \
         + lap2_phi_sq + lap_mu_sq
 
-    u_p, walls = state.u_lift, context.data.eval_wall(state.t)
+    u_p, walls = context.u_p_at(state.t), context.data.eval_wall(state.t)
     up_l2, up_grad_sq = l2(u_p), grad_norm_sq(u_p, walls)
     up_v1_sq = up_l2**2 + up_grad_sq
     phi_h1_sq = phi_sq + norms["grad_phi"]**2

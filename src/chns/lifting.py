@@ -22,11 +22,12 @@ u_p = h on the walls.  It is stepped through the decomposition
 u_p(t) = a(t) U + w(t), where U is the unit stationary lift and w solves a
 homogeneous-data Stokes evolution forced by -a'(t) U, from w(0) = 0: u_p
 starts at the stationary lift, and a mismatch of u0 with the data stays in
-the solver's ubar(0).  Static data therefore keeps u_p identical to the
+the records' ubar(0).  Static data therefore keeps u_p identical to the
 stationary lift exactly, and u_p - u_e equals w at all times, which is what
 the difference estimates consume.  The solver's u does not depend on the
-lift: a state stores u and u_p, and its ubar is u - u_p, formed when read
-(``solver.SimState``).
+lift: a state stores u alone, and the records' context keeps the lift,
+steps it to each record's time and forms ubar = u - u_p
+(``diagnostics.DiagnosticsContext``).
 
 Since the Stokes operator commutes with x-translations, w, forced by
 -a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft

@@ -219,12 +219,16 @@ def helmholtz_project_velocity(rhs: VectorField, coeff: float,
     The rffts in x of the right-hand side, the x-Fourier core
     ``_helmholtz_project_modes`` on every row, and three inverse rffts that
     give (Pu, q): 11 transforms in all.  The discrete operators are those of
-    the composition; only the summation order differs.
+    the composition; only the summation order differs.  Once its two rffts
+    are taken, the call holds neither the right-hand side nor the copy the
+    wall data is folded into: a caller that hands ``rhs`` over with no other
+    name on it has it freed before the core allocates its complex arrays.
     """
     g = rhs.grid
-    rx = _fold_wall_data(rhs.ux, coeff, g, walls)
-    ux_hat, uy_hat, q_hat = _helmholtz_project_modes(
-        g, coeff, sfft.rfft(rx, axis=0), sfft.rfft(rhs.uy[:, 1:-1], axis=0))
+    rx_hat = sfft.rfft(_fold_wall_data(rhs.ux, coeff, g, walls), axis=0)
+    ry_hat = sfft.rfft(rhs.uy[:, 1:-1], axis=0)
+    del rhs
+    ux_hat, uy_hat, q_hat = _helmholtz_project_modes(g, coeff, rx_hat, ry_hat)
     ux = sfft.irfft(ux_hat, axis=0, n=g.nx)
     uy = sfft.irfft(uy_hat, axis=0, n=g.nx)
     q = sfft.irfft(q_hat, axis=0, n=g.nx)

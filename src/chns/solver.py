@@ -30,20 +30,21 @@ the same discrete operators, summed in another order.
 Modes:
   direct            march the physical velocity; tangential wall data enters
                     the implicit solve through ghost rows.
-  lifted_elliptic   the same step, and the stationary lift u_e carried beside
-                    u; ubar = u - u_e, with homogeneous walls, is read off them.
-  lifted_parabolic  the same with the evolutionary lift u_p, which starts at
-                    u_e(0): a mismatch of u0 with the data stays in ubar(0).
+  lifted_elliptic   the same step; the records read ubar = u - u_e, with
+                    homogeneous walls, against the stationary lift u_e(t).
+  lifted_parabolic  the same against the evolutionary lift u_p, which starts
+                    at u_e(0): a mismatch of u0 with the data stays in ubar(0).
 
 For a discretely divergence-free lift L whose trace through ``_dy_ux``'s
 ghosts is the wall data, the direct step u+ = P H_w1(u + dt f) is exactly
 the lifted step L_new + P H_0(ubar + dt (f - (L_new - L_old)/dt + (a/2)
 Lap_w1 L_new)), with P the projection and H_w the implicit solve with wall
 data w.  So the three modes march one discrete u through one
-``ns_substep_direct`` call, and a state stores u and the lift: its ubar,
-which the certificates read, is u - u_lift, formed when read (``SimState``).
-``Simulation`` builds what the run fixes once, as its step plan: a and, with
-a constant viscosity, ``momentum_force``'s stress tables.
+``ns_substep_direct`` call, and a state stores u alone: the lift lives in
+the records' ``diagnostics.DiagnosticsContext``, the only code that reads
+it, which forms ubar = u - L(t) for the certificates.  ``Simulation`` builds
+what the run fixes once, as its step plan: a and, with a constant
+viscosity, ``momentum_force``'s stress tables.
 
 Every mode marches the full discrete system: the paper's Faedo-Galerkin
 approximations serve its existence proof and have no truncated step here.
@@ -54,14 +55,15 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import WallData, check_compatibility, trace_matches
+from .diagnostics import _stationary_residual, energy
 from .errors import CFLViolation, InvariantViolation, NonpositiveViscosity, SolverDiverged
 from .grid import Grid, ScalarField, VectorField, require_same_grid, whole_steps
-from .lifting import EllipticLift, ParabolicLift
+from .lifting import EllipticLift
 from .ops import (Walls, _dy_ux, _east, _nu_at_corners, _west, advect_scalar, gradient,
                   helmholtz_project_velocity, interp_center_to_xface,
                   interp_center_to_yface, laplacian_neumann)
@@ -95,12 +97,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Simulation snapshot.
+    """Simulation snapshot: the physical fields at time t, in every mode.
 
-    In the lifted modes u_lift is the active lift at time t, the stationary
-    u_e or the evolutionary u_p, and ubar is derived from it and u; both
-    are None in the direct mode.  ``Simulation`` supplies u_lift and
-    refuses any other (``Simulation._lift_at``).
+    A state carries no lift.  A record forms ubar = u - L(t) from the lift
+    its ``diagnostics.DiagnosticsContext`` keeps (``DiagnosticsContext.ubar``).
     """
 
     t: float
@@ -108,12 +108,6 @@ class SimState:
     phi: ScalarField
     mu: ScalarField
     p: ScalarField
-    u_lift: VectorField | None = None
-
-    @property
-    def ubar(self) -> VectorField | None:
-        """u - u_lift, with homogeneous walls, in new arrays; None in the direct mode."""
-        return None if self.u_lift is None else self.u - self.u_lift
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +116,8 @@ class SimState:
 
 def initial_mu(phi: ScalarField) -> ScalarField:
     """Scheme-consistent chemical potential at t = 0 (no stabilization lag):
-    -Lap(phi) + F'(phi), formed in the Laplacian's array."""
-    mu = laplacian_neumann(phi).values
-    np.negative(mu, out=mu)
-    mu += eval_dF(phi.values)
-    return ScalarField._trusted(mu, phi.grid)
+    -Lap(phi) + F'(phi), the records' stationary residual."""
+    return ScalarField._trusted(_stationary_residual(phi), phi.grid)
 
 
 @functools.lru_cache(maxsize=4)
@@ -305,12 +296,22 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                       tables: tuple[np.ndarray, np.ndarray], a: float,
                       walls0: Walls, walls1: Walls, dt: float) -> tuple[VectorField, ScalarField]:
     """One projection step with physical wall data, old ``walls0`` and new ``walls1``:
-    u + dt * force, formed in the force's arrays, solved and projected; p = q/dt."""
-    expl = momentum_force(phi_new, mu_new, u, tables, a, walls0)
-    for f, base in ((expl.ux, u.ux), (expl.uy, u.uy)):
+    u + dt * force, formed in the force's arrays, solved and projected; p = q/dt.
+
+    The tables are dropped once the force is formed, and the force goes to
+    the solve with no other name on it, which lets the solve release it
+    before it allocates its complex arrays.  Tables the caller keeps no name
+    for, like ``Simulation.step``'s per-step ones, are freed here.  Both rely
+    on a call moving its arguments into the callee, as CPython does from 3.11.
+    """
+    # a one-element list: popped into the solve's call, the force keeps no holder here
+    rhs = [momentum_force(phi_new, mu_new, u, tables, a, walls0)]
+    del tables
+    for f, base in ((rhs[0].ux, u.ux), (rhs[0].uy, u.uy)):
         f *= dt
         f += base
-    u_new, q = helmholtz_project_velocity(expl, dt * 0.5 * a, walls1)
+    del f
+    u_new, q = helmholtz_project_velocity(rhs.pop(), dt * 0.5 * a, walls1)
     if not u_new.is_finite():
         raise SolverDiverged("momentum update produced non-finite values")
     pressure = q.values
@@ -374,23 +375,20 @@ def cfl_bound(cfg: SolverConfig, grid: Grid, umax: float) -> float:
 # ---------------------------------------------------------------------------
 
 class Simulation:
-    """Owns the persistent lift machinery and the step plan, and advances a SimState.
+    """Owns the step plan and the stationary lift, and advances a SimState.
 
     The plan is what the run fixes: ``a`` and, for a constant viscosity,
     ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
     the state one step back are the history of the two-step concentration
     scheme.  The first step, and the first step after a state is assigned
-    from outside, has no history and takes the one-step start.  A step
-    advances the lift last, once its checks have passed, so a refused step
-    changes neither the state nor the lift.  Initial data must be finite; an
-    assigned state must be on the simulation's grid.
+    from outside, has no history and takes the one-step start.  A refused
+    step changes nothing.  Initial data must be finite; an assigned state
+    must be on the simulation's grid.
 
-    The lift of every state, initial, stepped or assigned, comes from one
-    place, ``_lift_at``: u_e(t) in the lifted_elliptic mode, u_p in the
-    lifted_parabolic mode and None in the direct mode.  The evolutionary
-    lift keeps its own clock, so an assigned lifted_parabolic state must be
-    at its time.  An assigned state without u_lift gets the run's lift; one
-    with a u_lift other than that lift is refused.
+    The step reads no lift, in any mode: ubar and the evolutionary lift are
+    the records' (``diagnostics.DiagnosticsContext``).  ``ell`` is the run's
+    stationary lift in the lifted modes, None in the direct mode, which
+    ``DiagnosticsContext.for_run`` takes over.
 
     ``compatible`` is one verdict in every mode: u0's trace matches the data,
     or u0 - L(0)'s is zero, with L the stationary lift (built in the direct
@@ -410,34 +408,20 @@ class Simulation:
         self.grid = grid
         self.cfg = cfg
         self.data = data
-        self.ell: EllipticLift | None = None
-        self.par: ParabolicLift | None = None
         self.a = a = implicit_viscosity(cfg.viscosity)
         self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
             if cfg.viscosity.is_constant else None
-        if cfg.mode != "direct":
-            self.ell = EllipticLift(grid, cfg.viscosity.nu1, data)
-            if cfg.mode == "lifted_parabolic":
-                self.par = ParabolicLift(self.ell)
+        self.ell = None if cfg.mode == "direct" else EllipticLift(grid, cfg.viscosity.nu1, data)
         self.state = SimState(0.0, u0, phi0, initial_mu(phi0), ScalarField.zeros(grid))
 
         self.compatible = check_compatibility(u0, data)
         if not (self.compatible or data.is_zero()):
-            lift0 = self.state.u_lift or EllipticLift(grid, cfg.viscosity.nu1, data).state_at(0.0)
+            lift0 = (self.ell or EllipticLift(grid, cfg.viscosity.nu1, data)).state_at(0.0)
             rows = [0, 1, -2, -1]               # the only rows the trace reads
             self.compatible = trace_matches(u0.ux[:, rows] - lift0.ux[:, rows], 0.0, 0.0)
         if not self.compatible:
             warnings.warn("initial velocity trace does not match the wall data at t=0",
                           stacklevel=2)
-
-    def _lift_at(self, t: float) -> VectorField | None:
-        """The run's lift at time t: u_p, which must be at t, u_e(t) or None."""
-        if self.par is not None:
-            if t != self.par.t:
-                raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary "
-                                         f"lift is at t = {self.par.t!r}")
-            return self.par.u_p
-        return None if self.ell is None else self.ell.state_at(t)
 
     @property
     def state(self) -> SimState:
@@ -445,17 +429,7 @@ class Simulation:
 
     @state.setter
     def state(self, state: SimState) -> None:
-        lift = self._lift_at(state.t)
-        given = state.u_lift
-        require_same_grid(self.data, *(f for f in (state.u, state.phi, state.mu, state.p, given)
-                                       if f is not None))
-        if given is None:
-            if lift is not None:
-                state = replace(state, u_lift=lift)
-        elif lift is None or not (np.array_equal(given.ux, lift.ux)
-                                  and np.array_equal(given.uy, lift.uy)):
-            raise InvariantViolation(f"u_lift is not the lift of this {self.cfg.mode} run "
-                                     f"at t = {state.t!r}")
+        require_same_grid(self.data, state.u, state.phi, state.mu, state.p)
         self._state = state
         self._history: tuple[ScalarField, VectorField] | None = None
 
@@ -474,24 +448,22 @@ class Simulation:
         t_new = st.t + dt
 
         phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
-        tables = self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a)
-        walls = (self.data.eval_wall(st.t), self.data.eval_wall(t_new))
-        u_new, p = ns_substep_direct(st.u, phi_new, mu_new, tables, self.a, *walls, dt)
-
-        if self.par is not None:
-            self.par.step(dt)
-        new = SimState(t_new, u_new, phi_new, mu_new, p, u_lift=self._lift_at(t_new))
+        # the per-step tables go in unnamed, so the momentum step can free them
+        u_new, p = ns_substep_direct(
+            st.u, phi_new, mu_new,
+            self.viscosity_tables or viscosity_tables(cfg.viscosity(phi_new.values), self.a),
+            self.a, self.data.eval_wall(st.t), self.data.eval_wall(t_new), dt)
+        new = SimState(t_new, u_new, phi_new, mu_new, p)
         self._history, self._state = (st.phi, st.u), new
         return new
 
     def run(self, observers=(), diagnostics_context=None) -> list:
         """Advance to t_end, emitting one energy record per cadence point.
 
-        On solver failure the records collected so far are attached to the
-        raised exception (``exc.records``).
+        The records read ubar and the lift from ``diagnostics_context``;
+        without one they read u in every mode.  On solver failure the records
+        collected so far are attached to the raised exception (``exc.records``).
         """
-        from .diagnostics import energy
-
         cfg = self.cfg
         n_steps = whole_steps(cfg.t_end, cfg.dt, "t_end")
         every = whole_steps(cfg.record_every, cfg.dt, "record_every")
