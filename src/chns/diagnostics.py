@@ -59,10 +59,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(EnergyRecord))
 
 @dataclass
 class DiagnosticsContext:
-    """What a record reads besides the state: ``u_infinity`` for res_u (None
-    leaves it NaN), the run's ``lift``, and, in the certified mode
-    (lifted_parabolic, constant ``viscosity``), ``data`` and ``potential``
-    for A, B and G.
+    """What a record reads besides the state: the run's ``stationary`` lift,
+    whose limit field res_u measures u against (None leaves res_u NaN), the
+    run's ``lift``, and, in the certified mode (lifted_parabolic, constant
+    ``viscosity``), ``data`` and ``potential`` for A, B and G.
 
     ``lift`` is where ubar = u - L(t) comes from (``ubar``): the stationary
     ``EllipticLift`` in the lifted_elliptic mode, the evolutionary
@@ -70,32 +70,33 @@ class DiagnosticsContext:
     a record reads u.  The evolutionary lift is stepped lazily, by the run's
     step ``dt``, to each record's time (``u_p_at``): the same steps from the
     same clock as the run's, so its u_p is the one an every-step lift has.
+    The context stores no full-grid field of its own: a record forms the
+    limit field, and ubar, in new arrays and drops them once read.
     """
 
     data: WallData | None = None
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     viscosity: ViscositySpec | None = None
-    u_infinity: VectorField | None = None
+    stationary: EllipticLift | None = None
     mode: str = "direct"
     lift: EllipticLift | ParabolicLift | None = None
     dt: float = math.nan
 
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
-        """Build the record context of a run: its lift and the limit field.
+        """Build the record context of a run from its stationary lift.
 
         ``lift`` is the run's stationary lift (``Simulation.ell``), built here
-        when not given in a lifted mode, or in the direct mode for the limit
-        field of nonzero data.
+        when not given, as in the direct mode: res_u needs its limit field.
+        The lifted_parabolic mode's evolutionary lift starts from it.
         """
-        if lift is None and (cfg.mode != "direct" or not data.is_zero()):
+        if lift is None:
             lift = EllipticLift(grid, cfg.viscosity.nu1, data)
-        u_inf = VectorField.zeros(grid) if lift is None else lift.limit_field()
         run_lift = None if cfg.mode == "direct" else lift
         if cfg.mode == "lifted_parabolic":
             run_lift = ParabolicLift(lift)
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
-                   u_infinity=u_inf, mode=cfg.mode, lift=run_lift, dt=cfg.dt)
+                   stationary=lift, mode=cfg.mode, lift=run_lift, dt=cfg.dt)
 
     def u_p_at(self, t: float) -> VectorField:
         """The evolutionary lift's u_p at time t, stepped by ``dt`` from its clock.
@@ -124,10 +125,14 @@ class DiagnosticsContext:
         require_same_grid(state.u, self.lift.ell if parabolic else self.lift)
         if parabolic:
             return state.u - self.u_p_at(state.t)
-        ubar = self.lift.state_at(state.t)
-        np.subtract(state.u.ux, ubar.ux, out=ubar.ux)
-        np.subtract(state.u.uy, ubar.uy, out=ubar.uy)
-        return ubar
+        return _subtract_from(state.u, self.lift.state_at(state.t))
+
+
+def _subtract_from(u: VectorField, fresh: VectorField) -> VectorField:
+    """u - fresh, written over the arrays of ``fresh``, a field no one else holds."""
+    np.subtract(u.ux, fresh.ux, out=fresh.ux)
+    np.subtract(u.uy, fresh.uy, out=fresh.uy)
+    return fresh
 
 
 def _stationary_residual(phi: ScalarField) -> np.ndarray:
@@ -148,31 +153,40 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     the stationary residual (res_phi) and, in the certified mode
     (evolutionary lift, constant viscosity), phi, mu and div(Lap ubar),
     whose coefficients go to ``higher_order`` with the norms formed here.
+    res_u = |u - u_inf|_V1 forms the stationary lift's limit field u_inf in
+    new arrays and subtracts u in place.  Each array is dropped after its
+    last use: ubar once its norms (and, certified, Lap ubar) are taken, the
+    residual and the stack once transformed, the coefficients once read.
     """
     phi, grid = state.phi, state.phi.grid
+    certified = (context is not None and context.mode == "lifted_parabolic"
+                 and isinstance(context.lift, ParabolicLift)
+                 and context.viscosity is not None and context.viscosity.is_constant)
     ubar = state.u if context is None else context.ubar(state)
     norms = {"ubar_l2": l2(ubar), "diss_u": grad_norm_sq(ubar),
              "grad_phi": math.sqrt(grad_norm_sq(phi)),
              "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
+    lap_ubar = vector_laplacian(ubar) if certified else None
+    del ubar
     kinetic = 0.5 * norms["ubar_l2"] ** 2
     interfacial = 0.5 * norms["grad_phi"] ** 2
     bulk = float(np.sum(eval_F(phi.values)) * grid.cell_area)
 
     a = b = gq = res_phi = res_u = math.nan
     if context is not None:
-        certified = (context.mode == "lifted_parabolic" and isinstance(context.lift, ParabolicLift)
-                     and context.viscosity is not None and context.viscosity.is_constant)
         residual = _stationary_residual(phi)
-        stack = residual[None]          # a view: np.stack would copy a lone field
-        if certified:
-            lap_ubar = vector_laplacian(ubar)
-            stack = np.stack((residual, phi.values, state.mu.values, divergence(lap_ubar).values))
+        # a lone field is stacked as a view: np.stack would copy it
+        stack = np.stack((residual, phi.values, state.mu.values, divergence(lap_ubar).values)) \
+            if certified else residual[None]
+        del residual
         coeffs = grid.to_spectral(stack)
+        del stack
         res_phi = _hminus1_of(grid, coeffs[0])
-        if context.u_infinity is not None:
-            res_u = v1_norm(state.u - context.u_infinity)
         if certified:
             a, b, gq = higher_order(state, context, norms, lap_ubar, coeffs[1:])
+        del coeffs, lap_ubar
+        if context.stationary is not None:
+            res_u = v1_norm(_subtract_from(state.u, context.stationary.limit_field()))
     return EnergyRecord(t=state.t, kinetic=kinetic, interfacial=interfacial,
                         bulk=bulk, total=kinetic + interfacial + bulk,
                         diss_u=norms["diss_u"], diss_mu=norms["grad_mu"] ** 2,

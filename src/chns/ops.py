@@ -223,14 +223,19 @@ def helmholtz_project_velocity(rhs: VectorField, coeff: float,
     are taken, the call holds neither the right-hand side nor the copy the
     wall data is folded into: a caller that hands ``rhs`` over with no other
     name on it has it freed before the core allocates its complex arrays.
+    The rffts go to the core with no name here, so the core frees each once
+    transformed, and each inverse rfft's complex rows are freed once read.
     """
     g = rhs.grid
-    rx_hat = sfft.rfft(_fold_wall_data(rhs.ux, coeff, g, walls), axis=0)
-    ry_hat = sfft.rfft(rhs.uy[:, 1:-1], axis=0)
+    # popped into the core's call, the rffts have no holder here: the core frees each
+    rows = [sfft.rfft(_fold_wall_data(rhs.ux, coeff, g, walls), axis=0),
+            sfft.rfft(rhs.uy[:, 1:-1], axis=0)]
     del rhs
-    ux_hat, uy_hat, q_hat = _helmholtz_project_modes(g, coeff, rx_hat, ry_hat)
+    ux_hat, uy_hat, q_hat = _helmholtz_project_modes(g, coeff, rows.pop(0), rows.pop())
     ux = sfft.irfft(ux_hat, axis=0, n=g.nx)
+    del ux_hat
     uy = sfft.irfft(uy_hat, axis=0, n=g.nx)
+    del uy_hat
     q = sfft.irfft(q_hat, axis=0, n=g.nx)
     return VectorField._trusted(ux, uy, g), ScalarField._trusted(q, g)
 
@@ -241,7 +246,8 @@ def _helmholtz_project_modes(g: Grid, coeff: float, rx_hat: np.ndarray, ry_hat: 
 
     rx_hat and ry_hat are the rfft in x, on the x-wavenumbers ``rows`` (all by
     default), of the x-velocity right-hand side and of the interior rows of
-    the y-velocity one; both are overwritten.  The DST-II and DST-I Helmholtz
+    the y-velocity one; both are overwritten, and each array is dropped
+    after its last use.  The DST-II and DST-I Helmholtz
     solves transform back in y only; the MAC divergence is the x-symbol
     ``Grid.ddx_east`` plus a y-difference; the Neumann Poisson solve of
     ``leray_project`` is a DCT-II pair in y; the pressure gradient is
@@ -252,19 +258,24 @@ def _helmholtz_project_modes(g: Grid, coeff: float, rx_hat: np.ndarray, ry_hat: 
     # complex arrays are scaled by real reciprocals: a product, not a division
     inv_x, inv_y = _helmholtz_symbols(g, coeff)
     ux_hat = complex_r2r(sfft.dst, rx_hat, 2, overwrite_x=True)
+    del rx_hat
     ux_hat *= inv_x[rows]
     ux_hat = complex_r2r(sfft.idst, ux_hat, 2, overwrite_x=True)
     uy_hat = np.zeros((ux_hat.shape[0], g.ny + 1), dtype=complex)
     c = complex_r2r(sfft.dst, ry_hat, 1, overwrite_x=True)
+    del ry_hat
     c *= inv_y[rows]
     uy_hat[:, 1:-1] = complex_r2r(sfft.idst, c, 1, overwrite_x=True)
+    del c
 
     inv_dy = 1.0 / g.dy
     div = g.ddx_east[rows, None] * ux_hat
     ddy = uy_hat[:, 1:] - uy_hat[:, :-1]
     ddy *= inv_dy
     div += ddy
+    del ddy
     c = complex_r2r(sfft.dct, div, 2, overwrite_x=True)
+    del div
     c *= g.inv_lam_neumann[rows]    # zero on the mean mode, where mean(div) = 0 anyway
     q_hat = complex_r2r(sfft.idct, c, 2, overwrite_x=True)
 
@@ -307,8 +318,10 @@ def advect_scalar(v: VectorField, s: ScalarField) -> ScalarField:
     out = np.empty_like(fx)
     np.subtract(fx[1:], fx[:-1], out=out[:-1])
     np.subtract(fx[0], fx[-1], out=out[-1])
+    del fx
     out /= g.dx
     ddy = fy[:, 1:] - fy[:, :-1]
+    del fy, inner
     ddy /= g.dy
     out += ddy
     return ScalarField._trusted(out, g)

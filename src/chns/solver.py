@@ -46,6 +46,14 @@ it, which forms ubar = u - L(t) for the certificates.  ``Simulation`` builds
 what the run fixes once, as its step plan: a and, with a constant
 viscosity, ``momentum_force``'s stress tables.
 
+A step holds few full-grid arrays at once, as its memory peak sets the
+resident set of a large run: each array of the step dies at its last use.
+The history goes to the concentration step with no other holder and dies
+there once read; the force, summed component by component into its own
+arrays, goes to the solve the same way, which frees it once its two rffts
+are taken, and frees each complex array once transformed back.  Only the
+state and the history outlive a step.
+
 Every mode marches the full discrete system: the paper's Faedo-Galerkin
 approximations serve its existence proof and have no truncated step here.
 """
@@ -149,8 +157,11 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
     the implicit phi+ terms folds into T(rhs) + lam T(F'(phibar) - S phibar),
     two forward transforms, divided by c0 + lam^2 - S lam (``_ch_denominator``).
     The cell mean of phi is conserved exactly (conservative advection,
-    no-flux walls).  Every intermediate lives in an array of this call's own;
-    the inputs are only read.
+    no-flux walls).  Every intermediate lives in an array of this call's own
+    and is dropped after its last use; the inputs are only read.  A
+    ``previous`` handed over with no other name on it, as
+    ``Simulation.step`` hands the history, is freed once rhs and the
+    extrapolations are formed.
     """
     if not 0 < dt < math.inf:           # nan fails too
         raise InvariantViolation(f"concentration step: dt must be positive and finite, got {dt!r}")
@@ -160,7 +171,9 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
         c0, phi_bar, v_bar = 1.0 / dt, phi.values, advecting
         rhs = phi.values / dt
     else:
+        # dropped once read, so a history handed over unnamed dies here
         phi_old, v_old = previous
+        del previous
         c0 = 1.5 / dt
         phi_bar = 2.0 * phi.values
         phi_bar -= phi_old.values
@@ -170,11 +183,12 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
         rhs = 2.0 * phi.values
         rhs -= 0.5 * phi_old.values
         rhs /= dt
-    fp = eval_dF(phi_bar)
+        del phi_old, v_old
 
     # each array is dropped after its last use, to keep the step's memory peak low
     rhs -= advect_scalar(v_bar, ScalarField._trusted(phi_bar, g)).values
     del v_bar
+    fp = eval_dF(phi_bar)
     source = s * phi_bar
     np.subtract(fp, source, out=source)
     lam = g.lam_neumann
@@ -186,6 +200,7 @@ def ch_substep(phi: ScalarField, advecting: VectorField, dt: float, stabilizatio
     del source_hat
     phi_hat /= _ch_denominator(g, c0, s)
     phi_new = ScalarField._trusted(g.from_spectral(phi_hat), g)
+    del phi_hat
     if not phi_new.is_finite():
         raise SolverDiverged("concentration update produced non-finite values")
     mu = laplacian_neumann(phi_new).values
@@ -231,6 +246,15 @@ def viscosity_tables(nu: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     return excess, nu_c
 
 
+def _x_difference(a: np.ndarray, east: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """a[i + 1] - a[i] (``east``) or a[i] - a[i - 1], periodic in x, without the shifted copy."""
+    out = np.empty_like(a) if out is None else out
+    lo, hi = (out[:-1], out[-1]) if east else (out[1:], out[0])
+    np.subtract(a[1:], a[:-1], out=lo)
+    np.subtract(a[0], a[-1], out=hi)
+    return out
+
+
 def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField,
                    tables: tuple[np.ndarray, np.ndarray], a: float, walls: Walls) -> VectorField:
     """The explicit momentum force, as one flux difference per component:
@@ -258,37 +282,70 @@ def momentum_force(phi: ScalarField, mu: ScalarField, v: VectorField,
     half_a = 0.5 * a
     excess, nu_c = tables
 
-    # few live temporaries, as the force is where a step's memory peaks: each
-    # centre flux's temporaries end with its call, and every array is dropped
+    # few live temporaries, as the force is where a step's memory peaks: the
+    # two corner fluxes come first, each component is then summed into its own
+    # array in the formula's left-to-right order, and every array is dropped
     # once its last use is done
-    def centre_flux(lo, hi, h):
-        mean = 0.5 * (lo + hi)
-        return excess * ((hi - lo) / h) - mean * mean
 
-    cx = centre_flux(ux, _east(ux), dx)
-    cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
+    def centre_flux(lo, hi, h):
+        """excess (hi - lo)/h - (0.5 (lo + hi))^2, formed in two arrays."""
+        flux = hi - lo
+        flux /= h
+        flux *= excess
+        mean = lo + hi
+        mean *= 0.5
+        mean *= mean
+        flux -= mean
+        return flux
 
     # corner fluxes, rows 0..ny; D_x v_y and vbar_x vbar_y vanish on the walls
-    dyux = _dy_ux(ux, walls, dy)
     vbar_y = _west(uy)                          # v_y one cell west, then the corner mean
-    dxuy = (uy - vbar_y) / dx
-    shear = nu_c * (0.5 * (dyux + dxuy))
+    dxuy = uy - vbar_y
+    dxuy /= dx
     vbar_y += uy
     vbar_y *= 0.5
-    shear[:, 1:-1] -= vbar_y[:, 1:-1] * (0.5 * (ux[:, 1:] + ux[:, :-1]))
+    advective = ux[:, 1:] + ux[:, :-1]          # vbar_x, then vbar_x vbar_y, interior rows
+    advective *= 0.5
+    advective *= vbar_y[:, 1:-1]
     del vbar_y
+    dyux = _dy_ux(ux, walls, dy)
+    shear = dyux + dxuy
+    shear *= 0.5
+    shear *= nu_c
+    shear[:, 1:-1] -= advective
+    del advective
     dyux *= -half_a
     dyux += shear                               # the x corner flux
     dxuy *= -half_a
     dxuy += shear                               # the y corner flux
     del shear
 
-    fx = (cx - _west(cx)) / dx + (dyux[:, 1:] - dyux[:, :-1]) / dy \
-        + interp_center_to_xface(mu.values) * ((phi.values - _west(phi.values)) / dx)
-    del cx, dyux
+    fx = _x_difference(centre_flux(ux, _east(ux), dx), east=False)
+    fx /= dx
+    part = dyux[:, 1:] - dyux[:, :-1]
+    del dyux
+    part /= dy
+    fx += part
+    part = _x_difference(phi.values, east=False)
+    part /= dx
+    part *= interp_center_to_xface(mu.values)
+    fx += part
+    del part
+
     fy = np.zeros((g.nx, g.ny + 1))
-    fy[:, 1:-1] = (_east(dxuy[:, 1:-1]) - dxuy[:, 1:-1]) / dx + (cy[:, 1:] - cy[:, :-1]) / dy \
-        + interp_center_to_yface(mu.values) * ((phi.values[:, 1:] - phi.values[:, :-1]) / dy)
+    inner = fy[:, 1:-1]
+    _x_difference(dxuy[:, 1:-1], east=True, out=inner)
+    del dxuy
+    inner /= dx
+    cy = centre_flux(uy[:, :-1], uy[:, 1:], dy)
+    part = cy[:, 1:] - cy[:, :-1]
+    del cy
+    part /= dy
+    inner += part
+    part = phi.values[:, 1:] - phi.values[:, :-1]
+    part /= dy
+    part *= interp_center_to_yface(mu.values)
+    inner += part
     return VectorField._trusted(fx, fy, g)
 
 
@@ -300,9 +357,11 @@ def ns_substep_direct(u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
 
     The tables are dropped once the force is formed, and the force goes to
     the solve with no other name on it, which lets the solve release it
-    before it allocates its complex arrays.  Tables the caller keeps no name
-    for, like ``Simulation.step``'s per-step ones, are freed here.  Both rely
-    on a call moving its arguments into the callee, as CPython does from 3.11.
+    before it allocates its complex arrays; the solve frees its own arrays
+    at their last use (``ops.helmholtz_project_velocity``).  Tables the caller
+    keeps no name for, like ``Simulation.step``'s per-step ones, are freed
+    here.  Both rely on a call moving its arguments into the callee, as
+    CPython does from 3.11.
     """
     # a one-element list: popped into the solve's call, the force keeps no holder here
     rhs = [momentum_force(phi_new, mu_new, u, tables, a, walls0)]
@@ -381,9 +440,12 @@ class Simulation:
     ``viscosity_tables`` (None for a law of phi).  The (phi, u) of
     the state one step back are the history of the two-step concentration
     scheme.  The first step, and the first step after a state is assigned
-    from outside, has no history and takes the one-step start.  A refused
-    step changes nothing.  Initial data must be finite; an assigned state
-    must be on the simulation's grid.
+    from outside, has no history and takes the one-step start.  A step
+    refused by the CFL check changes nothing.  A step that diverges
+    (``SolverDiverged``) keeps the last good state but drops the history,
+    which the concentration step has already freed, so the next step takes
+    the one-step start, as after an assigned state.  Initial data must be
+    finite; an assigned state must be on the simulation's grid.
 
     The step reads no lift, in any mode: ubar and the evolutionary lift are
     the records' (``diagnostics.DiagnosticsContext``).  ``ell`` is the run's
@@ -447,7 +509,10 @@ class Simulation:
         self._check_cfl()
         t_new = st.t + dt
 
-        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, self._history)
+        # the history is the concentration step's alone: popped into its call,
+        # it is freed there, and a step that raises leaves none behind
+        history, self._history = [self._history], None
+        phi_new, mu_new = ch_substep(st.phi, st.u, dt, cfg.stabilization, history.pop())
         # the per-step tables go in unnamed, so the momentum step can free them
         u_new, p = ns_substep_direct(
             st.u, phi_new, mu_new,

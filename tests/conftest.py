@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +37,28 @@ def random_vector(grid, rng, amp=1.0):
 def random_divfree(grid, rng, amp=1.0):
     v, _ = leray_project(random_vector(grid, rng, amp))
     return v
+
+
+# the memory-plan tests rely on a call moving its arguments into the callee
+needs_argument_moves = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="a call moves its arguments into the callee only from CPython 3.11")
+
+
+def traced_peak_arrays(grid, fn):
+    """The traced peak of one ``fn()`` above its entry, in full-grid float arrays.
+
+    ``fn`` runs once untraced first, so cached tables are built outside the
+    count.  Use a 64^2 grid or smaller: there every array is below NumPy's
+    256 KiB temporary-elision threshold, so no temporary is elided away.  The
+    iterator buffers of a ufunc on strided operands count too: a few tens of
+    KiB each, up to three arrays at 64^2 with NumPy 2.4.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.nx * grid.ny * 8)

@@ -18,7 +18,7 @@ from chns.ops import (divergence, grad_norm_sq, gradient, h1, h2_norm_sq,
 from chns.potential import PotentialSpec, ViscositySpec, eval_dF, eval_F
 from chns.solver import SimState, Simulation, SolverConfig
 
-from conftest import random_vector
+from conftest import needs_argument_moves, random_vector, traced_peak_arrays
 
 
 def plain_state(grid, phi, u=None, mu_from_phi=True):
@@ -127,6 +127,49 @@ class TestContextForRun:
                         Amplitude("custom_static", a0=1.0))
         with pytest.raises(RuntimeError, match="lift failed"):
             DiagnosticsContext.for_run(grid, self.cfg(), data)
+
+    @staticmethod
+    def lifted_elliptic_run(n):
+        """A lifted_elliptic run on an n^2 grid with moving walls, two steps from its lift."""
+        grid = Grid(n, n)
+        data = WallData(grid, wall_profile(grid, "single_mode"), wall_profile(grid, "uniform", 0.5),
+                        Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0))
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, mode="lifted_elliptic",
+                           viscosity=ViscositySpec(nu1=0.5, nu2=1.5))
+        phi0 = ScalarField.from_function(
+            grid, lambda x, y: 0.3 * np.cos(2 * np.pi * x) * np.cos(np.pi * y) + 0.1)
+        sim = Simulation(grid, cfg, data, phi0, EllipticLift(grid, 0.5, data).state_at(0.0))
+        for _ in range(2):
+            sim.step()
+        return grid, cfg, data, sim
+
+    def test_context_keeps_no_full_grid_field(self):
+        """The context keeps the run's lift, not a limit field of its own."""
+        grid, cfg, data, sim = self.lifted_elliptic_run(64)
+        ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
+        assert ctx.stationary is sim.ell and ctx.lift is sim.ell
+        assert traced_peak_arrays(
+            grid, lambda: DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)) < 0.1
+
+    def test_res_u_reads_the_limit_of_the_stationary_lift(self):
+        grid, cfg, data, sim = self.lifted_elliptic_run(16)
+        st = sim.state
+        rec = energy(st, DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell))
+        assert rec.res_u == v1_norm(st.u - sim.ell.limit_field())
+        assert rec.res_u > 0.0
+
+    @needs_argument_moves
+    def test_record_drops_each_array_at_its_last_use(self):
+        """The traced peak of one lifted_elliptic record above entry, in full-grid arrays.
+
+        ubar dies once its norms are taken, the residual and its coefficients
+        once res_phi is read, and res_u's limit field is formed only then:
+        6.1 arrays, against 10.2 when ubar, the residual, the coefficients and
+        u - u_inf were all held at once.
+        """
+        grid, cfg, data, sim = self.lifted_elliptic_run(64)
+        ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
+        assert traced_peak_arrays(grid, lambda: energy(sim.state, ctx)) <= 6.2
 
 
 class TestHigherOrder:
@@ -349,7 +392,9 @@ class TestRecordAgainstPublicNorms:
             "diss_mu": l2(gradient(mu)) ** 2,
             "mass": phi.mean(),
             "res_phi": math.sqrt(inner(r, helmholtz_solve_neumann(r, 1.0, 1.0))),
-            "res_u": v1_norm(state.u - ctx.u_infinity),
+            # u_inf = a_inf U, the limit of the stationary lift a(t) U
+            "res_u": v1_norm(state.u - ctx.data.amplitude.limit()
+                             * EllipticLift(phi.grid, ctx.viscosity.nu1, ctx.data).unit_u),
         }
         cols["total"] = cols["kinetic"] + cols["interfacial"] + cols["bulk"]
         if ctx.mode != "lifted_parabolic":

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +19,8 @@ from chns.ops import (advect_scalar, advect_velocity, divergence, gradient, inne
 from chns.potential import ViscositySpec, eval_dF, eval_F
 from chns.solver import Simulation, SolverConfig, cfl_bound, ch_substep
 
-from conftest import random_divfree, random_scalar, random_vector
+from conftest import (needs_argument_moves, random_divfree, random_scalar,
+                      random_vector, traced_peak_arrays)
 
 
 def constant_visc(value=1.0, gap=0.1):
@@ -32,6 +31,13 @@ def constant_visc(value=1.0, gap=0.1):
 def couette_field(grid, U=1.0):
     return VectorField(np.tile(U * grid.yc / grid.ly, (grid.nx, 1)),
                        np.zeros((grid.nx, grid.ny + 1)), grid)
+
+
+def same_state_bytes(a, b) -> bool:
+    """Whether two states hold the same bytes in u, phi, mu and p."""
+    pairs = [(a.u.ux, b.u.ux), (a.u.uy, b.u.uy)]
+    pairs += [(getattr(a, n).values, getattr(b, n).values) for n in ("phi", "mu", "p")]
+    return all(x.tobytes() == y.tobytes() for x, y in pairs)
 
 
 def noise_phi(grid, amp=1e-2, mean=0.0, seed=7):
@@ -329,23 +335,29 @@ class TestNsDirect:
             sim.step()
             assert np.abs(divergence(sim.state.u).values).max() < 1e-10
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="a call moves its arguments into the callee only from CPython 3.11")
+    @staticmethod
+    def tanh_start():
+        """A 64^2 direct run of walls moving at t = 0 with a law of phi, after one step."""
+        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(64, "direct")
+        cfg = dataclasses.replace(cfg, dt=1e-3, viscosity=ViscositySpec(nu1=0.5, nu2=1.5))
+        sim = Simulation(grid, cfg, data, phi0, u0)
+        sim.step()
+        return grid, cfg, data, sim
+
+    @needs_argument_moves
     def test_momentum_step_frees_its_force_and_tables_before_the_solve(self):
         """The traced peak of one momentum step above entry, in full-grid arrays.
 
         Called as ``Simulation.step`` calls it, with the per-step tables of a
-        law of phi passed unnamed: the step drops them after the force, and
-        the solve releases the force and its wall-data copy once its rffts
-        are taken, so they are gone before the complex arrays are allocated:
-        11.1 arrays, against 13.4 when all of them were held.  At 64^2 every
-        array is below NumPy's 256 KiB temporary-elision threshold, so the
-        count does not depend on the NumPy version.
+        law of phi passed unnamed: the step drops them after the force, the
+        force sums each component into its own array, and the solve releases
+        the force and its wall-data copy once its rffts are taken, and each
+        complex array at its last use: 8.1 arrays, against 11.1 when the force
+        was summed in temporaries and the solve held its complex arrays, and
+        13.4 when the force and tables were held through the solve too.
         """
-        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(64, "direct")
-        cfg = dataclasses.replace(cfg, dt=1e-3, viscosity=ViscositySpec(nu1=0.5, nu2=1.5))
-        sim = Simulation(grid, cfg, data, phi0, u0)
-        st = sim.step()
+        grid, cfg, data, sim = self.tanh_start()
+        st = sim.state
         phi, mu = solver.ch_substep(st.phi, st.u, cfg.dt, cfg.stabilization)
         walls = (data.eval_wall(st.t), data.eval_wall(st.t + cfg.dt))
 
@@ -354,15 +366,21 @@ class TestNsDirect:
                 st.u, phi, mu, solver.viscosity_tables(cfg.viscosity(phi.values), sim.a),
                 sim.a, walls[0], walls[1], cfg.dt)
 
-        step()                                  # the cached solve tables are built here
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            step()
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        assert peak / (grid.nx * grid.ny * 8) <= 11.2
+        assert traced_peak_arrays(grid, step) <= 9.1
+
+    @needs_argument_moves
+    def test_bdf2_step_drops_each_array_at_its_last_use(self):
+        """The traced peak of a whole two-step ``Simulation.step`` above entry.
+
+        The history, the extrapolations and the advection term die inside the
+        concentration step, and the momentum step peaks in its force with the
+        new phi and mu and the per-step tables held: 10.2 full-grid arrays,
+        against 13.2 when every array of the step lived to the end of its call.
+        """
+        grid, _, _, sim = self.tanh_start()
+        sim.step()                              # the two-step scheme's tables are built here
+        assert sim._history is not None
+        assert traced_peak_arrays(grid, sim.step) <= 11.2
 
 
 def single_mode_inputs(grid, visc):
@@ -437,10 +455,7 @@ class TestLiftedModes:
                 sim.step()
             finals[m] = sim.state
         st, ref = finals[mode], finals["direct"]
-        for name in ("ux", "uy"):
-            assert getattr(st.u, name).tobytes() == getattr(ref.u, name).tobytes()
-        for name in ("phi", "mu", "p"):
-            assert getattr(st, name).values.tobytes() == getattr(ref, name).values.tobytes()
+        assert same_state_bytes(st, ref)
         # the record's ubar, with the lift stepped lazily to the final time
         ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
         ubar = ctx.ubar(st)
@@ -492,12 +507,33 @@ class TestLiftedModes:
         if mode == "lifted_parabolic":
             assert ctx.lift.t == before.t
         monkeypatch.undo()
-        sim.state = before
         after = sim.step()
         assert after.t == before.t + dt
         energy(after, ctx)
         if mode == "lifted_parabolic":
             assert ctx.lift.t == after.t
+        # the diverged step dropped the history: the next one is the one-step
+        # start from the last good state, as after that state is assigned
+        sim.state = before
+        assert same_state_bytes(after, sim.step())
+
+    def test_step_refused_by_the_cfl_check_keeps_the_history(self, monkeypatch):
+        grid, cfg, data, phi0, u0 = TestSimulationInputs.lift_start(16, "direct")
+        cfg = dataclasses.replace(cfg, dt=2e-3)
+        refused, plain = (Simulation(grid, cfg, data, phi0, u0) for _ in range(2))
+        for sim in (refused, plain):
+            sim.step()
+        before = refused.state
+        monkeypatch.setattr(solver, "cfl_bound", lambda cfg, grid, umax: 0.5 * cfg.dt)
+        with pytest.raises(CFLViolation):
+            refused.step()
+        assert refused.state is before
+        monkeypatch.undo()
+        after = refused.step()
+        assert same_state_bytes(after, plain.step())
+        # the two-step scheme's state, not the one-step start's
+        refused.state = before
+        assert not same_state_bytes(after, refused.step())
 
 
 def _starts(compatible):
