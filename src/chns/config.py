@@ -267,8 +267,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid, data: WallData) -> VectorField:
         return VectorField(np.tile(grid.yc / grid.ly, (grid.nx, 1)),
                            np.zeros((grid.nx, grid.ny + 1)), grid)
     from .lifting import EllipticLift
-    lift = EllipticLift(grid, cfg.nu1, data)
-    u0 = lift.state_at(0.0)
+    u0 = EllipticLift(data).state_at(0.0)
     if cfg.u_profile == "lift_vortex" and cfg.u_vortex_amp != 0.0:
         u0 = u0 + cfg.u_vortex_amp * _vortex(grid)
     return u0

@@ -87,14 +87,17 @@ class DiagnosticsContext:
         """Build the record context of a run from its stationary lift.
 
         ``lift`` is the run's stationary lift (``Simulation.ell``), built here
-        when not given, as in the direct mode: res_u needs its limit field.
-        The lifted_parabolic mode's evolutionary lift starts from it.
+        from ``data`` when not given, as in the direct mode: res_u needs its
+        limit field.  The lifted_parabolic mode's evolutionary lift starts
+        from it, with the run's nu1.  Nothing reads ``grid``: a lift is on its
+        wall data's grid, and a record refuses a state on another.  It stays
+        while the benchmark's ladder passes it positionally (ROADMAP item 1).
         """
         if lift is None:
-            lift = EllipticLift(grid, cfg.viscosity.nu1, data)
+            lift = EllipticLift(data)
         run_lift = None if cfg.mode == "direct" else lift
         if cfg.mode == "lifted_parabolic":
-            run_lift = ParabolicLift(lift)
+            run_lift = ParabolicLift(lift, cfg.viscosity.nu1)
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
                    stationary=lift, mode=cfg.mode, lift=run_lift, dt=cfg.dt)
 
@@ -116,14 +119,12 @@ class DiagnosticsContext:
         """ubar = u - L(t), with homogeneous walls, of a state at time t; u without a lift.
 
         With a lift, two new arrays: the elliptic lift's product a(t) U is
-        overwritten with ubar, and u_p, which the lift owns, is only read.  A
-        state on another grid than the lift's raises InvariantViolation.
+        overwritten with ubar, and u_p, which the lift owns, is only read.
+        The state's grid is the record's to check (``energy``).
         """
         if self.lift is None:
             return state.u
-        parabolic = isinstance(self.lift, ParabolicLift)
-        require_same_grid(state.u, self.lift.ell if parabolic else self.lift)
-        if parabolic:
+        if isinstance(self.lift, ParabolicLift):
             return state.u - self.u_p_at(state.t)
         return _subtract_from(state.u, self.lift.state_at(state.t))
 
@@ -157,7 +158,12 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     new arrays and subtracts u in place.  Each array is dropped after its
     last use: ubar once its norms (and, certified, Lap ubar) are taken, the
     residual and the stack once transformed, the coefficients once read.
+    A state on another grid than a lift of the context raises
+    InvariantViolation in every mode, before the lift is stepped.
     """
+    if context is not None:
+        # a lift's arrays would subtract from a state of their shape on any grid
+        require_same_grid(state.u, *filter(None, (context.stationary, context.lift)))
     phi, grid = state.phi, state.phi.grid
     certified = (context is not None and context.mode == "lifted_parabolic"
                  and isinstance(context.lift, ParabolicLift)

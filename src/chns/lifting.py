@@ -1,6 +1,6 @@
 """Divergence-free lifts of the tangential wall data.
 
-The stationary lift solves  -nu1 Lap(u) + grad(p) = 0, div u = 0 with the
+The stationary lift solves  -Lap(u) + grad(p) = 0, div u = 0 with the
 prescribed tangential trace, exactly and without iteration, by the
 influence-matrix method of Kleiser & Schumann (1980) on the staggered grid:
 in streamfunction-vorticity form the vorticity of each x-wavenumber is a
@@ -14,20 +14,23 @@ round-off floor nx eps times the largest of them.  The profiles of a config
 wavenumber gives them all, on the same path.  Because the wall data is
 separable, h = a(t) g(x), the solve happens once for the unit shape g and
 every lift and lift time-derivative is an amplitude rescaling of that single
-field.  The unit solve of each wall data is kept here, per nu1, for as long
-as the wall data lives; ``boundary`` knows nothing of it.
+field.  The velocity does not depend on the viscosity: with Dirichlet data,
+-nu Lap(u) + grad(p) = 0 is the unit problem in u and p / nu, so the solve is
+at unit viscosity and a lift is a function of its wall data alone.  The unit
+solve of each wall data is kept here, one entry per wall data, for as long as
+the wall data lives; ``boundary`` knows nothing of it.
 
 The evolutionary lift integrates  d/dt u_p - nu1 Lap(u_p) + grad(p) = 0 with
-u_p = h on the walls.  It is stepped through the decomposition
-u_p(t) = a(t) U + w(t), where U is the unit stationary lift and w solves a
-homogeneous-data Stokes evolution forced by -a'(t) U, from w(0) = 0: u_p
-starts at the stationary lift, and a mismatch of u0 with the data stays in
-the records' ubar(0).  Static data therefore keeps u_p identical to the
-stationary lift exactly, and u_p - u_e equals w at all times, which is what
-the difference estimates consume.  The solver's u does not depend on the
-lift: a state stores u alone, and the records' context keeps the lift,
-steps it to each record's time and forms ubar = u - u_p
-(``diagnostics.DiagnosticsContext``).
+u_p = h on the walls; it owns its nu1, the only viscosity a lift reads.  It
+is stepped through the decomposition u_p(t) = a(t) U + w(t), where U is the
+unit stationary lift and w solves a homogeneous-data Stokes evolution forced
+by -a'(t) U, from w(0) = 0: u_p starts at the stationary lift, and a
+mismatch of u0 with the data stays in the records' ubar(0).  Static data
+therefore keeps u_p identical to the stationary lift exactly, and u_p - u_e
+equals w at all times, which is what the difference estimates consume.  The
+solver's u does not depend on the lift: a state stores u alone, and the
+records' context keeps the lift, steps it to each record's time and forms
+ubar = u - u_p (``diagnostics.DiagnosticsContext``).
 
 Since the Stokes operator commutes with x-translations, w, forced by
 -a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
@@ -63,7 +66,9 @@ __all__ = [
 
 
 class StationaryStokes:
-    """Exact solve of the discrete stationary Stokes problem with wall data.
+    """Exact solve of the discrete stationary Stokes problem with wall data,
+    at unit viscosity: the velocity is that of every viscosity, and p is the
+    nu = 1 pressure, nu p at viscosity nu.
 
     The mean mode k = 0 is closed form: its continuity rows only say that uy
     is constant in y, hence zero, and fix p up to a constant.  Its solution
@@ -84,15 +89,14 @@ class StationaryStokes:
     its mirror image, with cosh(kappa) = 1 - lam_x dy^2 / 2.  One DST-I solve
     of L psi = omega for the bottom basis (the top one is its mirror image)
     leaves a 2x2 system per k, the two ghost rows, for the wall vorticities.
-    The pressure comes from the x-momentum rows, p = nu D_y(omega) / G_x.
+    The pressure comes from the x-momentum rows, p = D_y(omega) / G_x.
 
     ``info["x_modes"]`` is (K, the rfft rows of ux on K, those of uy's
     interior rows on K); K holds 0 when a wall mean is above the floor.
     """
 
-    def __init__(self, grid: Grid, nu1: float):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.nu1 = float(nu1)
 
     def solve(self, walls: Walls) -> tuple[VectorField, ScalarField, dict]:
         g = self.grid
@@ -126,7 +130,7 @@ class StationaryStokes:
         cx, cp, cy = (np.zeros((rows.size, n), dtype=complex) for n in (ny, ny, ny + 1))
         cx[~live] = bhat[0] + (that[0] - bhat[0]) * (j[:ny] + 0.5) / ny
         cx[live] = np.diff(psi, axis=1) / dy
-        cp[live] = self.nu1 * np.diff(omega, axis=1) / dy / g.ddx_west[k, None]
+        cp[live] = np.diff(omega, axis=1) / dy / g.ddx_west[k, None]
         cy[live] = -g.ddx_east[k, None] * psi
         table = _x_synthesis(g.nx, rows)
         u = VectorField(_from_x_rows(table, cx), _from_x_rows(table, cy), g)
@@ -135,45 +139,38 @@ class StationaryStokes:
                       "synthesis": table}
 
 
-def momentum_residual(u: VectorField, p: ScalarField, nu1: float, walls: Walls) -> float:
-    """L2 norm of -nu1 Lap(u) + grad(p) with the data folded into ghosts."""
-    lap = vector_laplacian(u, walls)
-    return l2(gradient(p) - nu1 * lap)
+def momentum_residual(u: VectorField, p: ScalarField, walls: Walls) -> float:
+    """L2 norm of -Lap(u) + grad(p), at unit viscosity, with the data folded into ghosts."""
+    return l2(gradient(p) - vector_laplacian(u, walls))
 
 
-# the read-only unit stationary lift of each wall data, by nu1: an entry
-# lives exactly as long as its wall data
+# the read-only unit stationary lift of each wall data, (unit_u, x_modes,
+# synthesis): an entry lives exactly as long as its wall data
 _UNIT_LIFTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class EllipticLift:
     """Unit stationary lift of a wall-data shape, rescaled by the amplitude.
 
-    The unit solve is done once per wall data and nu1 and kept read-only in
-    this module's ``_UNIT_LIFTS``; every later lift of the same data shares
-    it.  Wall data sampled on another grid is refused.  ``x_modes`` is the
+    The lift is a function of its wall data alone: it lives on the data's
+    grid, and its velocity is that of every viscosity.  The unit solve is
+    done once per wall data and kept read-only in this module's
+    ``_UNIT_LIFTS``, one entry per wall data; every later lift of the same
+    data shares it, and the solve's pressure is dropped.  ``x_modes`` is the
     solve's ``info["x_modes"]``: the data's rows K and the unit lift's rfft
     rows on them, which ``ParabolicLift`` steps; ``synthesis`` is the solve's
     table on K, which turns ``ParabolicLift``'s rows into w.
     """
 
-    def __init__(self, grid: Grid, nu1: float, data: WallData):
-        if data.grid != grid:
-            raise InvariantViolation(f"wall data is on grid {data.grid.key}, not {grid.key}")
-        self.grid = grid
-        self.nu1 = float(nu1)
+    def __init__(self, data: WallData):
+        self.grid = data.grid
         self.data = data
-        lifts = _UNIT_LIFTS.setdefault(data, {})
-        if self.nu1 not in lifts:
-            u, p, info = StationaryStokes(grid, nu1).solve((data.g_bottom, data.g_top))
-            for arr in (u.ux, u.uy, p.values, *info["x_modes"], info["synthesis"]):
+        if data not in _UNIT_LIFTS:
+            u, _, info = StationaryStokes(data.grid).solve((data.g_bottom, data.g_top))
+            for arr in (u.ux, u.uy, *info["x_modes"], info["synthesis"]):
                 arr.flags.writeable = False
-            lifts[self.nu1] = (u, p, info["x_modes"], info["synthesis"])
-        self.unit_u, self.unit_p, self.x_modes, self.synthesis = lifts[self.nu1]
-
-    def at(self, t: float) -> tuple[VectorField, ScalarField]:
-        a = self.data.amplitude(t)
-        return a * self.unit_u, a * self.unit_p
+            _UNIT_LIFTS[data] = (u, info["x_modes"], info["synthesis"])
+        self.unit_u, self.x_modes, self.synthesis = _UNIT_LIFTS[data]
 
     # no caller in the package: the benchmark's tracer wraps it by name
     def dt_at(self, t: float) -> VectorField:
@@ -185,6 +182,9 @@ class EllipticLift:
     def state_at(self, t: float) -> VectorField:
         """The stationary lift velocity u_e at time t."""
         return self.data.amplitude(t) * self.unit_u
+
+    # no caller in the package: the benchmark's tracer wraps it by name
+    at = state_at
 
 
 class ParabolicLift:
@@ -201,14 +201,16 @@ class ParabolicLift:
     is kept as its rfft rows on K, and each step solves those rows only; K
     and U's rows on it are ``EllipticLift.x_modes``, from the stationary
     solve.  The synthesis on K (``EllipticLift.synthesis``) gives the physical
-    w, and the pressure of the solve is never synthesized.  The grid, nu1 and
-    the wall data are read through ``ell``.
+    w, and the pressure of the solve is never synthesized.  The lift owns the
+    nu1 of its solve; the grid and the wall data are ``ell``'s.
     """
 
-    def __init__(self, elliptic: EllipticLift):
+    def __init__(self, elliptic: EllipticLift, nu1: float):
         self.ell = elliptic
+        self.grid = elliptic.grid
+        self.nu1 = float(nu1)
         self.t = 0.0
-        self.w = VectorField.zeros(elliptic.grid)
+        self.w = VectorField.zeros(self.grid)
         # w's rfft rows on K, of ux and of uy's interior rows
         _, unit_x, unit_y = elliptic.x_modes
         self._w_rows = (np.zeros_like(unit_x), np.zeros_like(unit_y))
@@ -219,7 +221,7 @@ class ParabolicLift:
             raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
                                      f"got {dt!r}")
         ell = self.ell
-        g, unit, amplitude = ell.grid, ell.unit_u, ell.data.amplitude
+        g, unit, amplitude = self.grid, ell.unit_u, ell.data.amplitude
         rows, unit_x, unit_y = ell.x_modes
         wx, wy = self._w_rows
         t_new = self.t + dt
@@ -228,7 +230,7 @@ class ParabolicLift:
         rx, ry = unit_x * scale, unit_y * scale
         np.subtract(wx, rx, out=rx)
         np.subtract(wy, ry, out=ry)
-        wx, wy, _ = _helmholtz_project_modes(g, dt * ell.nu1, rx, ry, rows)
+        wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
         if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
             raise SolverDiverged("parabolic lift produced non-finite values")
         w = VectorField._trusted(*(_from_x_rows(ell.synthesis, c) for c in (wx, wy)), g)
@@ -277,11 +279,9 @@ class LiftPairHistory:
     rhs_cum: list = field(default_factory=list)        # int_0^t |d/dt h|_{-1/2}^2
 
 
-def run_lift_pair(data: WallData, grid: Grid, nu1: float, dt: float,
-                  t_end: float) -> LiftPairHistory:
+def run_lift_pair(data: WallData, nu1: float, dt: float, t_end: float) -> LiftPairHistory:
     """Integrate the evolutionary lift from compatible data, recording every step."""
-    ell = EllipticLift(grid, nu1, data)
-    par = ParabolicLift(ell)
+    par = ParabolicLift(EllipticLift(data), nu1)
     shape_w = data.shape_trace_norm_sq(-0.5)
     hist = LiftPairHistory()
     lap_cum = 0.0

@@ -473,12 +473,12 @@ class Simulation:
         self.a = a = implicit_viscosity(cfg.viscosity)
         self.viscosity_tables = viscosity_tables(cfg.viscosity(phi0.values), a) \
             if cfg.viscosity.is_constant else None
-        self.ell = None if cfg.mode == "direct" else EllipticLift(grid, cfg.viscosity.nu1, data)
+        self.ell = None if cfg.mode == "direct" else EllipticLift(data)
         self.state = SimState(0.0, u0, phi0, initial_mu(phi0), ScalarField.zeros(grid))
 
         self.compatible = check_compatibility(u0, data)
         if not (self.compatible or data.is_zero()):
-            lift0 = (self.ell or EllipticLift(grid, cfg.viscosity.nu1, data)).state_at(0.0)
+            lift0 = (self.ell or EllipticLift(data)).state_at(0.0)
             rows = [0, 1, -2, -1]               # the only rows the trace reads
             self.compatible = trace_matches(u0.ux[:, rows] - lift0.ux[:, rows], 0.0, 0.0)
         if not self.compatible:

@@ -49,16 +49,20 @@ def traced_peak_arrays(grid, fn):
 
     ``fn`` runs once untraced first, so cached tables are built outside the
     count.  Use a 64^2 grid or smaller: there every array is below NumPy's
-    256 KiB temporary-elision threshold, so no temporary is elided away.  The
-    iterator buffers of a ufunc on strided operands count too: a few tens of
-    KiB each, up to three arrays at 64^2 with NumPy 2.4.
+    256 KiB temporary-elision threshold, so no temporary is elided away.  Both
+    runs use a ufunc buffer of 256 elements, restored afterwards: the iterator
+    buffers of a ufunc on strided operands, at NumPy's default of 8192
+    elements, take a few tens of KiB each, up to three arrays at 64^2 with
+    NumPy 2.4, and would count as arrays.
     """
-    fn()
-    tracemalloc.start()
+    old = np.setbufsize(256)
     try:
+        fn()
+        tracemalloc.start()
         entry = tracemalloc.get_traced_memory()[0]
         fn()
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
+        np.setbufsize(old)
     return peak / (grid.nx * grid.ny * 8)

@@ -138,7 +138,7 @@ class TestContextForRun:
                            viscosity=ViscositySpec(nu1=0.5, nu2=1.5))
         phi0 = ScalarField.from_function(
             grid, lambda x, y: 0.3 * np.cos(2 * np.pi * x) * np.cos(np.pi * y) + 0.1)
-        sim = Simulation(grid, cfg, data, phi0, EllipticLift(grid, 0.5, data).state_at(0.0))
+        sim = Simulation(grid, cfg, data, phi0, EllipticLift(data).state_at(0.0))
         for _ in range(2):
             sim.step()
         return grid, cfg, data, sim
@@ -164,12 +164,13 @@ class TestContextForRun:
 
         ubar dies once its norms are taken, the residual and its coefficients
         once res_phi is read, and res_u's limit field is formed only then:
-        6.1 arrays, against 10.2 when ubar, the residual, the coefficients and
-        u - u_inf were all held at once.
+        4.2 arrays with the helper's small ufunc buffer.  At NumPy's default
+        buffer it read 6.1, against 10.2 when ubar, the residual, the
+        coefficients and u - u_inf were all held at once.
         """
         grid, cfg, data, sim = self.lifted_elliptic_run(64)
         ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
-        assert traced_peak_arrays(grid, lambda: energy(sim.state, ctx)) <= 6.2
+        assert traced_peak_arrays(grid, lambda: energy(sim.state, ctx)) <= 4.3
 
 
 class TestHigherOrder:
@@ -179,7 +180,7 @@ class TestHigherOrder:
         return DiagnosticsContext(
             data=data, potential=PotentialSpec(),
             viscosity=ViscositySpec(nu1=0.9, nu2=1.1, kind="constant", value=1.0),
-            mode="lifted_parabolic", lift=ParabolicLift(EllipticLift(grid, 0.9, data)))
+            mode="lifted_parabolic", lift=ParabolicLift(EllipticLift(data), 0.9))
 
     def functionals(self, st, grid):
         rec = energy(st, self.ctx(grid))
@@ -394,7 +395,7 @@ class TestRecordAgainstPublicNorms:
             "res_phi": math.sqrt(inner(r, helmholtz_solve_neumann(r, 1.0, 1.0))),
             # u_inf = a_inf U, the limit of the stationary lift a(t) U
             "res_u": v1_norm(state.u - ctx.data.amplitude.limit()
-                             * EllipticLift(phi.grid, ctx.viscosity.nu1, ctx.data).unit_u),
+                             * EllipticLift(ctx.data).unit_u),
         }
         cols["total"] = cols["kinetic"] + cols["interfacial"] + cols["bulk"]
         if ctx.mode != "lifted_parabolic":
@@ -431,7 +432,7 @@ class TestRecordAgainstPublicNorms:
             grid, lambda x, y: 0.3 * np.cos(2 * np.pi * x) * np.cos(np.pi * y) + 0.1)
         sim = Simulation(grid, cfg, data, phi0, VectorField.zeros(grid))
         # the evolutionary lift, stepped with the run, against the record's lazy one
-        par = ParabolicLift(sim.ell) if mode == "lifted_parabolic" else None
+        par = ParabolicLift(sim.ell, cfg.viscosity.nu1) if mode == "lifted_parabolic" else None
         for _ in range(3):
             sim.step()
             if par is not None:

@@ -12,7 +12,7 @@ from chns import lifting
 from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
-from chns.diagnostics import DiagnosticsContext
+from chns.diagnostics import DiagnosticsContext, energy
 from chns.errors import InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
@@ -54,13 +54,13 @@ def restrict_vector(fine: VectorField, coarse: Grid) -> VectorField:
 class TestEllipticLift:
     def test_zero_data_zero_lift(self):
         grid = Grid(32, 32)
-        ell = EllipticLift(grid, NU1, WallData.zero(grid))
-        assert l2(ell.unit_u) == 0.0 and l2(ell.unit_p) == 0.0
+        ell = EllipticLift(WallData.zero(grid))
+        assert l2(ell.unit_u) == 0.0
 
     def test_couette_exact(self):
         for n in (16, 32, 48):
             grid = Grid(n, n)
-            ell = EllipticLift(grid, NU1, make_data(grid))
+            ell = EllipticLift(make_data(grid))
             exact = couette_exact(grid)
             assert np.abs(ell.unit_u.ux - exact.ux).max() < 1e-10
             assert np.abs(ell.unit_u.uy).max() < 1e-12
@@ -68,9 +68,11 @@ class TestEllipticLift:
     def test_single_mode_residual_and_divergence(self):
         grid = Grid(48, 48)
         data = make_data(grid, "single_mode:1")
-        ell = EllipticLift(grid, NU1, data)
-        res = momentum_residual(ell.unit_u, ell.unit_p, NU1, (data.g_bottom, data.g_top))
-        bound = 1e-8 * NU1 * math.sqrt(data.shape_trace_norm_sq(1.5)) + 1e-12
+        ell = EllipticLift(data)
+        walls = (data.g_bottom, data.g_top)
+        _, p, _ = StationaryStokes(grid).solve(walls)       # the unit-viscosity pressure
+        res = momentum_residual(ell.unit_u, p, walls)
+        bound = 1e-8 * math.sqrt(data.shape_trace_norm_sq(1.5)) + 1e-12
         assert res <= bound
         assert l2(divergence(ell.unit_u)) < 1e-11
 
@@ -79,7 +81,7 @@ class TestEllipticLift:
         for n in (32, 64):
             grid = Grid(n, n)
             data = make_data(grid, "single_mode:1")
-            ell = EllipticLift(grid, NU1, data)
+            ell = EllipticLift(data)
             trace_top = 1.5 * ell.unit_u.ux[:, -1] - 0.5 * ell.unit_u.ux[:, -2]
             errs.append(np.abs(trace_top - data.g_top).max())
         assert errs[1] < 0.35 * errs[0]
@@ -89,18 +91,18 @@ class TestEllipticLift:
         d1 = make_data(grid, "single_mode:1")
         g3 = 3.0 * d1.g_top
         d3 = WallData(grid, d1.g_bottom, g3, d1.amplitude)
-        e1 = EllipticLift(grid, NU1, d1)
-        e3 = EllipticLift(grid, NU1, d3)
+        e1 = EllipticLift(d1)
+        e3 = EllipticLift(d3)
         assert l2(e3.unit_u - 3.0 * e1.unit_u) < 1e-9 * l2(e3.unit_u)
 
     def test_refinement_oracle(self):
         """Coarse lifts converge to the fine-grid solve at second order."""
         fine = Grid(128, 128)
-        ref = EllipticLift(fine, NU1, make_data(fine, "single_mode:1")).unit_u
+        ref = EllipticLift(make_data(fine, "single_mode:1")).unit_u
         errs = []
         for n in (32, 64):
             g = Grid(n, n)
-            lift = EllipticLift(g, NU1, make_data(g, "single_mode:1")).unit_u
+            lift = EllipticLift(make_data(g, "single_mode:1")).unit_u
             errs.append(l2(lift - restrict_vector(ref, g)))
         assert errs[1] < 0.35 * errs[0]
 
@@ -109,7 +111,7 @@ class TestEllipticLift:
         for n in (32, 128):
             g = Grid(n, n)
             data = make_data(g, "single_mode:1")
-            ell = EllipticLift(g, NU1, data)
+            ell = EllipticLift(data)
             v2 = v2_norm(ell.unit_u, (data.g_bottom, data.g_top))
             ratios.append(v2 / math.sqrt(data.shape_trace_norm_sq(1.5)))
         assert abs(ratios[1] / ratios[0] - 1.0) < 0.2
@@ -117,24 +119,25 @@ class TestEllipticLift:
     def test_amplitude_scaling_and_dt(self):
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
-        ell = EllipticLift(grid, NU1, make_data(grid, "uniform", amp))
-        u1, _ = ell.at(1.0)
+        ell = EllipticLift(make_data(grid, "uniform", amp))
+        u1 = ell.state_at(1.0)
         assert l2(u1 - (1 - math.exp(-1)) * ell.unit_u) < 1e-14
         # exponential amplitude: d/dt u_e = -rate * (u_e - u_inf)
         eps = 1e-4
-        up, _ = ell.at(1.0 + eps)
-        um, _ = ell.at(1.0 - eps)
+        up, um = ell.state_at(1.0 + eps), ell.state_at(1.0 - eps)
         fd = (1.0 / (2 * eps)) * (up - um)
         assert l2(fd - ell.dt_at(1.0)) < 1e-7 * max(l2(ell.dt_at(1.0)), 1.0)
 
     def test_static_data_has_zero_dt(self):
         grid = Grid(32, 32)
-        ell = EllipticLift(grid, NU1, make_data(grid))
+        ell = EllipticLift(make_data(grid))
         assert l2(ell.dt_at(2.0)) == 0.0
 
 
 class TestLiftCache:
-    def test_one_solve_per_wall_data_grid_and_nu1(self, monkeypatch):
+    def test_one_solve_per_wall_data(self, monkeypatch):
+        """Runs at nu1 and 2 nu1 on one wall data share its one solve; each
+        evolutionary lift steps with the nu1 it is given."""
         cfg = RunConfig(nx=16, ny=16, family="couette_ramp", a0=1.0, a_inf=0.5,
                         g_bottom="single_mode:1", g_top="uniform", u_profile="lift",
                         mode="lifted_elliptic")
@@ -143,30 +146,35 @@ class TestLiftCache:
         solves = []
         solve = StationaryStokes.solve
         monkeypatch.setattr(StationaryStokes, "solve",
-                            lambda self, walls: solves.append(self.nu1) or solve(self, walls))
-        first = EllipticLift(grid, cfg.nu1, data)
-        second = EllipticLift(grid, cfg.nu1, data)
+                            lambda self, walls: solves.append(walls) or solve(self, walls))
+        first = EllipticLift(data)
+        second = EllipticLift(data)
         u0 = build_initial_u(cfg, grid, data)
-        ctx = DiagnosticsContext.for_run(grid, build_solver_config(cfg), data)
-        # the evolutionary lift starts at the cached stationary one
-        parabolic = build_solver_config(dataclasses.replace(cfg, mode="lifted_parabolic"))
-        Simulation(grid, parabolic, data, build_initial_phi(cfg, grid), u0)
-        assert solves == [cfg.nu1]
+        lifts = []
+        for nu1 in (cfg.nu1, 2 * cfg.nu1):
+            for mode in ("lifted_elliptic", "lifted_parabolic"):
+                run = build_solver_config(dataclasses.replace(cfg, nu1=nu1, mode=mode))
+                sim = Simulation(grid, run, data, build_initial_phi(cfg, grid), u0)
+                ctx = DiagnosticsContext.for_run(grid, run, data)
+                lifts += [sim.ell, ctx.stationary]
         assert second.unit_u is first.unit_u
-        assert np.array_equal(u0.ux, first.at(0.0)[0].ux)
-        assert ctx.stationary.unit_u is first.unit_u
+        assert all(lift.unit_u is first.unit_u for lift in lifts)
+        assert np.array_equal(u0.ux, first.state_at(0.0).ux)
 
-        other = EllipticLift(grid, 2 * cfg.nu1, data)
-        assert solves == [cfg.nu1, 2 * cfg.nu1]
-        assert l2(other.unit_p - first.unit_p) > 0.0
+        slow, fast = ParabolicLift(first, cfg.nu1), ParabolicLift(first, 2 * cfg.nu1)
+        for par in (slow, fast):
+            par.step(0.01)
+        assert l2(slow.u_p - fast.u_p) > 0.0
+        assert len(solves) == 1
 
     def test_unit_lift_lives_as_long_as_its_wall_data(self):
         grid = Grid(16, 16)
         data = make_data(grid, "single_mode:1")
-        ell = EllipticLift(grid, NU1, data)
-        assert list(lifting._UNIT_LIFTS[data]) == [NU1]
+        ell = EllipticLift(data)
+        entry = lifting._UNIT_LIFTS[data]         # one tuple per wall data
+        assert [id(a) for a in entry] == [id(ell.unit_u), id(ell.x_modes), id(ell.synthesis)]
         data_ref, unit_ref = weakref.ref(data), weakref.ref(ell.unit_u)
-        del data, ell
+        del data, ell, entry
         gc.collect()
         assert data_ref() is None and unit_ref() is None
 
@@ -175,12 +183,12 @@ class TestLiftCache:
         top = wall_profile(grid, "uniform")
         data = WallData(grid, wall_profile(grid, "zero"), top,
                         Amplitude("custom_static", a0=1.0))
-        ell = EllipticLift(grid, NU1, data)
+        ell = EllipticLift(data)
         top[:] = 2.0                                  # the caller's array is copied
         assert np.all(data.g_top == 1.0)
         rows, ux_hat, uy_hat = ell.x_modes            # the unit lift's x-Fourier rows
         assert rows.tolist() == [0]
-        for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.unit_p.values,
+        for arr in (data.g_top, ell.unit_u.ux, ell.unit_u.uy, ell.synthesis,
                     rows, ux_hat, uy_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -197,27 +205,30 @@ class TestLiftCache:
         monkeypatch.setattr(lifting, "sfft", types.SimpleNamespace(
             **{name: getattr(sfft, name) for name in ("dst", "idst")},
             rfft=lambda a, *args, **kw: rffts.append(a) or sfft.rfft(a, *args, **kw)))
-        ell = EllipticLift(grid, NU1, data)
-        par = ParabolicLift(EllipticLift(grid, NU1, data))
+        ell = EllipticLift(data)
+        par = ParabolicLift(EllipticLift(data), NU1)
         for _ in range(3):
             par.step(0.01)
         assert ell.x_modes is ell.x_modes is par.ell.x_modes
         assert ell.x_modes[0].tolist() == [1]
         assert [id(a) for a in rffts] == [id(data.g_bottom), id(data.g_top)]
 
-    @pytest.mark.parametrize("entry", ["EllipticLift", "run_lift_pair", "for_run",
-                                       "build_initial_u"])
-    def test_wall_data_on_another_grid_refused(self, entry):
+    @pytest.mark.parametrize("entry, match", [("for_run", "different grids"),
+                                              ("build_initial_u", "u0 is on grid")])
+    def test_wall_data_on_another_grid_refused(self, entry, match):
+        """A lift is on its wall data's grid: a record refuses a state on
+        another, and the run refuses a start built from it."""
         cfg = RunConfig(nx=16, ny=16, lx=4.0, u_profile="lift", mode="lifted_elliptic")
-        grid = build_grid(cfg)
-        data = make_data(Grid(16, 16))        # profiles sampled for lx = 1
+        grid, scfg = build_grid(cfg), build_solver_config(cfg)
+        own, data = build_wall_data(cfg, grid), make_data(Grid(16, 16))  # data for lx = 1
+        phi0 = build_initial_phi(cfg, grid)
+        sim = Simulation(grid, scfg, own, phi0, build_initial_u(cfg, grid, own))
         calls = {
-            "EllipticLift": lambda: EllipticLift(grid, cfg.nu1, data),
-            "run_lift_pair": lambda: run_lift_pair(data, grid, cfg.nu1, 0.01, 0.02),
-            "for_run": lambda: DiagnosticsContext.for_run(grid, build_solver_config(cfg), data),
-            "build_initial_u": lambda: build_initial_u(cfg, grid, data),
+            "for_run": lambda: energy(sim.state, DiagnosticsContext.for_run(grid, scfg, data)),
+            "build_initial_u": lambda: Simulation(grid, scfg, own, phi0,
+                                                  build_initial_u(cfg, grid, data)),
         }
-        with pytest.raises(InvariantViolation, match="wall data is on grid"):
+        with pytest.raises(InvariantViolation, match=match):
             calls[entry]()
 
 
@@ -228,10 +239,10 @@ class TestStationaryStokes:
         i = np.arange(grid.nx)
         gb = 0.5 + (-1.0) ** i
         gt = -0.25 + wall_profile(grid, "single_mode:1")
-        u, p, info = StationaryStokes(grid, NU1).solve((gb, gt))
+        u, p, info = StationaryStokes(grid).solve((gb, gt))
         scale = max(np.abs(gb).max(), np.abs(gt).max())
         assert info["iterations"] == 1
-        assert momentum_residual(u, p, NU1, (gb, gt)) < 1e-12 * NU1 * scale / grid.dy**2
+        assert momentum_residual(u, p, (gb, gt)) < 1e-12 * scale / grid.dy**2
         assert np.abs(divergence(u).values).max() < 1e-12 * scale / grid.dy
         assert abs(p.mean()) < 1e-14 * np.abs(p.values).max()
         # the mean of the data is carried by the Couette profile alone
@@ -242,19 +253,19 @@ class TestStationaryStokes:
     def test_pressure_on_long_box(self):
         """p = nu D_y(omega) / G_x divides round-off by a small G_x at low k.
 
-        On this 1000 x 1 box the residual is about 2.0e-12 of nu/h^2, against
-        about 1e-14 on near-square grids; the bound keeps a factor 5.
+        On this 1000 x 1 box the unit-viscosity residual is about 2.0e-12 of
+        1/h^2, against about 1e-14 on near-square grids; the bound keeps a factor 5.
         """
         grid = Grid(8, 256, lx=1000.0)
         rng = np.random.default_rng(1)
         gb, gt = rng.standard_normal(grid.nx), rng.standard_normal(grid.nx)
-        u, p, _ = StationaryStokes(grid, NU1).solve((gb, gt))
+        u, p, _ = StationaryStokes(grid).solve((gb, gt))
         h = min(grid.dx, grid.dy)
-        assert momentum_residual(u, p, NU1, (gb, gt)) < 1e-11 * NU1 / h**2
+        assert momentum_residual(u, p, (gb, gt)) < 1e-11 / h**2
 
     def test_zero_data(self):
         grid = Grid(32, 24, lx=2.0, ly=1.0)
-        u, p, info = StationaryStokes(grid, NU1).solve((np.zeros(32), np.zeros(32)))
+        u, p, info = StationaryStokes(grid).solve((np.zeros(32), np.zeros(32)))
         assert info["iterations"] == 0
         assert l2(u) == 0.0 and l2(p) == 0.0
 
@@ -287,7 +298,7 @@ def dense_stokes(grid, nu, gb, gt):
 def dense_error(u, p, gb, gt):
     """Largest difference from ``dense_stokes`` over ux, uy and p, relative to
     each field's size, or to the data's for a field that vanishes."""
-    u_ref, p_ref = dense_stokes(u.grid, NU1, gb, gt)
+    u_ref, p_ref = dense_stokes(u.grid, 1.0, gb, gt)
     scale = max(np.abs(gb).max(), np.abs(gt).max())
     return max(np.abs(new - ref).max() / max(np.abs(ref).max(), scale)
                for new, ref in ((u.ux, u_ref.ux), (u.uy, u_ref.uy), (p.values, p_ref.values)))
@@ -370,7 +381,7 @@ class TestStationaryStokesOracles:
         it drops below the round-off floor moves the lift by round-off."""
         grid = Grid(12, 8, lx=2.0)
         (gb, gt), rows = row_case(grid, case)
-        u, p, info = StationaryStokes(grid, NU1).solve((gb, gt))
+        u, p, info = StationaryStokes(grid).solve((gb, gt))
         assert info["iterations"] == 1
         assert info["x_modes"][0].tolist() == rows
         assert dense_error(u, p, gb, gt) <= 1e-12
@@ -379,9 +390,9 @@ class TestStationaryStokesOracles:
         errs = []
         for n in (32, 64, 128):
             grid = Grid(n, n)
-            u, p, _ = StationaryStokes(grid, NU1).solve(
+            u, p, _ = StationaryStokes(grid).solve(
                 (np.zeros(n), wall_profile(grid, "single_mode:1")))
-            u_ex, p_ex = channel_stokes_mode(grid, NU1)
+            u_ex, p_ex = channel_stokes_mode(grid, 1.0)
             errs.append((l2(u - u_ex), l2(p - p_ex)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
@@ -394,8 +405,8 @@ class TestStationaryRows:
     def test_unit_lift_lives_on_k(self, case):
         grid = Grid(16, 12, lx=2.0)
         (gb, gt), rows = row_case(grid, case)
-        _, _, info = StationaryStokes(grid, NU1).solve((gb, gt))
-        ell = EllipticLift(grid, NU1, WallData(grid, gb, gt, Amplitude("custom_static")))
+        _, _, info = StationaryStokes(grid).solve((gb, gt))
+        ell = EllipticLift(WallData(grid, gb, gt, Amplitude("custom_static")))
         k, ux_rows, uy_rows = ell.x_modes
         assert k.tolist() == info["x_modes"][0].tolist() == rows
         hx, hy = (sfft.rfft(a, axis=0) for a in (ell.unit_u.ux, ell.unit_u.uy[:, 1:-1]))
@@ -417,7 +428,7 @@ class TestStationaryRows:
         grid = Grid(12, 8, lx=2.0)
         (gb, gt), _ = row_case(grid, case)
         monkeypatch.setattr(lifting, "_x_synthesis", _DropRow(row))
-        u, p, _ = StationaryStokes(grid, NU1).solve((gb, gt))
+        u, p, _ = StationaryStokes(grid).solve((gb, gt))
         assert dense_error(u, p, gb, gt) > 1e-3
 
     @pytest.mark.parametrize("rows", [[0], [1], [128], [0, 2], [1, 127, 128], "all"],
@@ -439,7 +450,7 @@ class TestStationaryRows:
 
 def trace_lift(u: VectorField) -> VectorField:
     """Stationary Stokes lift of the extrapolated tangential trace of u."""
-    return StationaryStokes(u.grid, NU1).solve(extrapolated_wall_trace(u))[0]
+    return StationaryStokes(u.grid).solve(extrapolated_wall_trace(u))[0]
 
 
 class TestInitialLift:
@@ -479,17 +490,17 @@ class TestInitialLift:
 class TestParabolicLift:
     def test_static_data_is_exact_fixed_point(self):
         grid = Grid(32, 32)
-        ell = EllipticLift(grid, NU1, make_data(grid))
-        par = ParabolicLift(ell)
+        ell = EllipticLift(make_data(grid))
+        par = ParabolicLift(ell, NU1)
         for _ in range(25):
             par.step(0.05)
         assert l2(par.w) == 0.0
-        assert l2(par.u_p - ell.at(par.t)[0]) == 0.0
+        assert l2(par.u_p - ell.state_at(par.t)) == 0.0
 
     def test_zero_data_stays_zero(self):
         grid = Grid(32, 32)
-        ell = EllipticLift(grid, NU1, WallData.zero(grid))
-        par = ParabolicLift(ell)
+        ell = EllipticLift(WallData.zero(grid))
+        par = ParabolicLift(ell, NU1)
         for _ in range(10):
             par.step(0.1)
         assert l2(par.u_p) == 0.0
@@ -505,7 +516,7 @@ class TestParabolicLift:
     ], ids=["0.0", "-0.1", "nan", "inf", "overflowing_amplitude"])
     def test_bad_step_rejected(self, dt, amp, error, match):
         grid = Grid(16, 16)
-        par = ParabolicLift(EllipticLift(grid, NU1, make_data(grid, amp=amp)))
+        par = ParabolicLift(EllipticLift(make_data(grid, amp=amp)), NU1)
         w, u_p, rows = par.w, par.u_p, par._w_rows
         with pytest.raises(error, match=match):
             par.step(dt)
@@ -529,8 +540,8 @@ class TestParabolicLift:
                        list(range(grid.nx // 2 + 1))),
         }[case]
         amp = Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)
-        ell = EllipticLift(grid, NU1, WallData(grid, gb, gt, amp))
-        par = ParabolicLift(ell)
+        ell = EllipticLift(WallData(grid, gb, gt, amp))
+        par = ParabolicLift(ell, NU1)
         unit, dt, t = ell.unit_u, 0.02, 0.0
         w = VectorField.zeros(grid)
         for _ in range(20):
@@ -548,8 +559,8 @@ class TestParabolicLift:
     def test_ramp_difference_decays(self):
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
-        ell = EllipticLift(grid, NU1, make_data(grid, "uniform", amp))
-        par = ParabolicLift(ell)
+        ell = EllipticLift(make_data(grid, "uniform", amp))
+        par = ParabolicLift(ell, NU1)
         dt = 0.01
         norms = []
         for n in range(1, 1201):
@@ -564,14 +575,14 @@ class TestParabolicLift:
 class TestLiftDifferenceReport:
     def test_static_degenerate(self):
         grid = Grid(16, 16)
-        hist = run_lift_pair(make_data(grid), grid, NU1, dt=0.05, t_end=0.5)
+        hist = run_lift_pair(make_data(grid), NU1, dt=0.05, t_end=0.5)
         rep = lift_difference_report(hist)
         assert rep["degenerate"] and rep["ratio_sup"] == 0.0
 
     def test_t_end_not_whole_number_of_steps_rejected(self):
         grid = Grid(16, 16)
         with pytest.raises(InvariantViolation, match="whole number of steps"):
-            run_lift_pair(make_data(grid), grid, NU1, dt=0.03, t_end=0.5)
+            run_lift_pair(make_data(grid), NU1, dt=0.03, t_end=0.5)
 
     @pytest.mark.parametrize("dt, t_end, match", [
         (-0.1, 0.5, "dt must be positive"), (0.0, 0.5, "dt must be positive"),
@@ -581,7 +592,7 @@ class TestLiftDifferenceReport:
     def test_bad_time_span_rejected(self, dt, t_end, match):
         grid = Grid(16, 16)
         with pytest.raises(InvariantViolation, match=match):
-            run_lift_pair(make_data(grid), grid, NU1, dt=dt, t_end=t_end)
+            run_lift_pair(make_data(grid), NU1, dt=dt, t_end=t_end)
 
     def test_ramp_ratio_stable_under_dt_halving(self):
         grid = Grid(32, 32)
@@ -589,7 +600,7 @@ class TestLiftDifferenceReport:
         data = make_data(grid, "uniform", amp)
         reps = []
         for dt in (0.02, 0.01):
-            hist = run_lift_pair(data, grid, NU1, dt=dt, t_end=4.0)
+            hist = run_lift_pair(data, NU1, dt=dt, t_end=4.0)
             reps.append(lift_difference_report(hist))
         r1, r2 = reps[0]["ratio_sup"], reps[1]["ratio_sup"]
         assert all(math.isfinite(r) and r > 0 for r in (r1, r2))
@@ -602,8 +613,8 @@ class TestLiftDifferenceReport:
         amp = Amplitude("decaying_oscillation", a0=1.0, rate=0.5, omega=3.0)
         data = make_data(grid, "single_mode:1", amp)
         dt, steps = 0.05, 20
-        hist = run_lift_pair(data, grid, NU1, dt=dt, t_end=dt * steps)
-        par = ParabolicLift(EllipticLift(grid, NU1, data))
+        hist = run_lift_pair(data, NU1, dt=dt, t_end=dt * steps)
+        par = ParabolicLift(EllipticLift(data), NU1)
         expected = [0.0]
         for _ in range(steps):
             ux, uy = par.u_p.ux, par.u_p.uy
@@ -616,7 +627,7 @@ class TestLiftDifferenceReport:
     def test_dtup_tail_decays_for_decaying_data(self):
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
-        hist = run_lift_pair(make_data(grid, "uniform", amp), grid, NU1,
+        hist = run_lift_pair(make_data(grid, "uniform", amp), NU1,
                              dt=0.02, t_end=8.0)
         rep = lift_difference_report(hist)
         assert rep["dtup_tail_decaying"]

@@ -67,3 +67,22 @@ def test_parabolic_record_work(monkeypatch):
     assert tr.calls["ops.leray_project"] == 0
     assert tr.calls["grid.from_spectral"] == 0
     assert len(laplacians) == 1          # the one of res_phi
+
+
+def test_lift_build_is_one_traced_solve_per_wall_data():
+    """One lift build is one traced Stokes solve of one sweep; a second lift
+    of the same wall data reads the cache and builds nothing."""
+    from chns.boundary import Amplitude, WallData, wall_profile
+    from chns.grid import Grid
+    from chns.lifting import EllipticLift
+
+    grid = Grid(16, 16)
+    data = WallData(grid, wall_profile(grid, "single_mode"), wall_profile(grid, "uniform", 0.5),
+                    Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=2.0))
+    tracing = load_tracing()
+    with tracing.Tracer() as tr:
+        first = EllipticLift(data)
+        assert tr.calls["lifting.build"] == 1 and tr.stokes_sweeps == 1
+        second = EllipticLift(data)
+    assert tr.calls["lifting.build"] == 1 and tr.stokes_sweeps == 1
+    assert second.unit_u is first.unit_u
