@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .boundary import WallData, require_aligned, trace_norm
-from .errors import InvariantViolation, MisalignedSeries, ModeMismatch
+from .errors import MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField, require_same_grid
 from .lifting import EllipticLift, ParabolicLift
 from .ops import (_hminus1_of, _projected_norm_sq_of, divergence, grad_norm_sq, h1,
@@ -67,11 +67,12 @@ class DiagnosticsContext:
     ``lift`` is where ubar = u - L(t) comes from (``ubar``): the stationary
     ``EllipticLift`` in the lifted_elliptic mode, the evolutionary
     ``ParabolicLift`` in the lifted_parabolic mode and None otherwise, when
-    a record reads u.  The evolutionary lift is stepped lazily, by the run's
-    step ``dt``, to each record's time (``u_p_at``): the same steps from the
-    same clock as the run's, so its u_p is the one an every-step lift has.
-    The context stores no full-grid field of its own: a record forms the
-    limit field, and ubar, in new arrays and drops them once read.
+    a record reads u.  Either lift is read by time alone, ``lift.state_at(t)``:
+    the evolutionary one steps itself there by its own dt, the run's step
+    from the run's clock, so its u_p is the one an every-step lift has.  The
+    context steps nothing and stores no full-grid field of its own: a record
+    forms the limit field, the lift's L(t) and ubar in new arrays and drops
+    them once read.
     """
 
     data: WallData | None = None
@@ -80,7 +81,6 @@ class DiagnosticsContext:
     stationary: EllipticLift | None = None
     mode: str = "direct"
     lift: EllipticLift | ParabolicLift | None = None
-    dt: float = math.nan
 
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
@@ -89,43 +89,28 @@ class DiagnosticsContext:
         ``lift`` is the run's stationary lift (``Simulation.ell``), built here
         from ``data`` when not given, as in the direct mode: res_u needs its
         limit field.  The lifted_parabolic mode's evolutionary lift starts
-        from it, with the run's nu1.  Nothing reads ``grid``: a lift is on its
-        wall data's grid, and a record refuses a state on another.  It stays
-        while the benchmark's ladder passes it positionally (ROADMAP item 1).
+        from it, with the run's nu1 and dt.  Nothing reads ``grid``: a lift is
+        on its wall data's grid, and a record refuses a state on another.  It
+        stays while the benchmark's ladder passes it positionally (ROADMAP
+        item 1).
         """
         if lift is None:
             lift = EllipticLift(data)
         run_lift = None if cfg.mode == "direct" else lift
         if cfg.mode == "lifted_parabolic":
-            run_lift = ParabolicLift(lift, cfg.viscosity.nu1)
+            run_lift = ParabolicLift(lift, cfg.viscosity.nu1, cfg.dt)
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
-                   stationary=lift, mode=cfg.mode, lift=run_lift, dt=cfg.dt)
-
-    def u_p_at(self, t: float) -> VectorField:
-        """The evolutionary lift's u_p at time t, stepped by ``dt`` from its clock.
-
-        A t behind the clock, or between two of its steps, raises
-        InvariantViolation; the lift is never stepped past t.
-        """
-        par = self.lift
-        while par.t + self.dt <= t:     # par.step's own sum: the run's clock
-            par.step(self.dt)
-        if par.t != t:
-            raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary lift "
-                                     f"is at t = {par.t!r} and steps by dt = {self.dt!r}")
-        return par.u_p
+                   stationary=lift, mode=cfg.mode, lift=run_lift)
 
     def ubar(self, state) -> VectorField:
         """ubar = u - L(t), with homogeneous walls, of a state at time t; u without a lift.
 
-        With a lift, two new arrays: the elliptic lift's product a(t) U is
-        overwritten with ubar, and u_p, which the lift owns, is only read.
-        The state's grid is the record's to check (``energy``).
+        With a lift, two new arrays: the lift's L(t), formed in new arrays by
+        its ``state_at``, is overwritten with ubar.  The state's grid is the
+        record's to check (``energy``).
         """
         if self.lift is None:
             return state.u
-        if isinstance(self.lift, ParabolicLift):
-            return state.u - self.u_p_at(state.t)
         return _subtract_from(state.u, self.lift.state_at(state.t))
 
 
@@ -158,8 +143,10 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     new arrays and subtracts u in place.  Each array is dropped after its
     last use: ubar once its norms (and, certified, Lap ubar) are taken, the
     residual and the stack once transformed, the coefficients once read.
-    A state on another grid than a lift of the context raises
-    InvariantViolation in every mode, before the lift is stepped.
+    The evolutionary lift stores only w, so a record forms its u_p: once
+    into ubar and, certified, once more for G's lift norms.  A state on
+    another grid than a lift of the context raises InvariantViolation in
+    every mode, before the lift is stepped.
     """
     if context is not None:
         # a lift's arrays would subtract from a state of their shape on any grid
@@ -312,7 +299,7 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
     b = context.viscosity.value * _projected_norm_sq_of(lap_ubar, c_div) \
         + lap2_phi_sq + lap_mu_sq
 
-    u_p, walls = context.u_p_at(state.t), context.data.eval_wall(state.t)
+    u_p, walls = context.lift.state_at(state.t), context.data.eval_wall(state.t)
     up_l2, up_grad_sq = l2(u_p), grad_norm_sq(u_p, walls)
     up_v1_sq = up_l2**2 + up_grad_sq
     phi_h1_sq = phi_sq + norms["grad_phi"]**2

@@ -264,9 +264,6 @@ class VectorField:
         # np.max keeps a NaN that Python's max drops; abs turns a -0.0 into 0.0
         return abs(float(np.max((ux.max(), -ux.min(), uy.max(), -uy.min()))))
 
-    def copy(self) -> "VectorField":
-        return VectorField._trusted(self.ux.copy(), self.uy.copy(), self.grid)
-
     def __add__(self, other):
         return VectorField._trusted(self.ux + other.ux, self.uy + other.uy, self.grid)
 

@@ -28,9 +28,11 @@ by -a'(t) U, from w(0) = 0: u_p starts at the stationary lift, and a
 mismatch of u0 with the data stays in the records' ubar(0).  Static data
 therefore keeps u_p identical to the stationary lift exactly, and u_p - u_e
 equals w at all times, which is what the difference estimates consume.  The
+lift owns the step dt of its clock and is read by time alone, as the
+stationary lift is: ``state_at(t)`` steps it to t and forms u_p there.  The
 solver's u does not depend on the lift: a state stores u alone, and the
-records' context keeps the lift, steps it to each record's time and forms
-ubar = u - u_p (``diagnostics.DiagnosticsContext``).
+records' context keeps the lift and forms ubar = u - u_p from its
+``state_at`` (``diagnostics.DiagnosticsContext``).
 
 Since the Stokes operator commutes with x-translations, w, forced by
 -a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
@@ -188,40 +190,41 @@ class EllipticLift:
 
 
 class ParabolicLift:
-    """Backward-Euler integrator for the evolutionary lift.
+    """Backward-Euler integrator for the evolutionary lift, with its own clock.
 
     Keeps the decomposition u_p = a(t) U + w from w(0) = 0, the stationary
-    lift; each step advances w by an implicit solve with homogeneous walls
-    followed by an exact projection, and stores the new sum as ``u_p``.
-    ``w`` is u_p - u_e, the difference from the stationary lift.  Each step
-    builds new arrays, so a field handed out earlier is never written, and a
-    step that raises changes nothing.
+    lift; each ``step`` advances w by one ``dt``, an implicit solve with
+    homogeneous walls followed by an exact projection.  ``w`` is u_p - u_e,
+    the difference from the stationary lift, and is all the lift stores:
+    ``state_at(t)`` steps the clock ``t`` to t and forms u_p = u_e(t) + w in
+    new arrays.  Each step builds new arrays, so a field handed out earlier
+    is never written, and a step that raises changes nothing.
 
     w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
     is kept as its rfft rows on K, and each step solves those rows only; K
     and U's rows on it are ``EllipticLift.x_modes``, from the stationary
     solve.  The synthesis on K (``EllipticLift.synthesis``) gives the physical
     w, and the pressure of the solve is never synthesized.  The lift owns the
-    nu1 of its solve; the grid and the wall data are ``ell``'s.
+    nu1 of its solve and its dt; the grid and the wall data are ``ell``'s.
     """
 
-    def __init__(self, elliptic: EllipticLift, nu1: float):
+    def __init__(self, elliptic: EllipticLift, nu1: float, dt: float):
+        if not 0 < dt < math.inf:           # nan fails too
+            raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
+                                     f"got {dt!r}")
         self.ell = elliptic
         self.grid = elliptic.grid
         self.nu1 = float(nu1)
+        self.dt = dt
         self.t = 0.0
         self.w = VectorField.zeros(self.grid)
         # w's rfft rows on K, of ux and of uy's interior rows
         _, unit_x, unit_y = elliptic.x_modes
         self._w_rows = (np.zeros_like(unit_x), np.zeros_like(unit_y))
-        self.u_p = elliptic.state_at(0.0)
 
-    def step(self, dt: float) -> None:
-        if not 0 < dt < math.inf:           # nan fails too
-            raise InvariantViolation(f"parabolic lift: dt must be positive and finite, "
-                                     f"got {dt!r}")
-        ell = self.ell
-        g, unit, amplitude = self.grid, ell.unit_u, ell.data.amplitude
+    def step(self) -> None:
+        ell, dt = self.ell, self.dt
+        g, amplitude = self.grid, ell.data.amplitude
         rows, unit_x, unit_y = ell.x_modes
         wx, wy = self._w_rows
         t_new = self.t + dt
@@ -233,17 +236,26 @@ class ParabolicLift:
         wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
         if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
             raise SolverDiverged("parabolic lift produced non-finite values")
-        w = VectorField._trusted(*(_from_x_rows(ell.synthesis, c) for c in (wx, wy)), g)
-
-        # a(t) U + w in new arrays: U is read-only, and u_p has been handed out
-        a = amplitude(t_new)
-        px, py = unit.ux * a, unit.uy * a
-        px += w.ux
-        py += w.uy
         self.t = t_new
-        self.w = w
+        self.w = VectorField._trusted(*(_from_x_rows(ell.synthesis, c) for c in (wx, wy)), g)
         self._w_rows = (wx, wy[:, 1:-1])
-        self.u_p = VectorField._trusted(px, py, g)
+
+    def state_at(self, t: float) -> VectorField:
+        """The evolutionary lift velocity u_p at time t, stepped by ``dt`` from the clock.
+
+        A t behind the clock, or between two of its steps, raises
+        InvariantViolation; the lift is never stepped past t.
+        """
+        while self.t + self.dt <= t:        # step's own sum: the run's clock
+            self.step()
+        if self.t != t:
+            raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary lift "
+                                     f"is at t = {self.t!r} and steps by dt = {self.dt!r}")
+        # a(t) U in new arrays: U is read-only, and w has been handed out
+        u_p = self.ell.state_at(t)
+        np.add(u_p.ux, self.w.ux, out=u_p.ux)
+        np.add(u_p.uy, self.w.uy, out=u_p.uy)
+        return u_p
 
 
 def _x_synthesis(nx: int, rows: np.ndarray) -> np.ndarray:
@@ -281,7 +293,7 @@ class LiftPairHistory:
 
 def run_lift_pair(data: WallData, nu1: float, dt: float, t_end: float) -> LiftPairHistory:
     """Integrate the evolutionary lift from compatible data, recording every step."""
-    par = ParabolicLift(EllipticLift(data), nu1)
+    par = ParabolicLift(EllipticLift(data), nu1, dt)
     shape_w = data.shape_trace_norm_sq(-0.5)
     hist = LiftPairHistory()
     lap_cum = 0.0
@@ -294,12 +306,13 @@ def run_lift_pair(data: WallData, nu1: float, dt: float, t_end: float) -> LiftPa
         hist.rhs_cum.append(shape_w * data.amplitude.dt_sq_integral(par.t))
 
     record(0.0)
+    u_p = par.state_at(0.0)
     for _ in range(whole_steps(t_end, dt, "t_end")):
-        old = par.u_p
-        par.step(dt)
+        par.step()
         lap_cum += dt * l2(vector_laplacian(par.w)) ** 2
         # |d/dt u_p| as the difference quotient of the step
-        record(l2((par.u_p - old) * (1.0 / dt)))
+        old, u_p = u_p, par.state_at(par.t)
+        record(l2((u_p - old) * (1.0 / dt)))
     return hist
 
 

@@ -12,7 +12,7 @@ from chns import lifting
 from chns.boundary import Amplitude, WallData, extrapolated_wall_trace, wall_profile
 from chns.config import (RunConfig, build_grid, build_initial_phi, build_initial_u,
                          build_solver_config, build_wall_data)
-from chns.diagnostics import DiagnosticsContext, energy
+from chns.diagnostics import DiagnosticsContext
 from chns.errors import InvariantViolation, SolverDiverged
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import (EllipticLift, ParabolicLift, StationaryStokes,
@@ -161,10 +161,10 @@ class TestLiftCache:
         assert all(lift.unit_u is first.unit_u for lift in lifts)
         assert np.array_equal(u0.ux, first.state_at(0.0).ux)
 
-        slow, fast = ParabolicLift(first, cfg.nu1), ParabolicLift(first, 2 * cfg.nu1)
+        slow, fast = ParabolicLift(first, cfg.nu1, 0.01), ParabolicLift(first, 2 * cfg.nu1, 0.01)
         for par in (slow, fast):
-            par.step(0.01)
-        assert l2(slow.u_p - fast.u_p) > 0.0
+            par.step()
+        assert l2(slow.state_at(0.01) - fast.state_at(0.01)) > 0.0
         assert len(solves) == 1
 
     def test_unit_lift_lives_as_long_as_its_wall_data(self):
@@ -206,30 +206,12 @@ class TestLiftCache:
             **{name: getattr(sfft, name) for name in ("dst", "idst")},
             rfft=lambda a, *args, **kw: rffts.append(a) or sfft.rfft(a, *args, **kw)))
         ell = EllipticLift(data)
-        par = ParabolicLift(EllipticLift(data), NU1)
+        par = ParabolicLift(EllipticLift(data), NU1, 0.01)
         for _ in range(3):
-            par.step(0.01)
+            par.step()
         assert ell.x_modes is ell.x_modes is par.ell.x_modes
         assert ell.x_modes[0].tolist() == [1]
         assert [id(a) for a in rffts] == [id(data.g_bottom), id(data.g_top)]
-
-    @pytest.mark.parametrize("entry, match", [("for_run", "different grids"),
-                                              ("build_initial_u", "u0 is on grid")])
-    def test_wall_data_on_another_grid_refused(self, entry, match):
-        """A lift is on its wall data's grid: a record refuses a state on
-        another, and the run refuses a start built from it."""
-        cfg = RunConfig(nx=16, ny=16, lx=4.0, u_profile="lift", mode="lifted_elliptic")
-        grid, scfg = build_grid(cfg), build_solver_config(cfg)
-        own, data = build_wall_data(cfg, grid), make_data(Grid(16, 16))  # data for lx = 1
-        phi0 = build_initial_phi(cfg, grid)
-        sim = Simulation(grid, scfg, own, phi0, build_initial_u(cfg, grid, own))
-        calls = {
-            "for_run": lambda: energy(sim.state, DiagnosticsContext.for_run(grid, scfg, data)),
-            "build_initial_u": lambda: Simulation(grid, scfg, own, phi0,
-                                                  build_initial_u(cfg, grid, data)),
-        }
-        with pytest.raises(InvariantViolation, match=match):
-            calls[entry]()
 
 
 class TestStationaryStokes:
@@ -491,38 +473,65 @@ class TestParabolicLift:
     def test_static_data_is_exact_fixed_point(self):
         grid = Grid(32, 32)
         ell = EllipticLift(make_data(grid))
-        par = ParabolicLift(ell, NU1)
+        par = ParabolicLift(ell, NU1, 0.05)
         for _ in range(25):
-            par.step(0.05)
+            par.step()
         assert l2(par.w) == 0.0
-        assert l2(par.u_p - ell.state_at(par.t)) == 0.0
+        assert l2(par.state_at(par.t) - ell.state_at(par.t)) == 0.0
 
     def test_zero_data_stays_zero(self):
         grid = Grid(32, 32)
         ell = EllipticLift(WallData.zero(grid))
-        par = ParabolicLift(ell, NU1)
+        par = ParabolicLift(ell, NU1, 0.1)
         for _ in range(10):
-            par.step(0.1)
-        assert l2(par.u_p) == 0.0
+            par.step()
+        assert l2(par.state_at(par.t)) == 0.0
 
-    @pytest.mark.parametrize("dt, amp, error, match", [
-        (0.0, None, InvariantViolation, "dt must be positive and finite"),
-        (-0.1, None, InvariantViolation, "dt must be positive and finite"),
-        (math.nan, None, InvariantViolation, "dt must be positive and finite"),
-        (math.inf, None, InvariantViolation, "dt must be positive and finite"),
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf],
+                             ids=["0.0", "-0.1", "nan", "inf"])
+    def test_bad_dt_refused_by_the_constructor(self, dt):
+        ell = EllipticLift(make_data(Grid(16, 16)))
+        with pytest.raises(InvariantViolation, match="dt must be positive and finite"):
+            ParabolicLift(ell, NU1, dt)
+
+    def test_overflowing_step_rejected_and_changes_nothing(self):
         # a'(0.01) = inf * 0 = nan: the step itself produces non-finite values
-        (0.01, Amplitude("couette_ramp", a0=1e300, a_inf=0.0, rate=1e10),
-         SolverDiverged, "non-finite"),
-    ], ids=["0.0", "-0.1", "nan", "inf", "overflowing_amplitude"])
-    def test_bad_step_rejected(self, dt, amp, error, match):
-        grid = Grid(16, 16)
-        par = ParabolicLift(EllipticLift(make_data(grid, amp=amp)), NU1)
-        w, u_p, rows = par.w, par.u_p, par._w_rows
-        with pytest.raises(error, match=match):
-            par.step(dt)
+        amp = Amplitude("couette_ramp", a0=1e300, a_inf=0.0, rate=1e10)
+        par = ParabolicLift(EllipticLift(make_data(Grid(16, 16), amp=amp)), NU1, 0.01)
+        w, rows = par.w, par._w_rows
+        with pytest.raises(SolverDiverged, match="non-finite"):
+            par.step()
         assert par.t == 0.0
-        assert par.w is w and par.u_p is u_p and par._w_rows is rows
-        assert par.w.is_finite() and par.u_p.is_finite()
+        assert par.w is w and par._w_rows is rows
+        assert par.w.is_finite() and par.state_at(0.0).is_finite()
+
+    def test_state_at_is_the_stationary_lift_plus_w(self):
+        """u_p(t) = u_e(t) + w, bit for bit, at the lift's start and after steps."""
+        grid = Grid(16, 16)
+        ell = EllipticLift(make_data(grid, "single_mode:1",
+                                     Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)))
+        par = ParabolicLift(ell, NU1, 2.0 ** -5)
+        for t in (0.0, 2.0 ** -5, 2.0 ** -3):
+            u_p = par.state_at(t)
+            want = ell.state_at(t) + par.w
+            assert par.t == t
+            assert u_p.ux.tobytes() == want.ux.tobytes()
+            assert u_p.uy.tobytes() == want.uy.tobytes()
+        assert l2(par.w) > 0.0
+
+    def test_state_at_returns_new_arrays(self):
+        """Writing into a returned u_p leaves the next call's bytes and w as they were."""
+        grid = Grid(16, 16)
+        par = ParabolicLift(EllipticLift(make_data(grid, "single_mode:1",
+                                                   Amplitude("couette_ramp", a0=1.0,
+                                                             a_inf=0.5, rate=2.0))), NU1, 2.0 ** -5)
+        first = par.state_at(2.0 ** -4)
+        before = [a.tobytes() for a in (first.ux, first.uy, par.w.ux, par.w.uy)]
+        first.ux[:] = 7.0
+        first.uy[:] = 7.0
+        second = par.state_at(2.0 ** -4)
+        assert second.ux is not first.ux and second.uy is not first.uy
+        assert [a.tobytes() for a in (second.ux, second.uy, par.w.ux, par.w.uy)] == before
 
     @pytest.mark.parametrize("case", ["mode_1", "uniform_and_mode_2", "nyquist", "random"])
     def test_row_steps_match_full_grid_steps(self, case):
@@ -541,15 +550,15 @@ class TestParabolicLift:
         }[case]
         amp = Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)
         ell = EllipticLift(WallData(grid, gb, gt, amp))
-        par = ParabolicLift(ell, NU1)
         unit, dt, t = ell.unit_u, 0.02, 0.0
+        par = ParabolicLift(ell, NU1, dt)
         w = VectorField.zeros(grid)
         for _ in range(20):
             t += dt
             w, _ = helmholtz_project_velocity(w - unit * (dt * amp.dt(t)), dt * NU1)
-            par.step(dt)
+            par.step()
             u_p = unit * amp(t) + w
-            for new, ref in ((par.w, w), (par.u_p, u_p)):
+            for new, ref in ((par.w, w), (par.state_at(t), u_p)):
                 scale = ref.max_abs()
                 assert scale > 0.0
                 assert (new - ref).max_abs() <= 1e-13 * scale
@@ -560,11 +569,10 @@ class TestParabolicLift:
         grid = Grid(32, 32)
         amp = Amplitude("couette_ramp", a0=0.0, a_inf=1.0, rate=1.0)
         ell = EllipticLift(make_data(grid, "uniform", amp))
-        par = ParabolicLift(ell, NU1)
-        dt = 0.01
+        par = ParabolicLift(ell, NU1, 0.01)
         norms = []
         for n in range(1, 1201):
-            par.step(dt)
+            par.step()
             if n % 200 == 0:
                 norms.append(v1_norm(par.w))
         # late-time tail shrinks monotonically toward the stationary lift
@@ -614,13 +622,14 @@ class TestLiftDifferenceReport:
         data = make_data(grid, "single_mode:1", amp)
         dt, steps = 0.05, 20
         hist = run_lift_pair(data, NU1, dt=dt, t_end=dt * steps)
-        par = ParabolicLift(EllipticLift(data), NU1)
+        par = ParabolicLift(EllipticLift(data), NU1, dt)
         expected = [0.0]
         for _ in range(steps):
-            ux, uy = par.u_p.ux, par.u_p.uy
-            par.step(dt)
-            expected.append(l2(VectorField((par.u_p.ux - ux) * (1.0 / dt),
-                                           (par.u_p.uy - uy) * (1.0 / dt), grid)))
+            old = par.state_at(par.t)
+            par.step()
+            new = par.state_at(par.t)
+            expected.append(l2(VectorField((new.ux - old.ux) * (1.0 / dt),
+                                           (new.uy - old.uy) * (1.0 / dt), grid)))
         assert min(expected[1:]) > 0.0
         assert hist.dtup_norm == expected
 

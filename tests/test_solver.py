@@ -462,7 +462,7 @@ class TestLiftedModes:
         # the record's ubar, with the lift stepped lazily to the final time
         ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
         ubar = ctx.ubar(st)
-        lift = ctx.u_p_at(st.t) if mode == "lifted_parabolic" else sim.ell.state_at(st.t)
+        lift = ctx.lift.state_at(st.t)
         assert l2(ubar + lift - st.u) <= 1e-14 * l2(st.u)
         assert np.all(ubar.uy[:, 0] == 0.0) and np.all(ubar.uy[:, -1] == 0.0)
         assert np.abs(divergence(ubar).values).max() < 1e-12
@@ -477,11 +477,10 @@ class TestLiftedModes:
         ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
         sim.step()
         st = sim.state
-        lift = ParabolicLift(sim.ell, cfg.viscosity.nu1) if mode == "lifted_parabolic" else None
-        if lift is not None:
-            lift.step(cfg.dt)
+        lift = ParabolicLift(sim.ell, cfg.viscosity.nu1, cfg.dt) \
+            if mode == "lifted_parabolic" else sim.ell
         sim.state = dataclasses.replace(st, u=2.0 * st.u)
-        kinetic = 0.5 * l2(2.0 * st.u - (lift.u_p if lift else sim.ell.state_at(st.t))) ** 2
+        kinetic = 0.5 * l2(2.0 * st.u - lift.state_at(st.t)) ** 2
         assert kinetic > 0.1
         assert sim.run(diagnostics_context=ctx)[0].kinetic == pytest.approx(kinetic, rel=1e-12)
 
@@ -719,13 +718,14 @@ class TestRecordLift:
         sim, ctx = self.start("lifted_parabolic")
         st = sim.state
         sim.state = moved = dataclasses.replace(st, t=2 * sim.cfg.dt)
-        ref = ParabolicLift(sim.ell, sim.cfg.viscosity.nu1)
+        ref = ParabolicLift(sim.ell, sim.cfg.viscosity.nu1, sim.cfg.dt)
         for _ in range(2):
-            ref.step(sim.cfg.dt)
-        ubar, want = ctx.ubar(moved), st.u - ref.u_p
+            ref.step()
+        u_p = ref.state_at(ref.t)
+        ubar, want = ctx.ubar(moved), st.u - u_p
         assert ctx.lift.t == ref.t == moved.t
         assert ubar.ux.tobytes() == want.ux.tobytes() and ubar.uy.tobytes() == want.uy.tobytes()
-        assert l2(ref.u_p - sim.ell.state_at(0.0)) > 0.0
+        assert l2(u_p - sim.ell.state_at(0.0)) > 0.0
 
     @pytest.mark.parametrize("mode", solver.MODES)
     def test_record_of_a_state_on_another_grid_refused(self, mode):
@@ -754,6 +754,23 @@ class TestRecordLift:
         assert records[every] == {t: records[1][t] for t in records[every]}
         assert "nan" not in "".join(records[every].values())    # A, B and G included
 
+    def test_parabolic_context_built_directly_records_as_for_runs(self):
+        """The evolutionary lift brings its own dt: a context built without
+        ``for_run`` records past t = 0, each record that of ``for_run``'s."""
+        records = []
+        for direct in (False, True):
+            sim, ctx = self.start("lifted_parabolic", viscosity=constant_visc(), t_end=6e-3,
+                                  record_every=2e-3)
+            if direct:
+                cfg = sim.cfg
+                ctx = DiagnosticsContext(
+                    data=ctx.data, potential=cfg.potential, viscosity=cfg.viscosity,
+                    stationary=sim.ell, mode="lifted_parabolic",
+                    lift=ParabolicLift(sim.ell, cfg.viscosity.nu1, cfg.dt))
+            records.append([repr(r) for r in sim.run(diagnostics_context=ctx)])
+        assert records[1] == records[0]
+        assert len(records[1]) == 4 and "nan" not in "".join(records[1])
+
     @pytest.mark.parametrize("where", ["behind", "between"])
     def test_record_behind_or_between_the_lifts_steps_refused(self, where):
         sim, ctx = self.start("lifted_parabolic")
@@ -775,7 +792,7 @@ class TestNothingReturnedIsWritten:
     """A step builds its right-hand sides in arrays of its own.
 
     Every array of a returned state, of the initial data and of the
-    records' evolutionary lift ``u_p`` keeps its bytes through later steps
+    records' evolutionary lift's ``w`` keeps its bytes through later steps
     and records, and the cached solve tables cannot be written at all.
     """
 
@@ -791,7 +808,7 @@ class TestNothingReturnedIsWritten:
         kept = [phi0.values, u0.ux, u0.uy, st.phi.values, st.mu.values, st.p.values,
                 st.u.ux, st.u.uy]
         if mode == "lifted_parabolic":
-            kept += [ctx.lift.u_p.ux, ctx.lift.u_p.uy]
+            kept += [ctx.lift.w.ux, ctx.lift.w.uy]
         before = [a.tobytes() for a in kept]
         for _ in range(2):
             energy(sim.step(), ctx)
