@@ -1,8 +1,9 @@
 """Energy bookkeeping, inequality certificates, and long-time monitors.
 
-A record (``energy``) is one pass over a state, with one stacked transform
-when it has a ``DiagnosticsContext``; for the evolutionary lift with a
-constant viscosity it adds the higher-order functionals (``higher_order``).
+A record (``energy``) is one pass over a state, which forms the run's lift
+once and has one stacked transform when it has a ``DiagnosticsContext``; for
+the evolutionary lift with a constant viscosity it adds the higher-order
+functionals (``higher_order``).
 
 Every unknown constant from the analysis is replaced by its strongest
 falsifiable surrogate: finite empirical ratios that must be stable under
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .boundary import WallData, require_aligned, trace_norm
-from .errors import MisalignedSeries, ModeMismatch
+from .errors import InvariantViolation, MisalignedSeries, ModeMismatch
 from .grid import ScalarField, VectorField, require_same_grid
 from .lifting import EllipticLift, ParabolicLift
 from .ops import (_hminus1_of, _projected_norm_sq_of, divergence, grad_norm_sq, h1,
@@ -64,15 +65,15 @@ class DiagnosticsContext:
     run's ``lift``, and, in the certified mode (lifted_parabolic, constant
     ``viscosity``), ``data`` and ``potential`` for A, B and G.
 
-    ``lift`` is where ubar = u - L(t) comes from (``ubar``): the stationary
-    ``EllipticLift`` in the lifted_elliptic mode, the evolutionary
-    ``ParabolicLift`` in the lifted_parabolic mode and None otherwise, when
-    a record reads u.  Either lift is read by time alone, ``lift.state_at(t)``:
-    the evolutionary one steps itself there by its own dt, the run's step
-    from the run's clock, so its u_p is the one an every-step lift has.  The
-    context steps nothing and stores no full-grid field of its own: a record
-    forms the limit field, the lift's L(t) and ubar in new arrays and drops
-    them once read.
+    ``lift`` is the L(t) of ubar = u - L(t): the stationary ``EllipticLift``
+    in the lifted_elliptic mode, the evolutionary ``ParabolicLift`` in the
+    lifted_parabolic mode and None otherwise, when a record reads u.  Either
+    lift is read by time alone, ``lift.state_at(t)``: the evolutionary one
+    steps itself there by its own dt, the run's step from the run's clock, so
+    its u_p is the one an every-step lift has, and it stores w once, as its
+    rows.  The context steps nothing and stores no full-grid field of its
+    own: a record (``energy``) forms L(t) once, in new arrays, overwrites it
+    with ubar, forms the limit field, and drops each once read.
     """
 
     data: WallData | None = None
@@ -102,17 +103,6 @@ class DiagnosticsContext:
         return cls(data=data, potential=cfg.potential, viscosity=cfg.viscosity,
                    stationary=lift, mode=cfg.mode, lift=run_lift)
 
-    def ubar(self, state) -> VectorField:
-        """ubar = u - L(t), with homogeneous walls, of a state at time t; u without a lift.
-
-        With a lift, two new arrays: the lift's L(t), formed in new arrays by
-        its ``state_at``, is overwritten with ubar.  The state's grid is the
-        record's to check (``energy``).
-        """
-        if self.lift is None:
-            return state.u
-        return _subtract_from(state.u, self.lift.state_at(state.t))
-
 
 def _subtract_from(u: VectorField, fresh: VectorField) -> VectorField:
     """u - fresh, written over the arrays of ``fresh``, a field no one else holds."""
@@ -133,20 +123,21 @@ def _stationary_residual(phi: ScalarField) -> np.ndarray:
 def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors.
 
-    The split reads ubar = u - L(t), with L the context's lift
-    (``DiagnosticsContext.ubar``), and u without a context or lift.  With a
-    context the record makes one stacked ``Grid.to_spectral`` call: it takes
-    the stationary residual (res_phi) and, in the certified mode
-    (evolutionary lift, constant viscosity), phi, mu and div(Lap ubar),
-    whose coefficients go to ``higher_order`` with the norms formed here.
+    The split reads ubar = u - L(t), with L the context's lift, and u
+    without a context or lift.  The record forms L(t) once, in new arrays; in
+    the certified mode it takes G's lift norms |u_p|, |grad u_p| and
+    |Lap u_p|, the last two with the wall data at t, from L(t) = u_p before it
+    overwrites L(t) with ubar.  With a context the record makes one stacked
+    ``Grid.to_spectral`` call: it takes the stationary residual (res_phi) and,
+    in the certified mode (evolutionary lift, constant viscosity), phi, mu and
+    div(Lap ubar), whose coefficients go to ``higher_order`` with the norms
+    formed here.
     res_u = |u - u_inf|_V1 forms the stationary lift's limit field u_inf in
     new arrays and subtracts u in place.  Each array is dropped after its
     last use: ubar once its norms (and, certified, Lap ubar) are taken, the
-    residual and the stack once transformed, the coefficients once read.
-    The evolutionary lift stores only w, so a record forms its u_p: once
-    into ubar and, certified, once more for G's lift norms.  A state on
-    another grid than a lift of the context raises InvariantViolation in
-    every mode, before the lift is stepped.
+    residual and the stack once transformed, the coefficients once read.  A
+    state on another grid than a lift of the context raises
+    InvariantViolation in every mode, before the lift is stepped.
     """
     if context is not None:
         # a lift's arrays would subtract from a state of their shape on any grid
@@ -155,12 +146,16 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     certified = (context is not None and context.mode == "lifted_parabolic"
                  and isinstance(context.lift, ParabolicLift)
                  and context.viscosity is not None and context.viscosity.is_constant)
-    ubar = state.u if context is None else context.ubar(state)
+    u_p = None if context is None or context.lift is None else context.lift.state_at(state.t)
+    if certified:       # G's lift norms, with the wall data at t, before u_p becomes ubar
+        walls = context.data.eval_wall(state.t)
+        lift_norms = (l2(u_p), grad_norm_sq(u_p, walls), l2(vector_laplacian(u_p, walls)))
+    ubar = state.u if u_p is None else _subtract_from(state.u, u_p)
     norms = {"ubar_l2": l2(ubar), "diss_u": grad_norm_sq(ubar),
              "grad_phi": math.sqrt(grad_norm_sq(phi)),
              "grad_mu": math.sqrt(grad_norm_sq(state.mu))}
     lap_ubar = vector_laplacian(ubar) if certified else None
-    del ubar
+    del ubar, u_p
     kinetic = 0.5 * norms["ubar_l2"] ** 2
     interfacial = 0.5 * norms["grad_phi"] ** 2
     bulk = float(np.sum(eval_F(phi.values)) * grid.cell_area)
@@ -176,7 +171,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
         del stack
         res_phi = _hminus1_of(grid, coeffs[0])
         if certified:
-            a, b, gq = higher_order(state, context, norms, lap_ubar, coeffs[1:])
+            a, b, gq = higher_order(state, context, norms, lap_ubar, coeffs[1:], lift_norms)
         del coeffs, lap_ubar
         if context.stationary is not None:
             res_u = v1_norm(_subtract_from(state.u, context.stationary.limit_field()))
@@ -268,20 +263,24 @@ def evaluate_g(norms: dict, q: float) -> float:
 
 
 def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: VectorField,
-                 coeffs: np.ndarray) -> tuple[float, float, float]:
+                 coeffs: np.ndarray, lift_norms: tuple) -> tuple[float, float, float]:
     """Higher-order functionals A, B and G of the evolutionary-lift splitting.
 
     Restricted to constant-viscosity runs in the evolutionary-lift mode;
     anything else raises ModeMismatch.  ``energy`` calls it with what its
     record has formed: ``norms`` holds ubar_l2, diss_u = |grad ubar|^2,
     grad_phi and grad_mu; ``lap_ubar`` is vector_laplacian(ubar); ``coeffs``
-    stacks the ``Grid.to_spectral`` coefficients of phi, mu and div(lap_ubar).
+    stacks the ``Grid.to_spectral`` coefficients of phi, mu and div(lap_ubar);
+    ``lift_norms`` is (|u_p|, |grad u_p|^2, |Lap u_p|) of the context's lift
+    at the state's time, the last two with its wall data there.  It forms no
+    field of the lift: the record forms u_p once and reads these before it
+    overwrites u_p with ubar.
 
     phi's and mu's norms are Parseval sums over those coefficients.  B's
     Stokes term is |P v|^2 = |v|^2 - |grad q|^2, v = -lap_ubar, clamped at 0
     against round-off (``ops.projected_norm_sq``).  G's factors are norms
-    assembled from their squared parts; the lift u_p is the context's, and its
-    V1 and V2 norms carry its wall data at the state's time.
+    assembled from their squared parts, u_p's V1 and V2 norms from
+    ``lift_norms``.
     """
     if context.mode != "lifted_parabolic" or not isinstance(context.lift, ParabolicLift):
         raise ModeMismatch("higher-order functionals need the evolutionary lift")
@@ -299,12 +298,11 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
     b = context.viscosity.value * _projected_norm_sq_of(lap_ubar, c_div) \
         + lap2_phi_sq + lap_mu_sq
 
-    u_p, walls = context.lift.state_at(state.t), context.data.eval_wall(state.t)
-    up_l2, up_grad_sq = l2(u_p), grad_norm_sq(u_p, walls)
+    up_l2, up_grad_sq, up_lap = lift_norms
     up_v1_sq = up_l2**2 + up_grad_sq
     phi_h1_sq = phi_sq + norms["grad_phi"]**2
     g = evaluate_g({**norms, "up_v1": math.sqrt(up_v1_sq),
-                    "up_v2": math.sqrt(up_v1_sq + l2(vector_laplacian(u_p, walls))**2),
+                    "up_v2": math.sqrt(up_v1_sq + up_lap**2),
                     "up_l2": up_l2, "grad_up": math.sqrt(up_grad_sq),
                     "phi_l2": math.sqrt(phi_sq), "phi_h1": math.sqrt(phi_h1_sq),
                     "phi_h2": math.sqrt(phi_h1_sq + lap_phi_sq)}, context.potential.q)
@@ -345,8 +343,12 @@ def continuous_dependence_metric(run1: TrajectorySample, run2: TrajectorySample,
 
     LHS combines the sup-in-time and integrated norms of the differences;
     RHS aggregates the boundary-data norms plus the initial-data distance.
-    With identical inputs both sides are exactly zero.
+    With identical inputs both sides are exactly zero.  The data terms need
+    the wall data of both runs: that of one run alone raises
+    InvariantViolation, and without either the RHS is the initial distance.
     """
+    if (data1 is None) != (data2 is None):
+        raise InvariantViolation("continuous dependence: wall data of one run only")
     t = require_aligned(run1.times, run2.times, "trajectory samples")
     du_sup = 0.0
     dphi_sup = 0.0
@@ -395,12 +397,15 @@ def zlem_tail_check(t, y, g=None) -> dict:
     """Integrability plus tail decay of a monitored scalar series.
 
     The tail flag compares the last-quarter maximum with the second-quarter
-    maximum, which tolerates isolated spikes in between.
+    maximum, which tolerates isolated spikes in between.  An empty series
+    raises InvariantViolation.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape:
         raise MisalignedSeries("zlem_tail_check: t and y disagree")
+    if t.size == 0:
+        raise InvariantViolation("zlem_tail_check: the series is empty")
     integral_y = float(np.trapezoid(y, t))
     out = {"integral_y": integral_y, "integral_y_finite": math.isfinite(integral_y)}
     if g is not None:

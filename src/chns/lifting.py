@@ -29,18 +29,21 @@ mismatch of u0 with the data stays in the records' ubar(0).  Static data
 therefore keeps u_p identical to the stationary lift exactly, and u_p - u_e
 equals w at all times, which is what the difference estimates consume.  The
 lift owns the step dt of its clock and is read by time alone, as the
-stationary lift is: ``state_at(t)`` steps it to t and forms u_p there.  The
-solver's u does not depend on the lift: a state stores u alone, and the
-records' context keeps the lift and forms ubar = u - u_p from its
-``state_at`` (``diagnostics.DiagnosticsContext``).
+stationary lift is: ``state_at(t)`` steps it to t and forms u_p there, in new
+arrays.  The solver's u does not depend on the lift: a state stores u alone,
+and a record forms u_p once from the lift its context keeps, reads G's lift
+norms from it when it certifies, and overwrites it with ubar = u - u_p
+(``diagnostics.energy``).
 
 Since the Stokes operator commutes with x-translations, w, forced by
--a'(t) U from zero, lives on the rows K of U.  The lift keeps w as its rfft
-rows on K and steps only those rows, through the x-Fourier core of
-``helmholtz_project_velocity``, starting from U's rows as the stationary
-solve wrote them.  U and w are synthesized from their rows c on K alone, as
-B [Re c; Im c] with B the nx x 2|K| table of K's cosines and sines, built
-once per stationary solve: the inverse rfft of c zero-filled, to round-off.
+-a'(t) U from zero, lives on the rows K of U.  The lift stores w once, as its
+rfft rows on K (uy's with their zero wall columns), and steps only those
+rows, through the x-Fourier core of ``helmholtz_project_velocity``, starting
+from U's rows as the stationary solve wrote them; the physical w is
+synthesized only when read.  U and w are synthesized from their rows c on K
+alone, as B [Re c; Im c] with B the nx x 2|K| table of K's cosines and sines,
+built once per stationary solve: the inverse rfft of c zero-filled, to
+round-off.
 Outside K, U's rfft holds only that round-off, so dropping those rows moves
 u_p only by round-off: each step maps w to P S (w - dt a' U), with P the
 projection and S = (I - dt nu1 Lap)^-1 the solve, which do not grow a field.
@@ -194,18 +197,21 @@ class ParabolicLift:
 
     Keeps the decomposition u_p = a(t) U + w from w(0) = 0, the stationary
     lift; each ``step`` advances w by one ``dt``, an implicit solve with
-    homogeneous walls followed by an exact projection.  ``w`` is u_p - u_e,
-    the difference from the stationary lift, and is all the lift stores:
-    ``state_at(t)`` steps the clock ``t`` to t and forms u_p = u_e(t) + w in
-    new arrays.  Each step builds new arrays, so a field handed out earlier
-    is never written, and a step that raises changes nothing.
+    homogeneous walls followed by an exact projection.  w = u_p - u_e, the
+    difference from the stationary lift, is all the lift stores, and it is
+    stored once: as its rfft rows on K, ``_w_rows``, uy's with their zero wall
+    columns.  ``state_at(t)`` steps the clock ``t`` to t and forms
+    u_p = u_e(t) + w in new arrays.  Each step builds new rows, so rows and
+    fields handed out earlier are never written, and a step that raises
+    changes nothing.
 
-    w lives on the x-modes of its forcing -a'(t) U (module docstring), so it
-    is kept as its rfft rows on K, and each step solves those rows only; K
-    and U's rows on it are ``EllipticLift.x_modes``, from the stationary
-    solve.  The synthesis on K (``EllipticLift.synthesis``) gives the physical
-    w, and the pressure of the solve is never synthesized.  The lift owns the
-    nu1 of its solve and its dt; the grid and the wall data are ``ell``'s.
+    w lives on the x-modes of its forcing -a'(t) U (module docstring), so each
+    step solves its rows on K only; K and U's rows on it are
+    ``EllipticLift.x_modes``, from the stationary solve.  The read-only ``w``
+    synthesizes the physical w from the rows in new arrays, with the table on
+    K (``EllipticLift.synthesis``); nothing keeps it, and the pressure of the
+    solve is never synthesized.  The lift owns the nu1 of its solve and its
+    dt; the grid and the wall data are ``ell``'s.
     """
 
     def __init__(self, elliptic: EllipticLift, nu1: float, dt: float):
@@ -217,28 +223,31 @@ class ParabolicLift:
         self.nu1 = float(nu1)
         self.dt = dt
         self.t = 0.0
-        self.w = VectorField.zeros(self.grid)
-        # w's rfft rows on K, of ux and of uy's interior rows
-        _, unit_x, unit_y = elliptic.x_modes
-        self._w_rows = (np.zeros_like(unit_x), np.zeros_like(unit_y))
+        # w's rfft rows on K, of ux and of uy with its zero wall columns
+        rows, unit_x, _ = elliptic.x_modes
+        self._w_rows = (np.zeros_like(unit_x), np.zeros((rows.size, self.grid.ny + 1), complex))
+
+    @property
+    def w(self) -> VectorField:
+        """w = u_p - u_e, synthesized from its rows on K in new arrays."""
+        table = self.ell.synthesis
+        return VectorField._trusted(*(_from_x_rows(table, c) for c in self._w_rows), self.grid)
 
     def step(self) -> None:
         ell, dt = self.ell, self.dt
-        g, amplitude = self.grid, ell.data.amplitude
         rows, unit_x, unit_y = ell.x_modes
         wx, wy = self._w_rows
         t_new = self.t + dt
         # w - (dt a'(t)) U on the rows, in new arrays: the core overwrites them
-        scale = dt * amplitude.dt(t_new)
+        scale = dt * ell.data.amplitude.dt(t_new)
         rx, ry = unit_x * scale, unit_y * scale
         np.subtract(wx, rx, out=rx)
-        np.subtract(wy, ry, out=ry)
-        wx, wy, _ = _helmholtz_project_modes(g, dt * self.nu1, rx, ry, rows)
+        np.subtract(wy[:, 1:-1], ry, out=ry)
+        wx, wy, _ = _helmholtz_project_modes(self.grid, dt * self.nu1, rx, ry, rows)
         if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
             raise SolverDiverged("parabolic lift produced non-finite values")
         self.t = t_new
-        self.w = VectorField._trusted(*(_from_x_rows(ell.synthesis, c) for c in (wx, wy)), g)
-        self._w_rows = (wx, wy[:, 1:-1])
+        self._w_rows = (wx, wy)
 
     def state_at(self, t: float) -> VectorField:
         """The evolutionary lift velocity u_p at time t, stepped by ``dt`` from the clock.
@@ -251,11 +260,7 @@ class ParabolicLift:
         if self.t != t:
             raise InvariantViolation(f"the state is at t = {t!r}, but the evolutionary lift "
                                      f"is at t = {self.t!r} and steps by dt = {self.dt!r}")
-        # a(t) U in new arrays: U is read-only, and w has been handed out
-        u_p = self.ell.state_at(t)
-        np.add(u_p.ux, self.w.ux, out=u_p.ux)
-        np.add(u_p.uy, self.w.uy, out=u_p.uy)
-        return u_p
+        return self.ell.state_at(t) + self.w
 
 
 def _x_synthesis(nx: int, rows: np.ndarray) -> np.ndarray:
@@ -298,21 +303,22 @@ def run_lift_pair(data: WallData, nu1: float, dt: float, t_end: float) -> LiftPa
     hist = LiftPairHistory()
     lap_cum = 0.0
 
-    def record(dtup):
+    def record(w, dtup):
         hist.times.append(par.t)
-        hist.diff_v1_sq.append(v1_norm(par.w) ** 2)
+        hist.diff_v1_sq.append(v1_norm(w) ** 2)
         hist.lap_diff_cum.append(lap_cum)
         hist.dtup_norm.append(dtup)
         hist.rhs_cum.append(shape_w * data.amplitude.dt_sq_integral(par.t))
 
-    record(0.0)
+    record(par.w, 0.0)
     u_p = par.state_at(0.0)
     for _ in range(whole_steps(t_end, dt, "t_end")):
         par.step()
-        lap_cum += dt * l2(vector_laplacian(par.w)) ** 2
+        w = par.w               # synthesized once a step: u_p is par.state_at(par.t)
+        lap_cum += dt * l2(vector_laplacian(w)) ** 2
         # |d/dt u_p| as the difference quotient of the step
-        old, u_p = u_p, par.state_at(par.t)
-        record(l2((u_p - old) * (1.0 / dt)))
+        old, u_p = u_p, par.ell.state_at(par.t) + w
+        record(w, l2((u_p - old) * (1.0 / dt)))
     return hist
 
 
@@ -334,13 +340,11 @@ def lift_difference_report(hist: LiftPairHistory) -> dict:
 
     ratio = float(np.max(lhs[live] / rhs[live]))
     dtup = np.asarray(hist.dtup_norm)
-    t_half = 0.5 * t[-1]
-    i_half = int(np.argmin(np.abs(t - t_half)))
-    report = {
+    i_half = int(np.argmin(np.abs(t - 0.5 * t[-1])))
+    return {
         "degenerate": False,
         "ratio_sup": ratio,
         "dtup_final": float(dtup[-1]),
         "dtup_half": float(dtup[i_half]),
         "dtup_tail_decaying": bool(dtup[-1] < 0.5 * dtup[i_half] + 1e-300),
     }
-    return report

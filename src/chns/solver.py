@@ -108,7 +108,7 @@ class SimState:
     """Simulation snapshot: the physical fields at time t, in every mode.
 
     A state carries no lift.  A record forms ubar = u - L(t) from the lift
-    its ``diagnostics.DiagnosticsContext`` keeps (``DiagnosticsContext.ubar``).
+    its ``diagnostics.DiagnosticsContext`` keeps (``diagnostics.energy``).
     """
 
     t: float

@@ -9,7 +9,7 @@ from chns.diagnostics import (G_TERMS, DiagnosticsContext, EnergyRecord,
                               TrajectorySample, continuous_dependence_metric,
                               energy, energy_inequality_report, evaluate_g,
                               higher_order, steady_state_residual_phi, zlem_tail_check)
-from chns.errors import MisalignedSeries, ModeMismatch
+from chns.errors import InvariantViolation, MisalignedSeries, ModeMismatch
 from chns.grid import Grid, ScalarField, VectorField
 from chns.lifting import EllipticLift, ParabolicLift
 from chns.ops import (divergence, grad_norm_sq, gradient, h1, h2_norm_sq,
@@ -176,16 +176,17 @@ class TestContextForRun:
         """The traced peak of one certified lifted_parabolic record above entry,
         in full-grid arrays (constant viscosity: A, B and G included).
 
-        The evolutionary lift stores w alone, so the record forms u_p = u_e + w
-        in two new arrays, once for ubar and once for G's lift norms: 16.9
-        arrays with the helper's small ufunc buffer, against 14.9 when the
-        lift kept u_p between records, two arrays that stayed resident.
+        The evolutionary lift stores w alone, as its rows, so the record forms
+        u_p = u_e + w once: G's lift norms are read from it before it is
+        overwritten with ubar.  11.95 arrays with the helper's small ufunc
+        buffer, against 16.94 when the record formed u_p twice, once for ubar
+        and once more for G's lift norms.
         """
         grid, cfg, data, sim = self.lifted_run(
             64, "lifted_parabolic", ViscositySpec(nu1=0.9, nu2=1.1, kind="constant", value=1.0))
         ctx = DiagnosticsContext.for_run(grid, cfg, data, lift=sim.ell)
         assert not math.isnan(energy(sim.state, ctx).G)
-        assert traced_peak_arrays(grid, lambda: energy(sim.state, ctx)) <= 17.0
+        assert traced_peak_arrays(grid, lambda: energy(sim.state, ctx)) <= 12.0
 
 
 class TestHigherOrder:
@@ -253,7 +254,8 @@ class TestHigherOrder:
         grid = Grid(16, 16)
         st = plain_state(grid, ScalarField.zeros(grid))
         with pytest.raises(ModeMismatch):
-            higher_order(st, DiagnosticsContext(data=WallData.zero(grid)), {}, None, None)
+            higher_order(st, DiagnosticsContext(data=WallData.zero(grid)), {}, None, None,
+                         None)
 
     def test_g_term_table_transcription(self):
         # frozen copy of the exponent table; any edit must break this test
@@ -362,6 +364,15 @@ class TestContinuousDependence:
         with pytest.raises(MisalignedSeries):
             continuous_dependence_metric(s1, s2)
 
+    @pytest.mark.parametrize("given", ["data1", "data2"])
+    def test_wall_data_of_one_run_only_refused(self, given):
+        """One run's wall data alone would drop the data terms from the RHS."""
+        grid = Grid(16, 16)
+        s = TrajectorySample(times=[0.0], u=[VectorField.zeros(grid)],
+                             phi=[ScalarField.zeros(grid)])
+        with pytest.raises(InvariantViolation, match="wall data of one run only"):
+            continuous_dependence_metric(s, s, **{given: WallData.zero(grid)})
+
 
 class TestZlemTail:
     def test_exponential_flagged_decaying(self):
@@ -382,6 +393,10 @@ class TestZlemTail:
         args = (t, short) if series == "y" else (t, np.ones(11), short)
         with pytest.raises(MisalignedSeries, match=f"t and {series} disagree"):
             zlem_tail_check(*args)
+
+    def test_empty_series_refused(self):
+        with pytest.raises(InvariantViolation, match="the series is empty"):
+            zlem_tail_check([], [])
 
     def test_spiky_but_integrable(self):
         t = np.linspace(0, 40, 4001)

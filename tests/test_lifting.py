@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import types
 import weakref
 
@@ -498,12 +499,38 @@ class TestParabolicLift:
         # a'(0.01) = inf * 0 = nan: the step itself produces non-finite values
         amp = Amplitude("couette_ramp", a0=1e300, a_inf=0.0, rate=1e10)
         par = ParabolicLift(EllipticLift(make_data(Grid(16, 16), amp=amp)), NU1, 0.01)
-        w, rows = par.w, par._w_rows
+        rows, w = par._w_rows, par.w
         with pytest.raises(SolverDiverged, match="non-finite"):
             par.step()
         assert par.t == 0.0
-        assert par.w is w and par._w_rows is rows
+        assert par._w_rows is rows          # a tuple: the same row arrays
+        assert [a.tobytes() for a in (par.w.ux, par.w.uy)] == [w.ux.tobytes(), w.uy.tobytes()]
         assert par.w.is_finite() and par.state_at(0.0).is_finite()
+
+    def test_stepped_lift_keeps_w_as_its_rows_alone(self):
+        """What a lift built and stepped once holds, in full-grid arrays at 64^2:
+        w's rows on K alone, 0.06, against 2.08 when it kept w synthesized too."""
+        grid = Grid(64, 64)
+        ell = EllipticLift(make_data(grid, "single_mode:1",
+                                     Amplitude("couette_ramp", a0=1.0, a_inf=0.5, rate=2.0)))
+
+        def stepped():
+            par = ParabolicLift(ell, NU1, 0.01)
+            par.step()
+            return par
+
+        stepped()       # the solve tables of dt nu1 are cached outside the count
+        tracemalloc.start()
+        try:
+            par = stepped()
+            # the array buffers still alive of those allocated while tracing
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in arrays.statistics("filename"))
+        assert par.t == 0.01 and l2(par.w) > 0.0
+        assert held / (grid.nx * grid.ny * 8) < 0.1
 
     def test_state_at_is_the_stationary_lift_plus_w(self):
         """u_p(t) = u_e(t) + w, bit for bit, at the lift's start and after steps."""
@@ -520,7 +547,8 @@ class TestParabolicLift:
         assert l2(par.w) > 0.0
 
     def test_state_at_returns_new_arrays(self):
-        """Writing into a returned u_p leaves the next call's bytes and w as they were."""
+        """Writing into a returned u_p leaves the next call's bytes and w as they were;
+        w itself is read-only, and each read synthesizes it in new arrays."""
         grid = Grid(16, 16)
         par = ParabolicLift(EllipticLift(make_data(grid, "single_mode:1",
                                                    Amplitude("couette_ramp", a0=1.0,
@@ -531,6 +559,10 @@ class TestParabolicLift:
         first.uy[:] = 7.0
         second = par.state_at(2.0 ** -4)
         assert second.ux is not first.ux and second.uy is not first.uy
+        w = par.w                           # synthesized from the rows, kept by no one
+        assert w.ux is not par.w.ux and w.uy is not par.w.uy
+        with pytest.raises(AttributeError):
+            par.w = w
         assert [a.tobytes() for a in (second.ux, second.uy, par.w.ux, par.w.uy)] == before
 
     @pytest.mark.parametrize("case", ["mode_1", "uniform_and_mode_2", "nyquist", "random"])

@@ -33,7 +33,8 @@ def test_tracer_enters_and_leaves():
 
 
 def test_parabolic_record_work(monkeypatch):
-    """One certified record projects nothing, inverts no transform and runs one Laplacian."""
+    """One certified record projects nothing, inverts no transform, runs one Laplacian
+    and forms u_p once."""
     from chns import diagnostics
     from chns.boundary import Amplitude, WallData, wall_profile
     from chns.grid import Grid, ScalarField, VectorField
@@ -64,6 +65,7 @@ def test_parabolic_record_work(monkeypatch):
         rec = diagnostics.energy(sim.state, ctx)
     assert np.isfinite(rec.B) and rec.B > 0.0
     assert tr.calls["diagnostics.higher_order"] == 1
+    assert tr.calls["lifting.rescale"] == 2     # u_p once, and res_u's limit field
     assert tr.calls["ops.leray_project"] == 0
     assert tr.calls["grid.from_spectral"] == 0
     assert len(laplacians) == 1          # the one of res_phi
