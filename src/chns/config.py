@@ -1,16 +1,23 @@
-"""Run configuration: flat sectioned text files, schema-validated.
+"""Run configuration: flat sectioned text files, valid by construction.
 
-The format is INI-style (configparser) with one section per concern; every
-key has a documented default, unknown keys or sections are rejected, and
-``serialize_config(parse_config(path))`` parses back to an equal config so a
-run can always be archived next to its outputs.
+The format is INI-style (configparser) with one section per concern.  Each
+key is declared once, on its ``RunConfig`` field: the field names its
+section, and its key where that is not the field's name, and its default is
+the key's default.  ``SCHEMA`` is derived from the fields, in their order,
+with the type of each default as the key's converter.  Unknown keys or
+sections are rejected, and ``serialize_config(parse_config(path))`` parses
+back to an equal config so a run can always be archived next to its
+outputs.
 
-The objects a config describes own their checks: ``validate_config`` builds
-the grid, the viscosity, the solver settings, the amplitude and each wall
-profile, and collects every one's ``InvariantViolation`` message into a
-single ``ValidationError``.  The defaults of the keys that feed an object
-are that object's defaults.  The double well and its bound constants are
-fixed (``potential.PotentialSpec``), so there is no potential section.
+A ``RunConfig`` is valid however it is made: constructed, parsed or passed
+through ``dataclasses.replace``, it runs ``validate_config`` once.  The
+objects a config describes own their checks: ``validate_config`` builds the
+grid, the viscosity, the solver settings, the amplitude and each wall
+profile, and collects every one's ``InvariantViolation`` message, with those
+of the initial data, into a single ``ValidationError``.  The defaults of
+the keys that feed an object are that object's defaults.  The double well
+and its bound constants are fixed (``potential.PotentialSpec``), so there is
+no potential section.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import configparser
 import functools
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,49 +38,51 @@ from .potential import ViscositySpec
 from .solver import SolverConfig
 
 
+def _key(section: str, default, key: str | None = None):
+    """A RunConfig field read as ``[section] key``; the key is the field's name
+    unless given."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [grid]
-    nx: int = 64
-    ny: int = 64
-    lx: float = 1.0
-    ly: float = 1.0
-    # [time]
-    dt: float = 1e-3
-    t_end: float = 1.0
-    record_every: float = SolverConfig.record_every
-    # [solver]
-    mode: str = SolverConfig.mode
-    stabilization: float = SolverConfig.stabilization
-    cfl_safety: float = SolverConfig.cfl_safety
-    # [viscosity]
-    viscosity_kind: str = ViscositySpec.kind
-    nu1: float = ViscositySpec.nu1
-    nu2: float = ViscositySpec.nu2
-    nu_value: float | None = ViscositySpec.value
-    # [boundary]
-    family: str = "custom_static"
-    a0: float = Amplitude.a0
-    a_inf: float = Amplitude.a_inf
-    rate: float = Amplitude.rate
-    omega: float = Amplitude.omega
-    p_exponent: float = Amplitude.p
-    g_bottom: str = "zero"
-    g_top: str = "zero"
-    g_bottom_scale: float = 1.0
-    g_top_scale: float = 1.0
-    # [initial]
-    phi_profile: str = "noise"
-    phi_mean: float = 0.0
-    phi_amp: float = 0.01
-    phi_mode_x: int = 1
-    phi_mode_y: int = 1
-    seed: int = 1234
-    u_profile: str = "zero"
-    u_vortex_amp: float = 0.0
-    # [outputs]
-    directory: str = "out"
-    snapshot_every: float = 0.0
+    nx: int = _key("grid", 64)
+    ny: int = _key("grid", 64)
+    lx: float = _key("grid", 1.0)
+    ly: float = _key("grid", 1.0)
+    dt: float = _key("time", 1e-3)
+    t_end: float = _key("time", 1.0)
+    record_every: float = _key("time", SolverConfig.record_every)
+    mode: str = _key("solver", SolverConfig.mode)
+    stabilization: float = _key("solver", SolverConfig.stabilization)
+    cfl_safety: float = _key("solver", SolverConfig.cfl_safety)
+    viscosity_kind: str = _key("viscosity", ViscositySpec.kind, "kind")
+    nu1: float = _key("viscosity", ViscositySpec.nu1)
+    nu2: float = _key("viscosity", ViscositySpec.nu2)
+    nu_value: float | None = _key("viscosity", ViscositySpec.value, "value")
+    family: str = _key("boundary", "custom_static")
+    a0: float = _key("boundary", Amplitude.a0)
+    a_inf: float = _key("boundary", Amplitude.a_inf)
+    rate: float = _key("boundary", Amplitude.rate)
+    omega: float = _key("boundary", Amplitude.omega)
+    p_exponent: float = _key("boundary", Amplitude.p, "p")
+    g_bottom: str = _key("boundary", "zero")
+    g_top: str = _key("boundary", "zero")
+    g_bottom_scale: float = _key("boundary", 1.0)
+    g_top_scale: float = _key("boundary", 1.0)
+    phi_profile: str = _key("initial", "noise", "phi")
+    phi_mean: float = _key("initial", 0.0)
+    phi_amp: float = _key("initial", 0.01)
+    phi_mode_x: int = _key("initial", 1)
+    phi_mode_y: int = _key("initial", 1)
+    seed: int = _key("initial", 1234)
+    u_profile: str = _key("initial", "zero", "u")
+    u_vortex_amp: float = _key("initial", 0.0)
+    directory: str = _key("outputs", "out")
+    snapshot_every: float = _key("outputs", 0.0)
+
+    def __post_init__(self):
+        validate_config(self)
 
 
 def _fmt(value) -> str:
@@ -88,28 +97,13 @@ def _opt_float(raw: str):
     return None if raw.strip() == "" else float(raw)
 
 
-# section -> key -> (config field, converter)
-SCHEMA = {
-    "grid": {"nx": ("nx", int), "ny": ("ny", int), "lx": ("lx", float), "ly": ("ly", float)},
-    "time": {"dt": ("dt", float), "t_end": ("t_end", float),
-             "record_every": ("record_every", float)},
-    "solver": {"mode": ("mode", str), "stabilization": ("stabilization", float),
-               "cfl_safety": ("cfl_safety", float)},
-    "viscosity": {"kind": ("viscosity_kind", str), "nu1": ("nu1", float),
-                  "nu2": ("nu2", float), "value": ("nu_value", _opt_float)},
-    "boundary": {"family": ("family", str), "a0": ("a0", float),
-                 "a_inf": ("a_inf", float), "rate": ("rate", float),
-                 "omega": ("omega", float), "p": ("p_exponent", float),
-                 "g_bottom": ("g_bottom", str), "g_top": ("g_top", str),
-                 "g_bottom_scale": ("g_bottom_scale", float),
-                 "g_top_scale": ("g_top_scale", float)},
-    "initial": {"phi": ("phi_profile", str), "phi_mean": ("phi_mean", float),
-                "phi_amp": ("phi_amp", float), "phi_mode_x": ("phi_mode_x", int),
-                "phi_mode_y": ("phi_mode_y", int), "seed": ("seed", int),
-                "u": ("u_profile", str), "u_vortex_amp": ("u_vortex_amp", float)},
-    "outputs": {"directory": ("directory", str),
-                "snapshot_every": ("snapshot_every", float)},
-}
+# section -> key -> (config field, converter), in field order; the converter
+# is the type of the field's default, and a None default is the optional float
+SCHEMA: dict = {}
+for _f in fields(RunConfig):
+    SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = (
+        _f.name, _opt_float if _f.default is None else type(_f.default))
+del _f
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
@@ -136,9 +130,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                 problems.append(f"[{section}] {key} = {raw!r}: {exc}")
     if problems:
         raise ValidationError(problems)
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def parse_config(path) -> RunConfig:
@@ -162,7 +154,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def validate_config(cfg: RunConfig) -> None:
     """Build every object the config describes; raise ValidationError listing
-    the message of each one that refuses its fields."""
+    the message of each one that refuses its fields.  ``RunConfig`` runs it
+    on construction, so a config that exists has passed it."""
     bad = []
 
     def attempt(where, build, *args, **kw):

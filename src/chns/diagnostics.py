@@ -58,22 +58,30 @@ class EnergyRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(EnergyRecord))
 
 
-@dataclass
+# the type of the run's lift in each mode: the L(t) of ubar = u - L(t), or None
+_LIFT_OF_MODE = {"direct": type(None), "lifted_elliptic": EllipticLift,
+                 "lifted_parabolic": ParabolicLift}
+
+
+@dataclass(frozen=True)
 class DiagnosticsContext:
     """What a record reads besides the state: the run's ``stationary`` lift,
     whose limit field res_u measures u against (None leaves res_u NaN), the
-    run's ``lift``, and, in the certified mode (lifted_parabolic, constant
-    ``viscosity``), ``data`` and ``potential`` for A, B and G.
+    run's ``mode`` and ``lift``, and, for a ``certified`` record, ``data``
+    and ``potential`` for A, B and G.
 
-    ``lift`` is the L(t) of ubar = u - L(t): the stationary ``EllipticLift``
-    in the lifted_elliptic mode, the evolutionary ``ParabolicLift`` in the
-    lifted_parabolic mode and None otherwise, when a record reads u.  Either
-    lift is read by time alone, ``lift.state_at(t)``: the evolutionary one
-    steps itself there by its own dt, the run's step from the run's clock, so
-    its u_p is the one an every-step lift has, and it stores w once, as its
-    rows.  The context steps nothing and stores no full-grid field of its
-    own: a record (``energy``) forms L(t) once, in new arrays, overwrites it
-    with ubar, forms the limit field, and drops each once read.
+    ``lift`` is the L(t) of ubar = u - L(t), and the mode decides it: None in
+    the direct mode, when a record reads u, the stationary ``EllipticLift``
+    in the lifted_elliptic mode and the evolutionary ``ParabolicLift`` in the
+    lifted_parabolic mode.  A context is checked once, when it is made: an
+    unknown mode, or a lift that is not its mode's, raises ModeMismatch, and
+    its fields cannot be reassigned after.  Either lift is read by time
+    alone, ``lift.state_at(t)``: the evolutionary one steps itself there by
+    its own dt, the run's step from the run's clock, so its u_p is the one an
+    every-step lift has, and it stores w once, as its rows.  The context
+    steps nothing and stores no full-grid field of its own: a record
+    (``energy``) forms L(t) once, in new arrays, overwrites it with ubar,
+    forms the limit field, and drops each once read.
     """
 
     data: WallData | None = None
@@ -82,6 +90,19 @@ class DiagnosticsContext:
     stationary: EllipticLift | None = None
     mode: str = "direct"
     lift: EllipticLift | ParabolicLift | None = None
+
+    def __post_init__(self):
+        kind = _LIFT_OF_MODE.get(self.mode)     # an unknown mode takes no lift of any type
+        if kind is None or not isinstance(self.lift, kind):
+            raise ModeMismatch(f"mode {self.mode!r} and lift type "
+                               f"{type(self.lift).__name__} disagree")
+
+    @property
+    def certified(self) -> bool:
+        """Whether a record takes A, B and G: the evolutionary lift with a
+        constant viscosity."""
+        return (self.mode == "lifted_parabolic" and self.viscosity is not None
+                and self.viscosity.is_constant)
 
     @classmethod
     def for_run(cls, grid, cfg, data, lift: EllipticLift | None = None):
@@ -124,14 +145,15 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
     """Quadrature evaluation of the energy split plus the optional monitors.
 
     The split reads ubar = u - L(t), with L the context's lift, and u
-    without a context or lift.  The record forms L(t) once, in new arrays; in
-    the certified mode it takes G's lift norms |u_p|, |grad u_p| and
-    |Lap u_p|, the last two with the wall data at t, from L(t) = u_p before it
-    overwrites L(t) with ubar.  With a context the record makes one stacked
-    ``Grid.to_spectral`` call: it takes the stationary residual (res_phi) and,
-    in the certified mode (evolutionary lift, constant viscosity), phi, mu and
-    div(Lap ubar), whose coefficients go to ``higher_order`` with the norms
-    formed here.
+    without a context or lift.  A record is certified when its context is
+    (``DiagnosticsContext.certified``: the evolutionary lift with a constant
+    viscosity), and only a certified record takes A, B and G.  The record
+    forms L(t) once, in new arrays; a certified one takes G's lift norms
+    |u_p|, |grad u_p| and |Lap u_p|, the last two with the wall data at t,
+    from L(t) = u_p before it overwrites L(t) with ubar.  With a context the
+    record makes one stacked ``Grid.to_spectral`` call: it takes the
+    stationary residual (res_phi) and, certified, phi, mu and div(Lap ubar),
+    whose coefficients go to ``higher_order`` with the norms formed here.
     res_u = |u - u_inf|_V1 forms the stationary lift's limit field u_inf in
     new arrays and subtracts u in place.  Each array is dropped after its
     last use: ubar once its norms (and, certified, Lap ubar) are taken, the
@@ -143,9 +165,7 @@ def energy(state, context: DiagnosticsContext | None = None) -> EnergyRecord:
         # a lift's arrays would subtract from a state of their shape on any grid
         require_same_grid(state.u, *filter(None, (context.stationary, context.lift)))
     phi, grid = state.phi, state.phi.grid
-    certified = (context is not None and context.mode == "lifted_parabolic"
-                 and isinstance(context.lift, ParabolicLift)
-                 and context.viscosity is not None and context.viscosity.is_constant)
+    certified = context is not None and context.certified
     u_p = None if context is None or context.lift is None else context.lift.state_at(state.t)
     if certified:       # G's lift norms, with the wall data at t, before u_p becomes ubar
         walls = context.data.eval_wall(state.t)
@@ -193,7 +213,8 @@ def energy_inequality_report(records, data: WallData, nu1: float) -> dict:
     K(t) = E(t) / [(E(0) + D(t)) exp(W(t))] with D the accumulated data
     integrals and W the exponential weight; finiteness and stability of
     sup K under dt-halving stand in for the unknowable front constant.
-    The dissipation integral weights diss_u with the run's nu1.
+    The dissipation integral weights diss_u with the run's nu1.  Record
+    times that do not increase strictly raise MisalignedSeries.
     """
     if len(records) < 2:
         return {"max_step_increase": 0.0, "sup_K": 0.0, "dissipation_integral": 0.0,
@@ -201,6 +222,8 @@ def energy_inequality_report(records, data: WallData, nu1: float) -> dict:
     t = np.array([r.t for r in records])
     e = np.array([r.total for r in records])
     dt_rec = np.diff(t)
+    if not np.all(dt_rec > 0):
+        raise MisalignedSeries("energy_inequality_report: record times must increase strictly")
     max_step_increase = float(np.max(np.diff(e) / dt_rec))
 
     amp = data.amplitude
@@ -266,11 +289,13 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
                  coeffs: np.ndarray, lift_norms: tuple) -> tuple[float, float, float]:
     """Higher-order functionals A, B and G of the evolutionary-lift splitting.
 
-    Restricted to constant-viscosity runs in the evolutionary-lift mode;
-    anything else raises ModeMismatch.  ``energy`` calls it with what its
-    record has formed: ``norms`` holds ubar_l2, diss_u = |grad ubar|^2,
-    grad_phi and grad_mu; ``lap_ubar`` is vector_laplacian(ubar); ``coeffs``
-    stacks the ``Grid.to_spectral`` coefficients of phi, mu and div(lap_ubar);
+    Defined for a certified context alone (``DiagnosticsContext.certified``:
+    the evolutionary lift with a constant viscosity); any other context
+    raises ModeMismatch.  ``energy`` calls it for certified records only,
+    with what the record has formed: ``norms`` holds ubar_l2,
+    diss_u = |grad ubar|^2, grad_phi and grad_mu; ``lap_ubar`` is
+    vector_laplacian(ubar); ``coeffs`` stacks the ``Grid.to_spectral``
+    coefficients of phi, mu and div(lap_ubar);
     ``lift_norms`` is (|u_p|, |grad u_p|^2, |Lap u_p|) of the context's lift
     at the state's time, the last two with its wall data there.  It forms no
     field of the lift: the record forms u_p once and reads these before it
@@ -282,10 +307,8 @@ def higher_order(state, context: DiagnosticsContext, norms: dict, lap_ubar: Vect
     assembled from their squared parts, u_p's V1 and V2 norms from
     ``lift_norms``.
     """
-    if context.mode != "lifted_parabolic" or not isinstance(context.lift, ParabolicLift):
-        raise ModeMismatch("higher-order functionals need the evolutionary lift")
-    if context.viscosity is None or not context.viscosity.is_constant:
-        raise ModeMismatch("higher-order functionals are defined for constant viscosity")
+    if not context.certified:
+        raise ModeMismatch("higher-order functionals need a certified context")
     grid = state.phi.grid
     c_phi, c_mu, c_div = coeffs
     p_phi, p_mu = c_phi.real**2 + c_phi.imag**2, c_mu.real**2 + c_mu.imag**2
@@ -346,10 +369,13 @@ def continuous_dependence_metric(run1: TrajectorySample, run2: TrajectorySample,
     With identical inputs both sides are exactly zero.  The data terms need
     the wall data of both runs: that of one run alone raises
     InvariantViolation, and without either the RHS is the initial distance.
+    Empty samples raise InvariantViolation.
     """
     if (data1 is None) != (data2 is None):
         raise InvariantViolation("continuous dependence: wall data of one run only")
     t = require_aligned(run1.times, run2.times, "trajectory samples")
+    if t.size == 0:
+        raise InvariantViolation("continuous dependence: the trajectory samples are empty")
     du_sup = 0.0
     dphi_sup = 0.0
     du_grad_sq = []

@@ -30,7 +30,8 @@ class CFLViolation(ChnsError):
 
 
 class ModeMismatch(ChnsError):
-    """Diagnostic requested outside the solver mode that provides its inputs."""
+    """A diagnostics context's mode and lift disagree, or its mode is unknown;
+    or a diagnostic is requested of a context that does not provide its inputs."""
 
 
 class MisalignedSeries(ChnsError):

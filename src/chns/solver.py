@@ -64,6 +64,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class SolverConfig:
     stabilization: float = 2.0
     cfl_safety: float = 0.4
     record_every: float = 0.01
-    potential: PotentialSpec = field(default_factory=PotentialSpec)
+    # the double well is fixed: a constant, not a setting
+    potential: ClassVar[PotentialSpec] = PotentialSpec()
     viscosity: ViscositySpec = field(default_factory=ViscositySpec)
 
     def __post_init__(self):

@@ -11,7 +11,7 @@ from chns.config import (SCHEMA, RunConfig, build_grid, build_initial_phi,
                          serialize_config)
 from chns.diagnostics import DiagnosticsContext
 from chns.errors import CFLViolation, ParseError, ValidationError
-from chns.potential import ViscositySpec
+from chns.potential import PotentialSpec, ViscositySpec
 from chns.solver import Simulation, SolverConfig
 
 
@@ -54,6 +54,26 @@ def test_defaults_are_the_objects_defaults():
     assert build_viscosity(cfg) == ViscositySpec()
     assert build_solver_config(cfg) == SolverConfig(dt=cfg.dt, t_end=cfg.t_end)
     assert build_wall_data(cfg, build_grid(cfg)).amplitude == Amplitude("custom_static")
+
+
+def test_the_double_well_is_not_a_solver_setting():
+    assert SolverConfig(dt=1e-3, t_end=1.0).potential == PotentialSpec()
+    with pytest.raises(TypeError, match="potential"):
+        SolverConfig(dt=1e-3, t_end=1.0, potential=PotentialSpec(q=4.0))
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"phi_profile": "modes"}, "[initial] unknown phi profile 'modes'"),
+    ({"u_profile": "vortex"}, "[initial] unknown u profile 'vortex'"),
+], ids=["phi", "u"])
+@pytest.mark.parametrize("made_by", ["constructor", "replace"])
+def test_unknown_profile_refused_however_made(changes, where, made_by):
+    with pytest.raises(ValidationError) as exc:
+        if made_by == "constructor":
+            RunConfig(**changes)
+        else:
+            dataclasses.replace(RunConfig(), **changes)
+    assert exc.value.violations == (where,)
 
 
 @pytest.mark.parametrize("text, where", [

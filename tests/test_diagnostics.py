@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,15 @@ class TestEnergyInequality:
         assert sups[1] <= 2.0 * sups[0] + 1e-12 and sups[0] <= 2.0 * sups[1] + 1e-12
 
 
+    def test_repeated_time_refused(self):
+        """A zero time step would read the energy increment as nan."""
+        grid = Grid(16, 16)
+        recs = [EnergyRecord(t=t, kinetic=0, interfacial=0, bulk=0, total=e,
+                             diss_u=0, diss_mu=0, mass=1.0)
+                for t, e in ((0.0, 1.0), (0.1, 0.9), (0.1, 0.8), (0.2, 0.7))]
+        with pytest.raises(MisalignedSeries, match="increase strictly"):
+            energy_inequality_report(recs, WallData.zero(grid), nu1=1.0)
+
     def test_single_record_report_is_complete(self):
         grid = Grid(16, 16)
         cfg = SolverConfig(dt=1e-3, t_end=0.0)
@@ -109,6 +119,44 @@ class TestEnergyInequality:
         rep = energy_inequality_report(records, WallData.zero(grid), cfg.viscosity.nu1)
         assert rep["dissipation_finite"] is True
         assert rep["sup_K"] == 0.0 and rep["homogeneous"]
+
+
+class TestContextChecks:
+    @staticmethod
+    def lifts(grid):
+        data = WallData.zero(grid)
+        ell = EllipticLift(data)
+        return data, ell, ParabolicLift(ell, 0.9, 1e-3)
+
+    @pytest.mark.parametrize("mode, lift", [
+        ("lifted_parabolic", None), ("direct", "parabolic"),
+        ("lifted_elliptic", "parabolic"), ("lifted_parabolc", "parabolic"),
+    ], ids=["parabolic_without_lift", "direct_with_parabolic", "elliptic_with_parabolic",
+            "unknown_mode"])
+    def test_mode_and_lift_that_disagree_refused(self, mode, lift):
+        data, _, par = self.lifts(Grid(16, 16))
+        with pytest.raises(ModeMismatch, match=f"mode {mode!r}"):
+            DiagnosticsContext(data=data, mode=mode, lift=par if lift else None)
+
+    def test_fields_cannot_be_reassigned(self):
+        data, ell, _ = self.lifts(Grid(16, 16))
+        ctx = DiagnosticsContext(data=data, mode="lifted_elliptic", lift=ell)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.mode = "direct"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.lift = None
+
+    def test_certified_is_the_evolutionary_lift_with_constant_viscosity(self):
+        data, ell, par = self.lifts(Grid(16, 16))
+        constant = ViscositySpec(nu1=0.9, nu2=1.1, kind="constant", value=1.0)
+        certified = {
+            (mode, viscosity is constant): DiagnosticsContext(
+                data=data, viscosity=viscosity, mode=mode, lift=lift).certified
+            for mode, lift in (("direct", None), ("lifted_elliptic", ell),
+                               ("lifted_parabolic", par))
+            for viscosity in (constant, ViscositySpec(nu1=0.9, nu2=1.1))}
+        assert certified.pop(("lifted_parabolic", True)) is True
+        assert not any(certified.values())
 
 
 class TestContextForRun:
@@ -363,6 +411,10 @@ class TestContinuousDependence:
         s2 = TrajectorySample(times=[0.0, 0.2], u=[None, None], phi=[None, None])
         with pytest.raises(MisalignedSeries):
             continuous_dependence_metric(s1, s2)
+
+    def test_empty_samples_refused(self):
+        with pytest.raises(InvariantViolation, match="trajectory samples are empty"):
+            continuous_dependence_metric(TrajectorySample(), TrajectorySample())
 
     @pytest.mark.parametrize("given", ["data1", "data2"])
     def test_wall_data_of_one_run_only_refused(self, given):
